@@ -78,8 +78,6 @@ def cmd_generate(args):
 
 
 def _stop_from(args):
-    if args.timeout_s is None and args.node_cap is None:
-        return StopCondition(wall_seconds=600.0)
     return StopCondition(wall_seconds=args.timeout_s, node_budget=args.node_cap)
 
 
@@ -131,26 +129,32 @@ def _solve_prior_nmf(instance, instance_id, args, trace):
     return NMF_FIELDS, [row]
 
 
+# instance kind -> (instance from a parsed file, solve returning (fields, rows))
+SOLVERS = {
+    "smart-design": (smart_design.instance_from_doc, _solve_smart_design),
+    "prior-nmf": (prior_nmf.instance_from_doc, _solve_prior_nmf),
+}
+
+
+def _load_instance(path):
+    """(kind, instance) of an instance file, parsed once."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    kind = doc.get("problem") if isinstance(doc, dict) else None
+    if kind not in SOLVERS:
+        raise ValueError("unrecognised instance kind %r" % kind)
+    return kind, SOLVERS[kind][0](doc)
+
+
 def cmd_solve(args):
-    with open(args.instance) as fh:
-        kind = json.load(fh).get("problem")
+    kind, instance = _load_instance(args.instance)
+    instance.seed = _env_seed(instance.seed if args.seed is None else args.seed)
     instance_id = _digest(args.instance)
     trace_emit, trace_fh = (None, None)
     if args.trace:
         trace_emit, trace_fh = _trace_writer(args.trace)
     try:
-        if kind == "smart-design":
-            instance = smart_design.load_instance(args.instance)
-            if args.seed is not None or "BAGEL_SEED" in os.environ:
-                instance.seed = _env_seed(args.seed if args.seed is not None else instance.seed)
-            fields, rows = _solve_smart_design(instance, instance_id, args, trace_emit)
-        elif kind == "prior-nmf":
-            instance = prior_nmf.load_instance(args.instance)
-            if args.seed is not None or "BAGEL_SEED" in os.environ:
-                instance.seed = _env_seed(args.seed if args.seed is not None else instance.seed)
-            fields, rows = _solve_prior_nmf(instance, instance_id, args, trace_emit)
-        else:
-            raise ValueError("unrecognised instance kind %r" % kind)
+        fields, rows = SOLVERS[kind][1](instance, instance_id, args, trace_emit)
     finally:
         if trace_fh is not None:
             trace_fh.close()
@@ -159,7 +163,7 @@ def cmd_solve(args):
         "instance": args.instance, "instance_id": instance_id, "problem": kind,
         "strategy": args.strategy, "pruning": args.pruning,
         "timeout_s": args.timeout_s, "node_cap": args.node_cap,
-        "folds": args.folds, "seed": args.seed,
+        "folds": args.folds, "seed": instance.seed,
     })
     return 0
 

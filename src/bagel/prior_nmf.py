@@ -297,7 +297,11 @@ def save_instance(instance, path):
 
 def load_instance(path):
     with open(path) as fh:
-        doc = json.load(fh)
+        return instance_from_doc(json.load(fh))
+
+
+def instance_from_doc(doc):
+    """Instance from a parsed instance file, as `save_instance` writes it."""
     if doc.get("problem") != "prior-nmf":
         raise ValueError("not a prior-nmf instance file")
     db = TopicDB(int(doc["n"]), [np.array(t, dtype=float) for t in doc["db"]])

@@ -101,7 +101,8 @@ def sd_evaluate(solution, X_test, y_test):
 
 
 class SmartDesignProblem(Problem):
-    """Search over component activations; training is masked least squares."""
+    """Search over component activations; training is masked least squares
+    from the Gram matrix of (X, y), formed once per problem."""
 
     default_pruning = "exact"
 
@@ -112,6 +113,7 @@ class SmartDesignProblem(Problem):
         self.bound = float(bound)
         self.strict = strict
         self.weights = np.array([c.weight for c in self.components])
+        self.solver = numerics.GramLeastSquares(self.X, self.y)
 
     @classmethod
     def from_instance(cls, instance, strict=True):
@@ -130,7 +132,7 @@ class SmartDesignProblem(Problem):
         node.payload = expand_mask([d.ub for d in node.state], self.components)
 
     def train(self, node):
-        theta, loss = numerics.solve_least_squares(self.X, self.y, node.payload)
+        theta, loss = self.solver.solve(node.payload)
         node.model = theta
         return loss
 
@@ -172,7 +174,8 @@ def baseline_l2_br(X, y, components, bound, strict=True, aggregation="max"):
     budget holds, then refit once on the survivors."""
     weights = np.array([c.weight for c in components])
     d = sum(c.input_size for c in components)
-    theta, _ = numerics.solve_least_squares(X, y, np.ones(d))
+    solver = numerics.GramLeastSquares(X, y)
+    theta, _ = solver.solve(np.ones(d))
     scores = _component_scores(theta, components, aggregation)
     u = np.ones(len(components), dtype=int)
     feasible = lambda total: total < bound if strict else total <= bound
@@ -180,7 +183,7 @@ def baseline_l2_br(X, y, components, bound, strict=True, aggregation="max"):
         if feasible(float(np.dot(u, weights))):
             break
         u[i] = 0
-    theta, loss = numerics.solve_least_squares(X, y, expand_mask(u, components))
+    theta, loss = solver.solve(expand_mask(u, components))
     return DesignSolution(u=u, theta=theta, train_loss=loss)
 
 
@@ -190,14 +193,15 @@ def baseline_l2_or(X, y, components, bound, strict=True, aggregation="max"):
     weights = np.array([c.weight for c in components])
     u = np.ones(len(components), dtype=int)
     feasible = lambda total: total < bound if strict else total <= bound
-    theta, loss = numerics.solve_least_squares(X, y, expand_mask(u, components))
+    solver = numerics.GramLeastSquares(X, y)
+    theta, loss = solver.solve(expand_mask(u, components))
     while not feasible(float(np.dot(u, weights))):
         scores = _component_scores(theta, components, aggregation)
         ratios = np.where(weights > 0, scores / np.maximum(weights, 1e-300), np.inf)
         active = np.flatnonzero(u)
         drop = active[np.argmin(ratios[active], )]
         u[drop] = 0
-        theta, loss = numerics.solve_least_squares(X, y, expand_mask(u, components))
+        theta, loss = solver.solve(expand_mask(u, components))
     return DesignSolution(u=u, theta=theta, train_loss=loss)
 
 
@@ -271,7 +275,11 @@ def save_instance(instance, path):
 
 def load_instance(path):
     with open(path) as fh:
-        doc = json.load(fh)
+        return instance_from_doc(json.load(fh))
+
+
+def instance_from_doc(doc):
+    """Instance from a parsed instance file, as `save_instance` writes it."""
     if doc.get("problem") != "smart-design":
         raise ValueError("not a smart-design instance file")
     return SmartDesignInstance(

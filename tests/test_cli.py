@@ -116,6 +116,24 @@ class TestSolve:
         assert records[0]["depth"] == 0 and records[0]["trail"] == []
         assert all(set(r) == {"id", "depth", "trail", "loss", "status"} for r in records)
 
+    def test_meta_records_effective_seed(self, sd_instance, tmp_path, monkeypatch):
+        out = str(tmp_path / "res.csv")
+        monkeypatch.setenv("BAGEL_SEED", "123")
+        rc = cli.main(["solve", "--instance", sd_instance, "--out", out,
+                       "--folds", "1", "--seed", "5"])
+        assert rc == 0
+        with open(out + ".meta.json") as fh:
+            assert json.load(fh)["seed"] == 123
+
+    @pytest.mark.parametrize("content", ["{not json", "[1, 2]", '{"problem": "tsp"}'])
+    def test_bad_instance_exits_1(self, tmp_path, content):
+        inst, out, trace = tmp_path / "bad.json", tmp_path / "res.csv", tmp_path / "t.ndjson"
+        inst.write_text(content)
+        rc = cli.main(["solve", "--instance", str(inst), "--out", str(out),
+                       "--trace", str(trace)])
+        assert rc == 1
+        assert not out.exists() and not trace.exists()
+
     def test_missing_instance_exits_2(self, tmp_path):
         rc = cli.main(["solve", "--instance", str(tmp_path / "nope.json"),
                        "--out", str(tmp_path / "res.csv")])

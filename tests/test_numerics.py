@@ -1,10 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bagel import numerics
 from bagel.numerics import (
     DimensionError,
     DomainError,
+    GramLeastSquares,
     lp_distance,
     make_rng,
     masked_l0_cost,
@@ -147,6 +152,93 @@ class TestSolveLeastSquares:
             solve_least_squares(np.eye(2), [1.0, 2.0, 3.0], [1, 1])
         with pytest.raises(DimensionError):
             solve_least_squares(np.eye(2), [1.0, 2.0], [1])
+
+
+LOSS_RTOL = 1e-9
+
+
+@st.composite
+def least_squares_cases(draw):
+    """(X, y, mask): Gaussian X with optional duplicated or nearly
+    duplicated columns, columns scaled over six decades (coefficients scaled
+    inversely, so y keeps its size), m < d allowed, noiseless or noisy y,
+    and empty, full or random masks."""
+    m, d = draw(st.integers(1, 25)), draw(st.integers(1, 10))
+    rng = make_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    X = rng.standard_normal((m, d))
+    for _ in range(draw(st.integers(0, 2)) if d > 1 else 0):
+        j = draw(st.integers(1, d - 1))
+        X[:, j] = draw(st.sampled_from([1.0, -2.5, 3.0])) * X[:, draw(st.integers(0, j - 1))]
+        X[:, j] += draw(st.sampled_from([0.0, 1e-6, 1e-2, 1e-1])) * rng.standard_normal(m)
+    scale = 10.0 ** np.array(draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d)))
+    X *= scale
+    noise = draw(st.sampled_from([0.0, 0.1, 1.0]))
+    y = X @ (rng.standard_normal(d) / scale) + noise * rng.standard_normal(m)
+    kind = draw(st.sampled_from(["empty", "full", "random"]))
+    if kind == "random":
+        mask = np.array(draw(st.lists(st.booleans(), min_size=d, max_size=d)))
+    else:
+        mask = np.full(d, kind == "full")
+    return X, y, mask
+
+
+class TestGramLeastSquares:
+    """The Gram path against `solve_least_squares`, the reference it replaces."""
+
+    @staticmethod
+    def solve_and_spy(X, y, mask):
+        """Gram solve plus whether it fell back to the reference."""
+        with mock.patch.object(numerics, "solve_least_squares",
+                               wraps=solve_least_squares) as reference:
+            theta, loss = GramLeastSquares(X, y).solve(mask)
+        return theta, loss, reference.called
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(least_squares_cases())
+    def test_matches_reference(self, case):
+        X, y, mask = case
+        theta, loss, fell_back = self.solve_and_spy(X, y, mask)
+        ref_theta, ref_loss = solve_least_squares(X, y, mask)
+        tol = LOSS_RTOL * max(1.0, ref_loss)
+        assert np.all(theta[~mask] == 0.0)
+        if not mask.any():
+            assert loss == np.linalg.norm(y)
+        if fell_back:
+            assert np.array_equal(theta, ref_theta) and loss == ref_loss
+            return
+        # Never worse than the reference.  Where X[:, mask] is ill-conditioned
+        # the SVD solve itself loses digits, so equality is asked only of
+        # well-conditioned masks.
+        assert loss <= ref_loss + tol
+        cols = np.flatnonzero(mask)
+        if cols.size == 0 or np.linalg.cond(X[:, cols]) <= 1e4:
+            assert abs(loss - ref_loss) <= tol
+            theta_tol = LOSS_RTOL * max(1.0, np.linalg.norm(ref_theta))
+            assert np.linalg.norm(theta - ref_theta) <= theta_tol
+
+    @pytest.mark.parametrize("X, mask", [
+        (np.array([[1.0, 1.0], [1.0, 1.0]]), [1, 1]),               # duplicated columns
+        (make_rng(2).standard_normal((3, 5)), [1, 1, 1, 1, 0]),     # m < |mask|
+        (np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]), [1, 1]),  # zero column
+    ])
+    def test_rank_deficient_masks_fall_back(self, X, mask):
+        y = np.arange(1.0, X.shape[0] + 1)
+        theta, loss, fell_back = self.solve_and_spy(X, y, mask)
+        ref_theta, ref_loss = solve_least_squares(X, y, mask)
+        assert fell_back
+        assert np.array_equal(theta, ref_theta) and loss == ref_loss
+
+    def test_well_conditioned_mask_uses_cholesky(self):
+        rng = make_rng(3)
+        X, y = rng.standard_normal((50, 6)), rng.standard_normal(50)
+        _, _, fell_back = self.solve_and_spy(X, y, np.ones(6))
+        assert not fell_back
+
+    def test_dimension_errors(self):
+        with pytest.raises(DimensionError):
+            GramLeastSquares(np.eye(2), [1.0, 2.0, 3.0])
+        with pytest.raises(DimensionError):
+            GramLeastSquares(np.eye(2), [1.0, 2.0]).solve([1])
 
 
 class TestNmfMultiplicative:

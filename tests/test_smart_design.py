@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bagel.constraints import BOTH, ONE, ZERO, BoolDomain, et_satisfied, encode_smart_design_as_et
 from bagel.engine import Node, StopCondition, bagel_search
@@ -308,6 +310,31 @@ class TestSearchProperties:
         inst = sd_generate_instance(10, 100, 0.6, seed=6)
         _, stats = bagel_search(SmartDesignProblem.from_instance(inst), pruning="off")
         assert stats.warnings == []
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_exactness_with_zero_weight_components(self, data):
+        k = data.draw(st.integers(2, 6))
+        sizes = data.draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+        weights = data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.5, 4.0, 7.0]),
+                                     min_size=k, max_size=k))
+        weights[data.draw(st.integers(0, k - 1))] = 0.0
+        d = sum(sizes)
+        m = data.draw(st.integers(2, 2 * d))  # m < d makes some masks rank-deficient
+        rng = make_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        X = rng.standard_normal((m, d))
+        noise = data.draw(st.sampled_from([0.0, 0.1]))
+        y = X @ rng.standard_normal(d) + noise * rng.standard_normal(m)
+        bound = data.draw(st.sampled_from([0.5, 3.0, 6.0, 10.0]))
+        inst = SmartDesignInstance(
+            X=X, y=y, components=[Component(s, w) for s, w in zip(sizes, weights)],
+            bound=bound,
+        )
+        best, stats = bagel_search(SmartDesignProblem.from_instance(inst))
+        assert stats.completed
+        assert stats.warnings == []
+        oracle = self.brute_force(inst)
+        assert abs(best.loss - oracle) <= 1e-9 * max(1.0, oracle)
 
 
 class TestFolds:
