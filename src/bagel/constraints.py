@@ -1,7 +1,7 @@
 """Finite domains and the constraint layer.
 
 Extended table constraints with pluggable cost functions, the budget
-constraint and its propagation rule, pairwise alldifferent filtering, and
+rule and its propagation, pairwise alldifferent filtering, and
 the encodings of norm-ball / budget-selection constraints as extended
 tables.
 """
@@ -162,22 +162,9 @@ class ExtendedTable:
         object.__setattr__(self, "tuples", t)
 
 
-@dataclass(frozen=True)
-class BudgetConstraint:
-    weights: np.ndarray
-    bound: float
-    strict: bool = True
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if np.any(w < 0):
-            raise ValueError("weights must be >= 0")
-        if self.bound <= 0:
-            raise ValueError("bound must be > 0")
-        object.__setattr__(self, "weights", w)
-
-    def feasible(self, total):
-        return total < self.bound if self.strict else total <= self.bound
+def within_budget(total, bound, strict=True):
+    """The budget rule: total < bound, or total <= bound when not strict."""
+    return total < bound if strict else total <= bound
 
 
 def et_satisfied(y, et):
@@ -224,8 +211,7 @@ def enumerate_budget_feasible(weights, bound, strict=True):
         raise ValueError("weights must be >= 0")
     out = []
     for u in itertools.product((0, 1), repeat=k):
-        total = float(np.dot(u, weights))
-        if total < bound if strict else total <= bound:
+        if within_budget(float(np.dot(u, weights)), bound, strict):
             out.append(u)
     return out
 
@@ -271,15 +257,14 @@ def budget_propagate(domains, weights, bound, strict=True):
     variables.
     """
     weights = np.asarray(weights, dtype=float)
-    over = (lambda a, b: a >= b) if strict else (lambda a, b: a > b)
     committed = sum(
         weights[i] for i, d in enumerate(domains) if d.state == ONE
     )
-    if over(committed, bound):
+    if not within_budget(committed, bound, strict):
         return [], True
     fixings = []
     for i, d in enumerate(domains):
-        if d.state == BOTH and over(weights[i] + committed, bound):
+        if d.state == BOTH and not within_budget(weights[i] + committed, bound, strict):
             d.fix(ZERO)
             fixings.append((i, ZERO))
     return fixings, False

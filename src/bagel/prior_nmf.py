@@ -106,15 +106,20 @@ def _trail_entropy(seed, trail):
     return entropy
 
 
-def nmf_generate_and_train(instance, domains, iters, restarts=1, trail=(), base_seed=None):
-    """Train the masked factorization, best loss over seeded restarts."""
+def nmf_generate_and_train(instance, domains, iters, restarts=1):
+    """Train the masked factorization of `domains`, best loss over seeded
+    restarts."""
+    return nmf_train_mask(instance, nmf_build_mask(domains, instance.db), iters, restarts)
+
+
+def nmf_train_mask(instance, mask, iters, restarts=1, trail=()):
+    """Best (W, H, loss) over restarts seeded from the instance seed, the
+    trail and the restart index."""
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    seed = instance.seed if base_seed is None else base_seed
-    mask = nmf_build_mask(domains, instance.db)
     best = None
     for r in range(restarts):
-        seq = np.random.SeedSequence(_trail_entropy(seed, trail) + [r])
+        seq = np.random.SeedSequence(_trail_entropy(instance.seed, trail) + [r])
         rng = numerics.make_rng(seq)
         W, H, loss = numerics.nmf_multiplicative(instance.A, instance.k, mask, iters, rng)
         if best is None or loss < best[2]:
@@ -153,8 +158,8 @@ class PriorNmfProblem(Problem):
         node.payload = nmf_build_mask(node.state, self.instance.db)
 
     def train(self, node):
-        W, H, loss = nmf_generate_and_train(
-            self.instance, node.state, self.iters, self.restarts, trail=node.trail
+        W, H, loss = nmf_train_mask(
+            self.instance, node.payload, self.iters, self.restarts, trail=node.trail
         )
         node.model = (W, H)
         return loss

@@ -139,7 +139,7 @@ class SmartDesignProblem(Problem):
     def is_leaf(self, node):
         # Every completion of the free variables fits the budget.
         total = sum(w for w, d in zip(self.weights, node.state) if d.state != ZERO)
-        return total < self.bound if self.strict else total <= self.bound
+        return constraints.within_budget(total, self.bound, self.strict)
 
     def branch(self, node):
         for i, d in enumerate(node.state):
@@ -178,9 +178,8 @@ def baseline_l2_br(X, y, components, bound, strict=True, aggregation="max"):
     theta, _ = solver.solve(np.ones(d))
     scores = _component_scores(theta, components, aggregation)
     u = np.ones(len(components), dtype=int)
-    feasible = lambda total: total < bound if strict else total <= bound
     for i in np.argsort(scores, kind="stable"):
-        if feasible(float(np.dot(u, weights))):
+        if constraints.within_budget(float(np.dot(u, weights)), bound, strict):
             break
         u[i] = 0
     theta, loss = solver.solve(expand_mask(u, components))
@@ -192,10 +191,9 @@ def baseline_l2_or(X, y, components, bound, strict=True, aggregation="max"):
     coefficient-over-weight ratio, refitting after every removal."""
     weights = np.array([c.weight for c in components])
     u = np.ones(len(components), dtype=int)
-    feasible = lambda total: total < bound if strict else total <= bound
     solver = numerics.GramLeastSquares(X, y)
     theta, loss = solver.solve(expand_mask(u, components))
-    while not feasible(float(np.dot(u, weights))):
+    while not constraints.within_budget(float(np.dot(u, weights)), bound, strict):
         scores = _component_scores(theta, components, aggregation)
         ratios = np.where(weights > 0, scores / np.maximum(weights, 1e-300), np.inf)
         active = np.flatnonzero(u)
@@ -244,7 +242,7 @@ def sd_generate_instance(n_features, samples, cost_percent, seed,
     support = np.zeros(k, dtype=int)
     total = 0.0
     for i in order:
-        if total + weights[i] < bound:
+        if constraints.within_budget(total + weights[i], bound):
             support[i] = 1
             total += weights[i]
     theta_star = rng.standard_normal(n_features) * expand_mask(support, components)
@@ -301,7 +299,7 @@ def fold_split(n_samples, fold, seed, test_fraction=0.2):
 
 
 def run_methods(instance, folds=5, stop=None, strategy="dfs", pruning="exact",
-                trace=None, methods=("bagel", "l2_br", "l2_or")):
+                trace=None):
     """Solve every fold with each method; returns flat result rows."""
     rows = []
     weights = instance.weights
@@ -309,7 +307,7 @@ def run_methods(instance, folds=5, stop=None, strategy="dfs", pruning="exact",
         train_idx, test_idx = fold_split(len(instance.y), fold, instance.seed)
         Xtr, ytr = instance.X[train_idx], instance.y[train_idx]
         Xte, yte = instance.X[test_idx], instance.y[test_idx]
-        for method in methods:
+        for method in ("bagel", "l2_br", "l2_or"):
             nodes, wall_ms, completed = 0, 0.0, True
             if method == "bagel":
                 problem = SmartDesignProblem(Xtr, ytr, instance.components, instance.bound)
@@ -324,10 +322,8 @@ def run_methods(instance, folds=5, stop=None, strategy="dfs", pruning="exact",
                 completed = stats.completed
             elif method == "l2_br":
                 sol = baseline_l2_br(Xtr, ytr, instance.components, instance.bound)
-            elif method == "l2_or":
-                sol = baseline_l2_or(Xtr, ytr, instance.components, instance.bound)
             else:
-                raise ValueError("unknown method %r" % method)
+                sol = baseline_l2_or(Xtr, ytr, instance.components, instance.bound)
             sol.test_loss = sd_evaluate(sol, Xte, yte)
             rows.append({
                 "method": method,

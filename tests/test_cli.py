@@ -125,7 +125,14 @@ class TestSolve:
         with open(out + ".meta.json") as fh:
             assert json.load(fh)["seed"] == 123
 
-    @pytest.mark.parametrize("content", ["{not json", "[1, 2]", '{"problem": "tsp"}'])
+    @pytest.mark.parametrize("content", [
+        "{not json", "[1, 2]", '{"problem": "tsp"}',
+        '{"problem": "smart-design", "X": [[1.0]], "y": [1.0], "components": 5, "B": 1.0}',
+        '{"problem": "smart-design", "X": [[1.0]], "y": [1.0],'
+        ' "components": [{"size": 1, "weight": 1.0}], "B": null}',
+        '{"problem": "smart-design", "X": [[1.0], [2.0]], "y": [1.0],'
+        ' "components": [{"size": 1, "weight": 1.0}], "B": 1.0}',
+    ])
     def test_bad_instance_exits_1(self, tmp_path, content):
         inst, out, trace = tmp_path / "bad.json", tmp_path / "res.csv", tmp_path / "t.ndjson"
         inst.write_text(content)
@@ -182,3 +189,32 @@ class TestBench:
         cli.main(args)
         assert open(cell).read() == before
         assert os.path.getmtime(cell) == stamp
+
+    @pytest.mark.parametrize("generate, grid, search", [
+        (["--problem", "smart-design", "--n", "10", "--samples", "100", "--cost", "0.6"],
+         ["--problem", "smart-design", "--grid-n", "10", "--grid-samples", "100",
+          "--grid-cost", "0.6"],
+         ["--folds", "2"]),
+        (["--problem", "prior-nmf", "--n", "20", "--true-topics", "4", "--false-topics", "2",
+          "--docs", "50"],
+         ["--problem", "prior-nmf", "--grid-n", "20", "--grid-true", "4", "--grid-false", "2",
+          "--grid-docs", "50"],
+         ["--iters", "30"]),
+    ], ids=["smart-design", "prior-nmf"])
+    def test_cell_rows_match_solve(self, tmp_path, monkeypatch, generate, grid, search):
+        monkeypatch.delenv("BAGEL_SEED", raising=False)
+        inst, out = str(tmp_path / "inst.json"), str(tmp_path / "res.csv")
+        out_dir = str(tmp_path / "sweep")
+        assert cli.main(["generate", *generate, "--seed", "0", "--out", inst]) == 0
+        assert cli.main(["solve", "--instance", inst, "--out", out, *search]) == 0
+        assert cli.main(["bench", *grid, "--seeds", "1", "--out-dir", out_dir, *search]) == 0
+        (cell,) = [f for f in os.listdir(out_dir) if f != "aggregate.csv"]
+
+        def comparable(path):
+            return [{k: v for k, v in row.items() if k not in ("wall_ms", "instance_id")}
+                    for row in read_rows(path)]
+
+        solved = comparable(out)
+        assert comparable(os.path.join(out_dir, cell)) == solved
+        for row in solved:
+            assert np.isfinite(float(row.get("planted_loss", 0.0)))
