@@ -67,6 +67,20 @@ def _write_meta(out_path, config):
         json.dump(config, fh, indent=2, sort_keys=True)
 
 
+def _read_meta(out_path):
+    """The sidecar of a result file, or None when either file is missing."""
+    if not (os.path.exists(out_path) and os.path.exists(out_path + ".meta.json")):
+        return None
+    with open(out_path + ".meta.json") as fh:
+        return json.load(fh)
+
+
+def _search_flags(args):
+    """The flags that shape a search, as both sidecars record them."""
+    return {"strategy": args.strategy, "pruning": args.pruning, "timeout_s": args.timeout_s,
+            "folds": args.folds, "iters": args.iters, "restarts": args.restarts}
+
+
 def _env_seed(seed):
     env = os.environ.get("BAGEL_SEED")
     return int(env) if env is not None else seed
@@ -96,14 +110,14 @@ def _generate_prior_nmf(seed, n, true_topics, false_topics, docs, sparsity=0.8,
 def _solve_smart_design(instance, args, stop, trace):
     return smart_design.run_methods(
         instance, folds=args.folds, stop=stop,
-        strategy=args.strategy, pruning=args.pruning, trace=trace,
+        strategy=args.strategy, prune=args.pruning == "on", trace=trace,
     )
 
 
 def _solve_prior_nmf(instance, args, stop, trace):
     problem = prior_nmf.PriorNmfProblem(instance, iters=args.iters, restarts=args.restarts)
     best, stats = bagel_search(
-        problem, stop=stop, strategy=args.strategy, pruning=args.pruning, trace=trace,
+        problem, stop=stop, strategy=args.strategy, prune=args.pruning == "on", trace=trace,
     )
     planted_loss = float("nan")
     recovery = float("nan")
@@ -192,9 +206,7 @@ def cmd_solve(args):
     _write_rows(args.out, PROBLEMS[kind].fields, rows, append=args.append)
     _write_meta(args.out, {
         "instance": args.instance, "instance_id": instance_id, "problem": kind,
-        "strategy": args.strategy, "pruning": args.pruning,
-        "timeout_s": args.timeout_s, "node_cap": args.node_cap,
-        "folds": args.folds, "seed": instance.seed,
+        "node_cap": args.node_cap, "seed": instance.seed, **_search_flags(args),
     })
     return 0
 
@@ -214,13 +226,17 @@ def cmd_bench(args):
     for *values, seed in itertools.product(*axes, range(args.seeds)):
         cell = kind.cell % (*values, seed)
         cell_path = os.path.join(args.out_dir, cell + ".csv")
-        if not os.path.exists(cell_path):
+        meta = {"instance_id": cell, "problem": args.problem, "seed": seed,
+                **_search_flags(args)}
+        # Resume a cell only when it was solved with the same search flags.
+        if _read_meta(cell_path) != meta:
             try:
                 flags = {flag: value for (flag, _, _), value in zip(kind.grid, values)}
                 instance = kind.generate(seed=seed, **flags)
                 rows = kind.solve(instance, args, stop, None)
                 _write_rows(cell_path, kind.fields,
                             [dict(row, instance_id=cell) for row in rows])
+                _write_meta(cell_path, meta)
             except Exception as exc:  # sweep continues past bad cells
                 aggregate.append({"cell": cell, "method": "error", "note": str(exc),
                                   **dict.fromkeys(means, float("nan"))})
@@ -248,7 +264,7 @@ def build_parser():
     search = argparse.ArgumentParser(add_help=False)
     search.add_argument("--timeout-s", type=float, default=600.0)
     search.add_argument("--strategy", choices=["dfs", "best-first"], default="dfs")
-    search.add_argument("--pruning", choices=["exact", "heuristic", "off"], default=None)
+    search.add_argument("--pruning", choices=["on", "off"], default="on")
     search.add_argument("--folds", type=int, default=5)
     search.add_argument("--iters", type=int, default=1000)
     search.add_argument("--restarts", type=int, default=1)

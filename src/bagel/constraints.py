@@ -1,6 +1,6 @@
 """Finite domains and the constraint layer.
 
-Extended table constraints with pluggable cost functions, the budget
+Extended table constraints whose cost is any callable c(y, t), the budget
 rule and its propagation, pairwise alldifferent filtering, and
 the encodings of norm-ball / budget-selection constraints as extended
 tables.
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable
 
 import numpy as np
 
@@ -100,44 +100,27 @@ class IntDomain:
         return "IntDomain(%s)" % self.sorted_values()
 
 
-@dataclass(frozen=True)
-class CostFn:
-    """Cost function used by extended tables.
-
-    kind:
-      - "masked_l0":  c(y, t) = number of active entries of y outside supp(t)
-      - "lp":         c(y, t) = ||y - t||_p
-      - "masked_lp":  c(y, t) = ||y * (1 - t)||_p  (t binary)
-    """
-
-    kind: str
-    p: Optional[float] = None
-    eps: float = 0.0
-
-    def __call__(self, y, t):
-        if self.kind == "masked_l0":
-            return float(masked_l0_cost(y, t, self.eps))
-        if self.kind == "lp":
-            return lp_distance(y, t, self.p)
-        if self.kind == "masked_lp":
-            y = np.asarray(y, dtype=float)
-            t = np.asarray(t, dtype=float)
-            if y.shape != t.shape:
-                raise DimensionError("y and t must have the same length")
-            masked = y * (1.0 - t)
-            return lp_distance(masked, np.zeros_like(masked), self.p)
-        raise ValueError("unknown cost kind %r" % self.kind)
-
-
-MASKED_L0 = CostFn("masked_l0")
+def MASKED_L0(y, t):
+    """c(y, t) = number of active entries of y outside supp(t)."""
+    return float(masked_l0_cost(y, t))
 
 
 def lp_cost(p):
-    return CostFn("lp", p=p)
+    """c(y, t) = ||y - t||_p."""
+    return lambda y, t: lp_distance(y, t, p)
 
 
 def masked_lp_cost(p):
-    return CostFn("masked_lp", p=p)
+    """c(y, t) = ||y * (1 - t)||_p, for a binary t."""
+    def cost(y, t):
+        y = np.asarray(y, dtype=float)
+        t = np.asarray(t, dtype=float)
+        if y.shape != t.shape:
+            raise DimensionError("y and t must have the same length")
+        masked = y * (1.0 - t)
+        return lp_distance(masked, np.zeros_like(masked), p)
+
+    return cost
 
 
 @dataclass(frozen=True)
@@ -150,7 +133,7 @@ class ExtendedTable:
 
     arity: int
     tuples: np.ndarray  # (n_tuples, arity)
-    cost: CostFn
+    cost: Callable  # (y, t) -> float
     threshold: float
 
     def __post_init__(self):
@@ -162,9 +145,9 @@ class ExtendedTable:
         object.__setattr__(self, "tuples", t)
 
 
-def within_budget(total, bound, strict=True):
-    """The budget rule: total < bound, or total <= bound when not strict."""
-    return total < bound if strict else total <= bound
+def within_budget(total, bound):
+    """The budget rule: the total weight stays below the bound."""
+    return total < bound
 
 
 def et_satisfied(y, et):
@@ -201,7 +184,7 @@ def encode_norm_ball_as_et(p, lam, dim):
     return ExtendedTable(dim, np.zeros((1, dim)), lp_cost(p), lam)
 
 
-def enumerate_budget_feasible(weights, bound, strict=True):
+def enumerate_budget_feasible(weights, bound):
     """All 0/1 selections within the budget, in lexicographic order."""
     weights = np.asarray(weights, dtype=float)
     k = len(weights)
@@ -211,35 +194,28 @@ def enumerate_budget_feasible(weights, bound, strict=True):
         raise ValueError("weights must be >= 0")
     out = []
     for u in itertools.product((0, 1), repeat=k):
-        if within_budget(float(np.dot(u, weights)), bound, strict):
+        if within_budget(float(np.dot(u, weights)), bound):
             out.append(u)
     return out
 
 
-def _component_fields(c):
-    # Accepts (size, weight) pairs or objects with .input_size / .weight.
-    if hasattr(c, "input_size"):
-        return int(c.input_size), float(c.weight)
-    size, weight = c
-    return int(size), float(weight)
-
-
-def encode_smart_design_as_et(components, bound, strict=True):
+def encode_smart_design_as_et(components, bound):
     """Budget-coupled support selection as an extended table over features.
 
     Each feasible component selection is expanded into a feature-level
     binary tuple (a component's bit replicated over its input size); a
     parameter vector satisfies the table at threshold 0 iff its support is
-    covered by some feasible selection.
+    covered by some feasible selection.  components are (size, weight)
+    pairs.
     """
-    sizes_weights = [_component_fields(c) for c in components]
+    sizes_weights = [(int(size), float(weight)) for size, weight in components]
     if len(sizes_weights) > MAX_COMPONENTS:
         raise CapacityError("too many components")
     arity = sum(s for s, _ in sizes_weights)
     if arity > MAX_ET_ARITY:
         raise CapacityError("expanded table arity exceeds %d" % MAX_ET_ARITY)
     weights = np.array([w for _, w in sizes_weights])
-    feasible = enumerate_budget_feasible(weights, bound, strict)
+    feasible = enumerate_budget_feasible(weights, bound)
     rows = np.empty((len(feasible), arity))
     for r, u in enumerate(feasible):
         rows[r] = np.concatenate(
@@ -248,7 +224,7 @@ def encode_smart_design_as_et(components, bound, strict=True):
     return ExtendedTable(arity, rows, MASKED_L0, 0.0)
 
 
-def budget_propagate(domains, weights, bound, strict=True):
+def budget_propagate(domains, weights, bound):
     """Fix to ZERO every free variable that can no longer fit the budget.
 
     S_c is the committed weight of the ONE-fixed variables.  Returns
@@ -260,11 +236,11 @@ def budget_propagate(domains, weights, bound, strict=True):
     committed = sum(
         weights[i] for i, d in enumerate(domains) if d.state == ONE
     )
-    if not within_budget(committed, bound, strict):
+    if not within_budget(committed, bound):
         return [], True
     fixings = []
     for i, d in enumerate(domains):
-        if d.state == BOTH and not within_budget(weights[i] + committed, bound, strict):
+        if d.state == BOTH and not within_budget(weights[i] + committed, bound):
             d.fix(ZERO)
             fixings.append((i, ZERO))
     return fixings, False

@@ -85,8 +85,6 @@ class Problem(ABC):
     decrease down a branch (up to solver noise).
     """
 
-    default_pruning = "exact"  # "exact" | "heuristic" | "off"
-
     @abstractmethod
     def root_state(self):
         ...
@@ -135,21 +133,17 @@ def should_stop(stats, stop):
     return False
 
 
-def bagel_search(problem, stop=None, strategy="dfs", pruning=None, trace=None):
+def bagel_search(problem, stop=None, strategy="dfs", *, prune=True, trace=None):
     """Run the tree search; returns (best incumbent or None, stats).
 
     strategy: "dfs" (default) or "best-first" (by parent trained loss).
-    pruning: "exact" / "heuristic" enable bound pruning against the
-    incumbent ("heuristic" signals the trained loss is only an approximate
-    bound); "off" disables it.  Defaults to problem.default_pruning.
+    prune: bound-prune nodes against the incumbent.  With prune=False the
+    search visits every feasible leaf, which is the exhaustive search when
+    the trained loss is only an approximate bound.
     trace: optional callable receiving one dict per processed node.
     """
     if strategy not in ("dfs", "best-first"):
         raise ValueError("unknown strategy %r" % strategy)
-    if pruning is None:
-        pruning = problem.default_pruning
-    if pruning not in ("exact", "heuristic", "off"):
-        raise ValueError("unknown pruning mode %r" % pruning)
 
     t0 = time.perf_counter()
     stats = SearchStats()
@@ -203,7 +197,7 @@ def bagel_search(problem, stop=None, strategy="dfs", pruning=None, trace=None):
             stats.warnings.append(
                 "node %d loss %.12g below parent loss %.12g" % (node.id, loss, node.parent_loss)
             )
-        if pruning != "off" and bound_prune(loss, incumbent.loss if incumbent else None):
+        if prune and bound_prune(loss, incumbent.loss if incumbent else None):
             node.status = PRUNED
             stats.nodes_pruned += 1
             emit(node)

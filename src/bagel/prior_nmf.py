@@ -51,9 +51,10 @@ class TopicDB:
     def __len__(self):
         return len(self.topics)
 
-    def as_table(self, threshold=0.0, cost=None):
-        cost = cost if cost is not None else constraints.MASKED_L0
-        return ExtendedTable(self.n_words, np.stack(self.topics), cost, threshold)
+    def as_table(self):
+        """The topics as an extended table: a column satisfies it iff its
+        support lies inside some topic."""
+        return ExtendedTable(self.n_words, np.stack(self.topics), constraints.MASKED_L0, 0.0)
 
 
 @dataclass
@@ -136,14 +137,17 @@ class NmfModel:
 
 
 class PriorNmfProblem(Problem):
-    """Column-to-topic assignment search around a masked NMF trainer."""
+    """Column-to-topic assignment search around a masked NMF trainer.
 
-    default_pruning = "heuristic"
+    The trained loss of a multiplicative-update NMF is only an approximate
+    bound, so bound pruning may cut the best leaf; prune=False in
+    `bagel_search` is the exhaustive search."""
 
     def __init__(self, instance, iters=1000, restarts=1):
         self.instance = instance
         self.iters = iters
         self.restarts = restarts
+        self._table = instance.db.as_table()
         self._rank_cost = masked_lp_cost(2)
 
     def root_state(self):
@@ -173,19 +177,13 @@ class PriorNmfProblem(Problem):
         return len(set(values)) == len(values)
 
     def branch(self, node):
+        # Rank every topic and keep the column's candidates: ties break by
+        # topic index, as they would in a table of the candidates alone.
         col = next(i for i, d in enumerate(node.state) if not d.is_singleton)
-        W = node.model[0]
-        table = ExtendedTable(
-            self.instance.db.n_words,
-            np.stack([self.instance.db.topics[j] for j in node.state[col].sorted_values()]),
-            constraints.MASKED_L0,
-            0.0,
-        )
-        candidates = node.state[col].sorted_values()
-        ranked = constraints.et_rank_tuples(W[:, col], table, self._rank_cost)
+        ranked = constraints.et_rank_tuples(node.model[0][:, col], self._table, self._rank_cost)
         return [
-            Decision(col, candidates[idx], "s%d=%d" % (col + 1, candidates[idx] + 1))
-            for idx, _ in ranked
+            Decision(col, j, "s%d=%d" % (col + 1, j + 1))
+            for j, _ in ranked if j in node.state[col]
         ]
 
     def apply(self, state, decision):

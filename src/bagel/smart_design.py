@@ -22,6 +22,8 @@ from .engine import Decision, Problem, bagel_search
 FEATURE_GRID = (10, 20, 40, 70, 100, 130, 150, 180, 200, 225, 250, 300, 350)
 SAMPLE_GRID = (100, 400, 700, 1000, 1500, 3000, 7000, 10000)
 COST_GRID = (0.90, 0.80, 0.60, 0.30)
+NOISE_SCALE = 0.1  # label noise sigma as a fraction of std(X @ theta*)
+TEST_FRACTION = 0.2
 
 
 @dataclass(frozen=True)
@@ -104,28 +106,23 @@ class SmartDesignProblem(Problem):
     """Search over component activations; training is masked least squares
     from the Gram matrix of (X, y), formed once per problem."""
 
-    default_pruning = "exact"
-
-    def __init__(self, X, y, components, bound, strict=True):
+    def __init__(self, X, y, components, bound):
         self.X = np.asarray(X, dtype=float)
         self.y = np.asarray(y, dtype=float)
         self.components = list(components)
         self.bound = float(bound)
-        self.strict = strict
         self.weights = np.array([c.weight for c in self.components])
         self.solver = numerics.GramLeastSquares(self.X, self.y)
 
     @classmethod
-    def from_instance(cls, instance, strict=True):
-        return cls(instance.X, instance.y, instance.components, instance.bound, strict)
+    def from_instance(cls, instance):
+        return cls(instance.X, instance.y, instance.components, instance.bound)
 
     def root_state(self):
         return [BoolDomain(BOTH) for _ in self.components]
 
     def prune(self, node):
-        _, failed = constraints.budget_propagate(
-            node.state, self.weights, self.bound, self.strict
-        )
+        _, failed = constraints.budget_propagate(node.state, self.weights, self.bound)
         return not failed
 
     def generate(self, node):
@@ -139,7 +136,7 @@ class SmartDesignProblem(Problem):
     def is_leaf(self, node):
         # Every completion of the free variables fits the budget.
         total = sum(w for w, d in zip(self.weights, node.state) if d.state != ZERO)
-        return constraints.within_budget(total, self.bound, self.strict)
+        return constraints.within_budget(total, self.bound)
 
     def branch(self, node):
         for i, d in enumerate(node.state):
@@ -160,41 +157,41 @@ class SmartDesignProblem(Problem):
         return DesignSolution(u=u, theta=node.model.copy(), train_loss=node.trained_loss)
 
 
-def _component_scores(theta, components, aggregation="max"):
+def _component_scores(theta, components):
+    """Largest coefficient magnitude of each component."""
     scores, start = [], 0
     for c in components:
-        block = np.abs(theta[start:start + c.input_size])
-        scores.append(float(np.max(block)) if aggregation == "max" else float(np.linalg.norm(block)))
+        scores.append(float(np.max(np.abs(theta[start:start + c.input_size]))))
         start += c.input_size
     return np.array(scores)
 
 
-def baseline_l2_br(X, y, components, bound, strict=True, aggregation="max"):
+def baseline_l2_br(X, y, components, bound):
     """Basic repair: fit once, drop lowest-coefficient components until the
     budget holds, then refit once on the survivors."""
     weights = np.array([c.weight for c in components])
     d = sum(c.input_size for c in components)
     solver = numerics.GramLeastSquares(X, y)
     theta, _ = solver.solve(np.ones(d))
-    scores = _component_scores(theta, components, aggregation)
+    scores = _component_scores(theta, components)
     u = np.ones(len(components), dtype=int)
     for i in np.argsort(scores, kind="stable"):
-        if constraints.within_budget(float(np.dot(u, weights)), bound, strict):
+        if constraints.within_budget(float(np.dot(u, weights)), bound):
             break
         u[i] = 0
     theta, loss = solver.solve(expand_mask(u, components))
     return DesignSolution(u=u, theta=theta, train_loss=loss)
 
 
-def baseline_l2_or(X, y, components, bound, strict=True, aggregation="max"):
+def baseline_l2_or(X, y, components, bound):
     """Ratio repair: iteratively drop the component with the lowest
     coefficient-over-weight ratio, refitting after every removal."""
     weights = np.array([c.weight for c in components])
     u = np.ones(len(components), dtype=int)
     solver = numerics.GramLeastSquares(X, y)
     theta, loss = solver.solve(expand_mask(u, components))
-    while not constraints.within_budget(float(np.dot(u, weights)), bound, strict):
-        scores = _component_scores(theta, components, aggregation)
+    while not constraints.within_budget(float(np.dot(u, weights)), bound):
+        scores = _component_scores(theta, components)
         ratios = np.where(weights > 0, scores / np.maximum(weights, 1e-300), np.inf)
         active = np.flatnonzero(u)
         drop = active[np.argmin(ratios[active], )]
@@ -214,8 +211,7 @@ def _partition_sizes(n, k, rng):
     return sizes
 
 
-def sd_generate_instance(n_features, samples, cost_percent, seed,
-                         n_components=None, noise_scale=0.1):
+def sd_generate_instance(n_features, samples, cost_percent, seed, n_components=None):
     """Seeded random instance with a planted budget-feasible support."""
     if not (0 < cost_percent <= 1):
         raise ValueError("cost_percent must be in (0, 1]")
@@ -237,7 +233,7 @@ def sd_generate_instance(n_features, samples, cost_percent, seed,
     bound = float(cost_percent * weights.sum())
 
     # Planted support: greedily admit components in random order while the
-    # strict budget holds, so the ground truth is always feasible.
+    # budget holds, so the ground truth is always feasible.
     order = rng.permutation(k)
     support = np.zeros(k, dtype=int)
     total = 0.0
@@ -248,7 +244,7 @@ def sd_generate_instance(n_features, samples, cost_percent, seed,
     theta_star = rng.standard_normal(n_features) * expand_mask(support, components)
     X = rng.standard_normal((samples, n_features))
     clean = X @ theta_star
-    sigma = noise_scale * float(np.std(clean)) if noise_scale > 0 else 0.0
+    sigma = NOISE_SCALE * float(np.std(clean))
     y = clean + sigma * rng.standard_normal(samples)
     return SmartDesignInstance(
         X=X, y=y, components=components, bound=bound, noise_sigma=sigma, seed=seed
@@ -290,16 +286,15 @@ def instance_from_doc(doc):
     )
 
 
-def fold_split(n_samples, fold, seed, test_fraction=0.2):
+def fold_split(n_samples, fold, seed):
     """Deterministic 80/20 split for the given fold index."""
     rng = numerics.make_rng(np.random.SeedSequence([seed & (2 ** 63 - 1), fold, 0x5D]))
     perm = rng.permutation(n_samples)
-    n_test = max(1, int(round(test_fraction * n_samples)))
+    n_test = max(1, int(round(TEST_FRACTION * n_samples)))
     return np.sort(perm[n_test:]), np.sort(perm[:n_test])
 
 
-def run_methods(instance, folds=5, stop=None, strategy="dfs", pruning="exact",
-                trace=None):
+def run_methods(instance, folds=5, stop=None, strategy="dfs", prune=True, trace=None):
     """Solve every fold with each method; returns flat result rows."""
     rows = []
     weights = instance.weights
@@ -312,7 +307,7 @@ def run_methods(instance, folds=5, stop=None, strategy="dfs", pruning="exact",
             if method == "bagel":
                 problem = SmartDesignProblem(Xtr, ytr, instance.components, instance.bound)
                 best, stats = bagel_search(
-                    problem, stop=stop, strategy=strategy, pruning=pruning, trace=trace
+                    problem, stop=stop, strategy=strategy, prune=prune, trace=trace
                 )
                 if best is None:
                     continue

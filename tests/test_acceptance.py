@@ -213,7 +213,7 @@ def test_criterion_7_planted_nmf_recovery():
         problem = PriorNmfProblem(inst, iters=2000, restarts=1)
         leaves = []
         best, stats = bagel_search(
-            problem, pruning="off",
+            problem, prune=False,
             trace=lambda rec: leaves.append(rec) if rec["status"] == LEAF else None,
         )
         assert stats.completed

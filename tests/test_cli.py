@@ -132,6 +132,14 @@ class TestSolve:
         ' "components": [{"size": 1, "weight": 1.0}], "B": null}',
         '{"problem": "smart-design", "X": [[1.0], [2.0]], "y": [1.0],'
         ' "components": [{"size": 1, "weight": 1.0}], "B": 1.0}',
+        '{"problem": "smart-design", "X": [1.0, 2.0], "y": [1.0, 2.0],'
+        ' "components": [{"size": 1, "weight": 1.0}], "B": 1.0}',
+        '{"problem": "smart-design", "X": [[1.0, 2.0], [1.0]], "y": [1.0, 2.0],'
+        ' "components": [{"size": 2, "weight": 1.0}], "B": 1.0}',
+        '{"problem": "smart-design", "X": [[1.0], [2.0]], "y": [[1.0], [2.0]],'
+        ' "components": [{"size": 1, "weight": 1.0}], "B": 1.0}',
+        '{"problem": "prior-nmf", "n": 2, "k": 1, "db": [[1, 0, 1]], "A": [[1.0], [1.0]]}',
+        '{"problem": "prior-nmf", "n": 2, "k": 1, "db": [[1, 0]], "A": [[1.0], [1.0], [1.0]]}',
     ])
     def test_bad_instance_exits_1(self, tmp_path, content):
         inst, out, trace = tmp_path / "bad.json", tmp_path / "res.csv", tmp_path / "t.ndjson"
@@ -140,6 +148,16 @@ class TestSolve:
                        "--trace", str(trace)])
         assert rc == 1
         assert not out.exists() and not trace.exists()
+
+    def test_meta_records_search_flags(self, tmp_path):
+        inst, out = str(tmp_path / "nmf.json"), str(tmp_path / "res.csv")
+        cli.main(["generate", "--problem", "prior-nmf", "--n", "20", "--seed", "3",
+                  "--out", inst])
+        assert cli.main(["solve", "--instance", inst, "--out", out,
+                         "--iters", "50", "--node-cap", "3"]) == 0
+        with open(out + ".meta.json") as fh:
+            meta = json.load(fh)
+        assert (meta["iters"], meta["restarts"], meta["pruning"]) == (50, 1, "on")
 
     def test_missing_instance_exits_2(self, tmp_path):
         rc = cli.main(["solve", "--instance", str(tmp_path / "nope.json"),
@@ -190,6 +208,18 @@ class TestBench:
         assert open(cell).read() == before
         assert os.path.getmtime(cell) == stamp
 
+    def test_changed_search_flags_recompute_cell(self, tmp_path):
+        out_dir = str(tmp_path / "sweep")
+        args = ["bench", "--problem", "prior-nmf", "--out-dir", out_dir,
+                "--grid-n", "20", "--seeds", "1"]
+        cell = os.path.join(out_dir, "nmf_n20_t4_f2_m50_s0.csv")
+        assert cli.main(args + ["--iters", "20"]) == 0
+        before = rows_without_wall(cell)
+        assert cli.main(args + ["--iters", "200"]) == 0
+        assert rows_without_wall(cell) != before
+        with open(cell + ".meta.json") as fh:
+            assert json.load(fh)["iters"] == 200
+
     @pytest.mark.parametrize("generate, grid, search", [
         (["--problem", "smart-design", "--n", "10", "--samples", "100", "--cost", "0.6"],
          ["--problem", "smart-design", "--grid-n", "10", "--grid-samples", "100",
@@ -208,7 +238,7 @@ class TestBench:
         assert cli.main(["generate", *generate, "--seed", "0", "--out", inst]) == 0
         assert cli.main(["solve", "--instance", inst, "--out", out, *search]) == 0
         assert cli.main(["bench", *grid, "--seeds", "1", "--out-dir", out_dir, *search]) == 0
-        (cell,) = [f for f in os.listdir(out_dir) if f != "aggregate.csv"]
+        (cell,) = [f for f in os.listdir(out_dir) if f.endswith(".csv") and f != "aggregate.csv"]
 
         def comparable(path):
             return [{k: v for k, v in row.items() if k not in ("wall_ms", "instance_id")}

@@ -47,8 +47,6 @@ class SubsetProblem(Problem):
     A node is a leaf once everything is fixed.
     """
 
-    default_pruning = "exact"
-
     def __init__(self, penalties):
         self.penalties = np.asarray(penalties, dtype=float)
         self.k = len(self.penalties)
@@ -112,19 +110,19 @@ class TestBagelSearch:
         rng = make_rng(1)
         for _ in range(10):
             penalties = rng.uniform(0, 2, int(rng.integers(1, 7)))
-            with_p, _ = bagel_search(SubsetProblem(penalties), pruning="exact")
-            without_p, _ = bagel_search(SubsetProblem(penalties), pruning="off")
+            with_p, _ = bagel_search(SubsetProblem(penalties), prune=True)
+            without_p, _ = bagel_search(SubsetProblem(penalties), prune=False)
             assert with_p.loss == without_p.loss
 
     def test_node_count_bound(self):
         for k in range(1, 7):
-            _, stats = bagel_search(SubsetProblem(np.zeros(k)), pruning="off")
+            _, stats = bagel_search(SubsetProblem(np.zeros(k)), prune=False)
             assert stats.nodes_opened <= 2 ** (k + 1) - 1
 
     def test_incumbent_loss_non_increasing(self):
         leaves = []
         bagel_search(
-            SubsetProblem([3.0, 1.0, 2.0]), pruning="off",
+            SubsetProblem([3.0, 1.0, 2.0]), prune=False,
             trace=lambda rec: leaves.append(rec) if rec["status"] == LEAF else None,
         )
         best_so_far = np.inf
@@ -136,7 +134,7 @@ class TestBagelSearch:
     def test_dfs_explores_first_child_first(self):
         order = []
         bagel_search(
-            SubsetProblem([1.0, 1.0]), pruning="off",
+            SubsetProblem([1.0, 1.0]), prune=False,
             trace=lambda rec: order.append(tuple(rec["trail"])),
         )
         assert order[0] == ()
@@ -151,6 +149,13 @@ class TestBagelSearch:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
             bagel_search(SubsetProblem([1.0]), strategy="bogus")
+
+    def test_pruning_mode_string_rejected(self):
+        # The switch is the bool `prune`; a mode string must not read as truthy.
+        with pytest.raises(TypeError):
+            bagel_search(SubsetProblem([1.0]), pruning="off")
+        with pytest.raises(TypeError):
+            bagel_search(SubsetProblem([1.0]), None, "dfs", "off")
 
     def test_trace_records_have_schema(self):
         records = []

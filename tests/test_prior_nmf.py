@@ -156,7 +156,7 @@ class TestProblemContract:
         table = inst.db.as_table()
         leaves = []
         best, stats = bagel_search(
-            problem, pruning="heuristic",
+            problem, prune=True,
             trace=lambda rec: leaves.append(rec) if rec["status"] == LEAF else None,
         )
         assert best is not None

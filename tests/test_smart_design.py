@@ -282,7 +282,7 @@ class TestSearchProperties:
         inst = sd_generate_instance(10, 100, 0.6, seed=4)
         losses = []
         bagel_search(
-            SmartDesignProblem.from_instance(inst), pruning="off",
+            SmartDesignProblem.from_instance(inst), prune=False,
             trace=lambda rec: losses.append((rec["depth"], rec["loss"], rec["status"])),
         )
         root_loss = next(l for d, l, s in losses if d == 0)
@@ -308,7 +308,7 @@ class TestSearchProperties:
 
     def test_child_loss_never_below_parent(self):
         inst = sd_generate_instance(10, 100, 0.6, seed=6)
-        _, stats = bagel_search(SmartDesignProblem.from_instance(inst), pruning="off")
+        _, stats = bagel_search(SmartDesignProblem.from_instance(inst), prune=False)
         assert stats.warnings == []
 
     @settings(max_examples=60, deadline=None, derandomize=True)
