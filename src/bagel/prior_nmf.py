@@ -136,12 +136,26 @@ class NmfModel:
     loss: float
 
 
+@dataclass(frozen=True)
+class TopicDecision(Decision):
+    """Column `var` takes topic `value`; every other column loses the topics
+    in `excluded`, the values of the earlier siblings."""
+
+    excluded: frozenset
+
+
 class PriorNmfProblem(Problem):
     """Column-to-topic assignment search around a masked NMF trainer.
 
+    Columns of W are interchangeable (swap them with the rows of H), so the
+    search fixes their order: the child for the branched column's t-th
+    ranked candidate excludes candidates 1..t-1 from every other column.
+    Each topic set is then reached exactly once, under the child of its
+    first-ranked member, and the first child of every node is unchanged.
+
     The trained loss of a multiplicative-update NMF is only an approximate
     bound, so bound pruning may cut the best leaf; prune=False in
-    `bagel_search` is the exhaustive search."""
+    `bagel_search` is the exhaustive search over topic sets."""
 
     def __init__(self, instance, iters=1000, restarts=1):
         self.instance = instance
@@ -156,7 +170,13 @@ class PriorNmfProblem(Problem):
 
     def prune(self, node):
         _, failed = constraints.alldifferent_filter(node.state)
-        return not failed
+        if failed:
+            return False
+        # Pigeonhole: the free columns need as many distinct topics as there
+        # are of them.  Excluded siblings can leave fewer, which pairwise
+        # alldifferent does not see.
+        free = [d.values for d in node.state if not d.is_singleton]
+        return len(set().union(*free)) >= len(free)
 
     def generate(self, node):
         node.payload = nmf_build_mask(node.state, self.instance.db)
@@ -181,13 +201,14 @@ class PriorNmfProblem(Problem):
         # topic index, as they would in a table of the candidates alone.
         col = next(i for i, d in enumerate(node.state) if not d.is_singleton)
         ranked = constraints.et_rank_tuples(node.model[0][:, col], self._table, self._rank_cost)
+        values = [j for j, _ in ranked if j in node.state[col]]
         return [
-            Decision(col, j, "s%d=%d" % (col + 1, j + 1))
-            for j, _ in ranked if j in node.state[col]
+            TopicDecision(col, j, "s%d=%d" % (col + 1, j + 1), frozenset(values[:t]))
+            for t, j in enumerate(values)
         ]
 
     def apply(self, state, decision):
-        child = [d.copy() for d in state]
+        child = [IntDomain(d.values - decision.excluded) for d in state]
         child[decision.var] = IntDomain({decision.value})
         return child
 

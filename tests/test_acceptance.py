@@ -3,6 +3,7 @@ pass/fail line (run with -s to see them on success)."""
 
 import csv
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -206,27 +207,34 @@ def test_criterion_6_nmf_solver_properties():
     _report(6, "masked NMF: monotone loss, non-negative factors, exact mask zeros")
 
 
+class TopicSetRecorder(PriorNmfProblem):
+    """Records each leaf's topic set and trained loss.  A trace trail names
+    only the branched columns; propagation can fix the last one."""
+
+    def __init__(self, instance, **kwargs):
+        super().__init__(instance, **kwargs)
+        self.leaf_losses = []
+
+    def is_leaf(self, node):
+        leaf = super().is_leaf(node)
+        if leaf:
+            self.leaf_losses.append((frozenset(d.value() for d in node.state), node.trained_loss))
+        return leaf
+
+
 def test_criterion_7_planted_nmf_recovery():
     recoveries = []
     for seed in range(10):
         inst = nmf_generate_instance(20, 4, 2, 50, seed=seed, noise_sigma=0.0)
-        problem = PriorNmfProblem(inst, iters=2000, restarts=1)
-        leaves = []
-        best, stats = bagel_search(
-            problem, prune=False,
-            trace=lambda rec: leaves.append(rec) if rec["status"] == LEAF else None,
-        )
+        problem = TopicSetRecorder(inst, iters=2000, restarts=1)
+        best, stats = bagel_search(problem, prune=False)
         assert stats.completed
-        # the planted-assignment leaf is visited
-        assignments = {}
-        for rec in leaves:
-            values = (int(lbl.split("=")[1]) - 1 for lbl in rec["trail"])
-            cols = (int(lbl.split("=")[0][1:]) - 1 for lbl in rec["trail"])
-            assignment = [None] * inst.k
-            for c, v in zip(cols, values):
-                assignment[c] = v
-            assignments[tuple(assignment)] = rec["loss"]
-        planted_leaf_loss = assignments.get(tuple(inst.planted_topics))
+        # every topic set is a leaf exactly once (the search fixes the column
+        # order), so the planted set is visited
+        losses = dict(problem.leaf_losses)
+        assert len(losses) == len(problem.leaf_losses) == stats.leaves
+        assert stats.leaves == math.comb(len(inst.db), inst.k) == 15
+        planted_leaf_loss = losses.get(frozenset(inst.planted_topics))
         assert planted_leaf_loss is not None
         # incumbent is a min over visited leaves, so it cannot exceed the
         # planted leaf's trained loss

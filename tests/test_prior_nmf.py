@@ -1,5 +1,10 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bagel.constraints import IntDomain
 from bagel.engine import LEAF, Node, bagel_search
@@ -8,6 +13,7 @@ from bagel.prior_nmf import (
     NmfInstance,
     PriorNmfProblem,
     TopicDB,
+    TopicDecision,
     nmf_build_mask,
     nmf_generate_and_train,
     nmf_generate_instance,
@@ -121,6 +127,7 @@ class TestProblemContract:
         # topic 1 covers the column (cost 0); topic 0 leaves 0.6 outside
         assert [d.value for d in decisions] == [1, 0]
         assert decisions[0].label == "s1=2"
+        assert [d.excluded for d in decisions] == [frozenset(), frozenset({1})]
 
     def test_branch_zero_column_tie_breaks_by_index(self):
         db = small_db()
@@ -128,7 +135,26 @@ class TestProblemContract:
         problem = PriorNmfProblem(inst, iters=5)
         node = Node(0, 0, (), [IntDomain({0, 1, 2}), IntDomain({0, 1, 2})])
         node.model = (np.zeros((3, 2)), np.zeros((2, 2)))
-        assert [d.value for d in problem.branch(node)] == [0, 1, 2]
+        decisions = problem.branch(node)
+        assert [d.value for d in decisions] == [0, 1, 2]
+        assert [d.excluded for d in decisions] == [frozenset(), {0}, {0, 1}]
+
+    def test_apply_excludes_earlier_siblings_from_other_columns(self):
+        _, problem = self.make_problem()
+        state = [IntDomain(range(5)) for _ in range(3)]
+        child = problem.apply(state, TopicDecision(1, 3, "s2=4", frozenset({0, 4})))
+        assert child[1].sorted_values() == [3]
+        assert child[0].sorted_values() == child[2].sorted_values() == [1, 2, 3]
+        assert all(d.sorted_values() == [0, 1, 2, 3, 4] for d in state)
+
+    def test_prune_fails_too_few_topics_for_free_columns(self):
+        _, problem = self.make_problem()
+        # pairwise alldifferent sees no clash: three free columns, two topics
+        short = Node(0, 1, (), [IntDomain({0})] + [IntDomain({1, 2}) for _ in range(3)])
+        assert not problem.prune(short)
+        enough = Node(1, 1, (), [IntDomain({0}), IntDomain({1, 2}), IntDomain({1, 2}),
+                                 IntDomain({3})])
+        assert problem.prune(enough)
 
     def test_mask_monotone_along_path(self):
         inst, problem = self.make_problem(seed=2, iters=30)
@@ -166,6 +192,97 @@ class TestProblemContract:
             assert masked_l0_cost(model.W[:, i], inst.db.topics[j]) == 0
             from bagel.constraints import et_satisfied
             assert et_satisfied(model.W[:, i], table)[0]
+
+
+@st.composite
+def small_instances(draw):
+    """Random database of at most 6 topics over 3-6 words, k <= 4."""
+    n_words = draw(st.integers(3, 6))
+    size = draw(st.integers(1, 6))
+    codes = draw(st.lists(st.integers(1, 2 ** n_words - 1), min_size=size, max_size=size,
+                          unique=True))
+    topics = [np.array([(c >> w) & 1 for w in range(n_words)], dtype=float) for c in codes]
+    k = draw(st.integers(1, min(4, size)))
+    rng = make_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    A = rng.uniform(0.0, 1.0, size=(n_words, draw(st.integers(2, 5))))
+    return NmfInstance(A=A, k=k, db=TopicDB(n_words, topics), seed=draw(st.integers(0, 99)))
+
+
+class RecordingProblem(PriorNmfProblem):
+    """Keeps every node's mask keyed by its trail labels, every branch list,
+    the topic set of every leaf and the first leaf's decisions."""
+
+    def __init__(self, instance):
+        super().__init__(instance, iters=4)
+        self.masks, self.branches, self.leaves, self.first_leaf = {}, [], [], None
+
+    def is_leaf(self, node):
+        leaf = super().is_leaf(node)
+        if leaf:
+            self.leaves.append(frozenset(d.value() for d in node.state))
+        return leaf
+
+    def generate(self, node):
+        super().generate(node)
+        self.masks[tuple(node.trail_labels())] = node.payload
+
+    def branch(self, node):
+        decisions = super().branch(node)
+        self.branches.append(decisions)
+        return decisions
+
+    def extract(self, node):
+        if self.first_leaf is None:
+            self.first_leaf = (node.trail, node.trained_loss)
+        return super().extract(node)
+
+
+class TestColumnSymmetryBreaking:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(inst=small_instances(), strategy=st.sampled_from(["dfs", "best-first"]))
+    def test_exhaustive_search_visits_each_topic_set_once(self, inst, strategy):
+        problem = RecordingProblem(inst)
+        _, stats = bagel_search(problem, strategy=strategy, prune=False)
+        assert stats.completed
+        expected = {frozenset(c) for c in itertools.combinations(range(len(inst.db)), inst.k)}
+        assert stats.leaves == len(problem.leaves) == len(expected)
+        assert set(problem.leaves) == expected
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(inst=small_instances())
+    def test_siblings_exclude_earlier_siblings_and_masks_shrink(self, inst):
+        problem = RecordingProblem(inst)
+        bagel_search(problem, prune=False)
+        for decisions in problem.branches:
+            values = [d.value for d in decisions]
+            assert [d.excluded for d in decisions] == [
+                frozenset(values[:t]) for t in range(len(decisions))
+            ]
+        for trail, mask in problem.masks.items():
+            if trail:
+                assert np.all(mask <= problem.masks[trail[:-1]])
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(inst=small_instances())
+    def test_first_leaf_matches_replay_without_exclusions(self, inst):
+        problem = RecordingProblem(inst)
+        records = []
+        bagel_search(problem, prune=False, trace=records.append)
+        trail, loss = problem.first_leaf
+        assert all(not d.excluded for d in trail)  # the leftmost dive
+        first = next(rec for rec in records if rec["status"] == LEAF)
+        assert (first["trail"], first["loss"]) == ([d.label for d in trail], loss)
+
+        replay = PriorNmfProblem(inst, iters=4)
+        node = Node(0, 0, (), replay.root_state())
+        for decision in trail:
+            plain = dataclasses.replace(decision, excluded=frozenset())
+            node = Node(node.id + 1, node.depth + 1, node.trail + (plain,),
+                        replay.apply(node.state, plain))
+        assert replay.prune(node)
+        replay.generate(node)
+        assert replay.is_leaf(node)
+        assert replay.train(node) == loss
 
 
 class TestInstanceGenerator:
