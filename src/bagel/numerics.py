@@ -181,6 +181,15 @@ def frobenius(A):
     return float(np.linalg.norm(np.asarray(A, dtype=float)))
 
 
+# The stopping rule of `nmf_multiplicative`, a relative-decrease rule as
+# surveyed by Gillis ("Nonnegative Matrix Factorization", SIAM 2020).  It
+# checks the residual ||A - W H||, not the Gram identity
+# ||A||^2 - 2<A H^T, W> + <W^T W, H H^T>, which cancels on near-noiseless
+# fits for the reason given in `GramLeastSquares`.
+NMF_STOP_RTOL = 1e-5
+NMF_CHECK_EVERY = 10
+
+
 def nmf_multiplicative(A, k, mask, iters, rng, eps=1e-12, on_iteration=None):
     """Masked NMF by multiplicative updates for the Frobenius objective.
 
@@ -189,8 +198,14 @@ def nmf_multiplicative(A, k, mask, iters, rng, eps=1e-12, on_iteration=None):
     update and after every W update, so masked positions stay exactly 0.
     Returns (W, H, loss) with loss = ||A - W H||_F (unsquared).
 
+    iters is a cap.  Every NMF_CHECK_EVERY updates the loss is checked, and
+    the run stops once it fell by at most NMF_STOP_RTOL relative since the
+    previous check (prev - loss <= NMF_STOP_RTOL * prev, so an exact fit
+    stops too).  A stopped run is a bit-identical prefix of a run of all
+    iters updates.
+
     on_iteration, if given, is called as on_iteration(it, W, H, loss) after
-    each update step (views, do not mutate).
+    each update step that ran (views, do not mutate).
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
@@ -199,6 +214,8 @@ def nmf_multiplicative(A, k, mask, iters, rng, eps=1e-12, on_iteration=None):
         raise DomainError("A must be non-negative")
     if k < 1:
         raise DomainError("k must be >= 1")
+    if iters < 0:
+        raise DomainError("iters must be >= 0")
     n, m = A.shape
     mask = np.asarray(mask, dtype=float)
     if mask.shape != (n, k):
@@ -207,11 +224,16 @@ def nmf_multiplicative(A, k, mask, iters, rng, eps=1e-12, on_iteration=None):
     W = 1.0 - rng.random((n, k))
     H = 1.0 - rng.random((k, m))
     W *= mask
+    prev = None
     for it in range(iters):
         H *= (W.T @ A) / (W.T @ W @ H + eps)
         W *= (A @ H.T) / (W @ (H @ H.T) + eps)
         W *= mask
         if on_iteration is not None:
             on_iteration(it, W, H, frobenius(A - W @ H))
-    loss = frobenius(A - W @ H)
-    return W, H, loss
+        if (it + 1) % NMF_CHECK_EVERY == 0:
+            loss = frobenius(A - W @ H)
+            if prev is not None and prev - loss <= NMF_STOP_RTOL * prev:
+                return W, H, loss
+            prev = loss
+    return W, H, frobenius(A - W @ H)

@@ -296,6 +296,8 @@ def fold_split(n_samples, fold, seed):
 
 def run_methods(instance, folds=5, stop=None, strategy="dfs", prune=True, trace=None):
     """Solve every fold with each method; returns flat result rows."""
+    if folds < 1:
+        raise ValueError("folds must be >= 1")
     rows = []
     weights = instance.weights
     for fold in range(folds):

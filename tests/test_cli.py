@@ -159,6 +159,19 @@ class TestSolve:
             meta = json.load(fh)
         assert (meta["iters"], meta["restarts"], meta["pruning"]) == (50, 1, "on")
 
+    @pytest.mark.parametrize("generate, search", [
+        (["--problem", "prior-nmf", "--n", "20"], ["--iters", "-5"]),
+        (["--problem", "smart-design", "--n", "10", "--samples", "100", "--cost", "0.6"],
+         ["--folds", "0"]),
+    ])
+    def test_negative_count_exits_1(self, tmp_path, capsys, generate, search):
+        inst, out = str(tmp_path / "inst.json"), tmp_path / "res.csv"
+        cli.main(["generate", *generate, "--seed", "3", "--out", inst])
+        rc = cli.main(["solve", "--instance", inst, "--out", str(out), *search])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists() and not (tmp_path / "res.csv.meta.json").exists()
+
     def test_missing_instance_exits_2(self, tmp_path):
         rc = cli.main(["solve", "--instance", str(tmp_path / "nope.json"),
                        "--out", str(tmp_path / "res.csv")])

@@ -10,6 +10,8 @@ from bagel.numerics import (
     DimensionError,
     DomainError,
     GramLeastSquares,
+    NMF_CHECK_EVERY,
+    NMF_STOP_RTOL,
     lp_distance,
     make_rng,
     masked_l0_cost,
@@ -301,6 +303,83 @@ class TestNmfMultiplicative:
     def test_negative_input_rejected(self):
         with pytest.raises(DomainError):
             nmf_multiplicative(np.array([[-1.0]]), 1, np.ones((1, 1)), 1, make_rng(0))
+
+    def test_negative_iterations_rejected(self):
+        with pytest.raises(DomainError):
+            nmf_multiplicative(np.ones((2, 2)), 1, np.ones((2, 1)), -5, make_rng(0))
+
+    def test_exact_fit_stops_at_second_check(self):
+        # A = 0: the first update zeroes H, so both checked losses are 0.
+        seen = []
+        _, _, loss = nmf_multiplicative(
+            np.zeros((5, 4)), 2, np.ones((5, 2)), 300, make_rng(1),
+            on_iteration=lambda it, W, H, loss: seen.append(it),
+        )
+        assert loss == 0.0
+        assert len(seen) == 2 * NMF_CHECK_EVERY
+
+
+def nmf_reference(A, k, mask, iters, rng, eps=1e-12):
+    """The fixed-iteration loop that `nmf_multiplicative` stops early."""
+    n, m = A.shape
+    W = 1.0 - rng.random((n, k))
+    H = 1.0 - rng.random((k, m))
+    W *= mask
+    for _ in range(iters):
+        H *= (W.T @ A) / (W.T @ W @ H + eps)
+        W *= (A @ H.T) / (W @ (H @ H.T) + eps)
+        W *= mask
+    return W, H
+
+
+@st.composite
+def nmf_cases(draw):
+    """(A, k, mask, cap, seed): random, exact low-rank or all-zero A, masks
+    with some all-zero columns, k <= 4 and caps from 0 to 300."""
+    n, m, k = draw(st.integers(1, 8)), draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    rng = make_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["random", "low-rank", "zero"]))
+    if kind == "random":
+        A = rng.random((n, m)) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    elif kind == "low-rank":
+        r = draw(st.integers(1, k))
+        A = rng.random((n, r)) @ rng.random((r, m))
+    else:
+        A = np.zeros((n, m))
+    mask = (rng.random((n, k)) < 0.7).astype(float)
+    mask[:, draw(st.lists(st.booleans(), min_size=k, max_size=k))] = 0.0
+    return A, k, mask, draw(st.integers(0, 300)), draw(st.integers(0, 2 ** 32 - 1))
+
+
+class TestNmfStoppingRule:
+    """The stopped kernel against `nmf_reference`, the loop it replaces."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(nmf_cases())
+    def test_matches_reference_prefix(self, case):
+        A, k, mask, cap, seed = case
+        losses = []
+        W, H, loss = nmf_multiplicative(
+            A, k, mask, cap, make_rng(seed),
+            on_iteration=lambda it, W, H, loss: losses.append(loss),
+        )
+        ran = len(losses)
+        # (a) the run reaches the cap or stops at a check below it
+        assert ran == cap or (ran < cap and ran % NMF_CHECK_EVERY == 0)
+        # (b) a bit-identical prefix of the fixed-iteration run
+        ref_W, ref_H = nmf_reference(A, k, mask, ran, make_rng(seed))
+        assert np.array_equal(W, ref_W) and np.array_equal(H, ref_H)
+        assert loss == numerics.frobenius(A - W @ H)
+        # (c) the rule holds at the stopping check and at no earlier one
+        checked = losses[NMF_CHECK_EVERY - 1::NMF_CHECK_EVERY]
+        met = [prev - cur <= NMF_STOP_RTOL * prev for prev, cur in zip(checked, checked[1:])]
+        if ran < cap:
+            assert met[-1]
+            met = met[:-1]
+        assert not any(met)
+        # (d) an exact fit stops at the next check
+        if 0.0 in checked:
+            assert len(checked) <= checked.index(0.0) + 2
 
 
 class TestValidation:

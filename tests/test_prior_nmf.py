@@ -285,6 +285,20 @@ class TestColumnSymmetryBreaking:
         assert replay.train(node) == loss
 
 
+class TestBoundPruning:
+    """The trained NMF loss is only an approximate bound, so pruning could
+    cut the best leaf; on these instances it must not."""
+
+    @pytest.mark.parametrize("shape", [(20, 4, 2, 50), (20, 4, 3, 50)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_pruning_finds_exhaustive_optimum(self, shape, seed):
+        inst = nmf_generate_instance(*shape, seed=seed)
+        pruned, _ = bagel_search(PriorNmfProblem(inst, iters=300), prune=True)
+        exhaustive, _ = bagel_search(PriorNmfProblem(inst, iters=300), prune=False)
+        assert sorted(pruned.model.assignment) == sorted(exhaustive.model.assignment)
+        assert pruned.loss == exhaustive.loss
+
+
 class TestInstanceGenerator:
     def test_determinism(self):
         a = nmf_generate_instance(20, 4, 2, 50, seed=3)
