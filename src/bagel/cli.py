@@ -39,9 +39,8 @@ class ProblemKind:
     averages: Tuple[str, ...]    # result columns a bench cell averages, per method if any
 
 
-def _digest(path):
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()[:12]
+def _digest(data):
+    return hashlib.sha256(data).hexdigest()[:12]
 
 
 def _fmt(value):
@@ -172,33 +171,39 @@ def cmd_generate(args):
     kind = PROBLEMS[args.problem]
     instance = kind.generate(**dict(vars(args), seed=_env_seed(args.seed)))
     kind.save_instance(instance, args.out)
-    print("%s  %s" % (_digest(args.out), args.out))
+    with open(args.out, "rb") as fh:
+        print("%s  %s" % (_digest(fh.read()), args.out))
     return 0
 
 
 def _load_instance(path):
-    """(kind, instance) of an instance file, parsed once."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    """(kind, instance, digest) of an instance file, read and parsed once."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    doc = json.loads(data)
     kind = doc.get("problem") if isinstance(doc, dict) else None
     if kind not in PROBLEMS:
         raise ValueError("unrecognised instance kind %r" % kind)
     try:
-        return kind, PROBLEMS[kind].instance_from_doc(doc)
+        return kind, PROBLEMS[kind].instance_from_doc(doc), _digest(data)
     except TypeError as exc:  # a field of the wrong JSON type
         raise ValueError("malformed %s instance: %s" % (kind, exc)) from exc
 
 
 def cmd_solve(args):
-    kind, instance = _load_instance(args.instance)
+    kind, instance, instance_id = _load_instance(args.instance)
     instance.seed = _env_seed(instance.seed if args.seed is None else args.seed)
-    instance_id = _digest(args.instance)
     stop = StopCondition(wall_seconds=args.timeout_s, node_budget=args.node_cap)
     trace_emit, trace_fh = (None, None)
     if args.trace:
         trace_emit, trace_fh = _trace_writer(args.trace)
     try:
         rows = PROBLEMS[kind].solve(instance, args, stop, trace_emit)
+    except Exception:
+        if trace_fh is not None:  # a failed solve leaves no output
+            trace_fh.close()
+            os.remove(args.trace)
+        raise
     finally:
         if trace_fh is not None:
             trace_fh.close()

@@ -65,6 +65,13 @@ class StopCondition:
     wall_seconds: Optional[float] = None
     node_budget: Optional[int] = None
 
+    def __post_init__(self):
+        # `not >=` also rejects NaN.
+        if self.wall_seconds is not None and not self.wall_seconds >= 0:
+            raise ValueError("timeout must be >= 0 seconds, got %r" % self.wall_seconds)
+        if self.node_budget is not None and self.node_budget < 0:
+            raise ValueError("node cap must be >= 0, got %r" % self.node_budget)
+
 
 @dataclass
 class SearchStats:

@@ -1,8 +1,9 @@
 """Dense numeric kernels.
 
-Masked least squares, masked multiplicative-update NMF, and the norm /
-cost primitives that back the constraint layer.  All heavy lifting is
-numpy; inputs are plain float64 arrays.
+Masked least squares, masked multiplicative-update NMF, the norm /
+cost primitives that back the constraint layer, and the instance-file
+form of a float array.  All heavy lifting is numpy; inputs are plain
+float64 arrays.
 
 Many masked least-squares solves over one (X, y) go through
 `GramLeastSquares`, which forms X^T X and X^T y once and solves each
@@ -13,6 +14,10 @@ SVD-based reference.
 """
 
 from __future__ import annotations
+
+import base64
+import binascii
+import math
 
 import numpy as np
 
@@ -51,6 +56,38 @@ def matrix(data):
     if not np.all(np.isfinite(a)):
         raise DomainError("matrix entries must be finite")
     return a
+
+
+def encode_array(a):
+    """JSON form of a float array in an instance file.
+
+    {"shape": [...], "f8": base64 of the little-endian float64 bytes in C
+    order}: exact, and parsed without a Python float per entry.
+    """
+    a = np.asarray(a, dtype="<f8")
+    return {"shape": list(a.shape), "f8": base64.b64encode(a.tobytes()).decode("ascii")}
+
+
+def decode_array(doc):
+    """Float64 array of an `encode_array` document or of nested lists.
+
+    The result is C-contiguous, writeable and owns its data.  Only the
+    encoding is checked here; shape and finiteness are for `matrix` and
+    `vector`.
+    """
+    if not isinstance(doc, dict):
+        return np.array(doc, dtype=float)
+    shape = doc["shape"]
+    if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+        raise ValueError("array shape must be a list of non-negative integers")
+    try:
+        raw = base64.b64decode(doc["f8"], validate=True)
+    except binascii.Error as exc:
+        raise ValueError("array bytes are not valid base64: %s" % exc) from exc
+    nbytes = 8 * math.prod(shape)
+    if len(raw) != nbytes:
+        raise ValueError("array of shape %s needs %d bytes, got %d" % (shape, nbytes, len(raw)))
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(float)
 
 
 def norm_l0(v, eps=0.0):

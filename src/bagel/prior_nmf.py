@@ -312,7 +312,7 @@ def save_instance(instance, path):
         "m": instance.A.shape[1],
         "noise_sigma": instance.noise_sigma,
         "db": [t.astype(int).tolist() for t in instance.db.topics],
-        "A": instance.A.tolist(),
+        "A": numerics.encode_array(instance.A),
         "planted": instance.planted_topics,
     }
     with open(path, "w") as fh:
@@ -325,12 +325,16 @@ def load_instance(path):
 
 
 def instance_from_doc(doc):
-    """Instance from a parsed instance file, as `save_instance` writes it."""
+    """Instance from a parsed instance file, as `save_instance` writes it.
+
+    Its arrays may also be nested lists, the form files had before arrays
+    were written with `numerics.encode_array`.
+    """
     if doc.get("problem") != "prior-nmf":
         raise ValueError("not a prior-nmf instance file")
     db = TopicDB(int(doc["n"]), [np.array(t, dtype=float) for t in doc["db"]])
     return NmfInstance(
-        A=np.array(doc["A"], dtype=float),
+        A=numerics.decode_array(doc["A"]),
         k=int(doc["k"]),
         db=db,
         planted_topics=doc.get("planted"),

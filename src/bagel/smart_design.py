@@ -260,8 +260,8 @@ def save_instance(instance, path):
         ],
         "B": instance.bound,
         "noise_sigma": instance.noise_sigma,
-        "X": instance.X.tolist(),
-        "y": instance.y.tolist(),
+        "X": numerics.encode_array(instance.X),
+        "y": numerics.encode_array(instance.y),
     }
     with open(path, "w") as fh:
         json.dump(doc, fh)
@@ -273,12 +273,16 @@ def load_instance(path):
 
 
 def instance_from_doc(doc):
-    """Instance from a parsed instance file, as `save_instance` writes it."""
+    """Instance from a parsed instance file, as `save_instance` writes it.
+
+    Its arrays may also be nested lists, the form files had before arrays
+    were written with `numerics.encode_array`.
+    """
     if doc.get("problem") != "smart-design":
         raise ValueError("not a smart-design instance file")
     return SmartDesignInstance(
-        X=np.array(doc["X"], dtype=float),
-        y=np.array(doc["y"], dtype=float),
+        X=numerics.decode_array(doc["X"]),
+        y=numerics.decode_array(doc["y"]),
         components=[Component(int(c["size"]), float(c["weight"])) for c in doc["components"]],
         bound=float(doc["B"]),
         noise_sigma=float(doc.get("noise_sigma", 0.0)),

@@ -6,8 +6,19 @@ import numpy as np
 import pytest
 
 from bagel import cli
+from bagel.numerics import decode_array, encode_array
 from bagel.smart_design import load_instance as load_sd, run_methods, sd_generate_instance
 from bagel.engine import StopCondition
+
+
+def encoded(values, **fields):
+    """An encoded array document; fields override its shape or bytes."""
+    return json.dumps(dict(encode_array(np.array(values, dtype=float)), **fields))
+
+
+SD_ENCODED = ('{"problem": "smart-design", "X": %s, "y": %s,'
+              ' "components": [{"size": 1, "weight": 1.0}], "B": 1.0}')
+NMF_ENCODED = '{"problem": "prior-nmf", "n": 2, "k": 1, "db": [[1, 1]], "A": %s}'
 
 
 def read_rows(path):
@@ -48,8 +59,35 @@ class TestGenerate:
                        "--seed", "3", "--out", out])
         assert rc == 0
         doc = json.load(open(out))
-        assert len(doc["A"]) == 20 and len(doc["A"][0]) == 50
+        assert decode_array(doc["A"]).shape == (20, 50)
         assert len(doc["db"]) == 6
+
+    @pytest.mark.parametrize("generate, search", [
+        (["--problem", "smart-design", "--n", "10", "--samples", "100", "--cost", "0.6"],
+         ["--folds", "2"]),
+        (["--problem", "prior-nmf", "--n", "20"], ["--iters", "50"]),
+    ], ids=["smart-design", "prior-nmf"])
+    def test_list_form_solves_alike(self, tmp_path, generate, search):
+        """Files written before arrays were encoded hold them as nested lists."""
+        encoded_path, again, listed_path = (tmp_path / name for name in
+                                            ("enc.json", "again.json", "list.json"))
+        for path in (encoded_path, again):
+            assert cli.main(["generate", *generate, "--seed", "3", "--out", str(path)]) == 0
+        assert encoded_path.read_bytes() == again.read_bytes()
+        doc = json.loads(encoded_path.read_text())
+        for key in ("X", "y", "A"):
+            if key in doc:
+                doc[key] = decode_array(doc[key]).tolist()
+        with open(listed_path, "w") as fh:
+            json.dump(doc, fh)
+
+        def solved(path):
+            out = str(path) + ".csv"
+            assert cli.main(["solve", "--instance", str(path), "--out", out, *search]) == 0
+            return [{k: v for k, v in row.items() if k not in ("wall_ms", "instance_id")}
+                    for row in read_rows(out)]
+
+        assert solved(listed_path) == solved(encoded_path)
 
     def test_invalid_cost_exits_1(self, tmp_path):
         rc = cli.main(["generate", "--problem", "smart-design", "--n", "10",
@@ -140,6 +178,19 @@ class TestSolve:
         ' "components": [{"size": 1, "weight": 1.0}], "B": 1.0}',
         '{"problem": "prior-nmf", "n": 2, "k": 1, "db": [[1, 0, 1]], "A": [[1.0], [1.0]]}',
         '{"problem": "prior-nmf", "n": 2, "k": 1, "db": [[1, 0]], "A": [[1.0], [1.0], [1.0]]}',
+        SD_ENCODED % (encoded([[np.nan], [1.0]]), encoded([1.0, 2.0])),
+        SD_ENCODED % (encoded([[1.0], [np.inf]]), encoded([1.0, 2.0])),
+        SD_ENCODED % (encoded([[1.0], [2.0]]), encoded([1.0, -np.inf])),
+        NMF_ENCODED % encoded([[np.nan], [1.0]]),
+        NMF_ENCODED % encoded([[1.0], [np.inf]]),
+        NMF_ENCODED % encoded([[1.0], [-1.0]]),
+        SD_ENCODED % (encoded([1.0], shape=[2, 1]), encoded([1.0, 2.0])),
+        NMF_ENCODED % encoded([1.0, 1.0, 1.0], shape=[2, 1]),
+        SD_ENCODED % (encoded([[1.0], [2.0]], f8="AAAA*AAA8D8AAAAAAAAAQA=="),
+                      encoded([1.0, 2.0])),
+        SD_ENCODED % (encoded([[1.0], [2.0]], shape=2), encoded([1.0, 2.0])),
+        NMF_ENCODED % encoded([[1.0], [2.0]], shape="2x1"),
+        NMF_ENCODED % encoded([[1.0], [2.0]], f8=5),
     ])
     def test_bad_instance_exits_1(self, tmp_path, content):
         inst, out, trace = tmp_path / "bad.json", tmp_path / "res.csv", tmp_path / "t.ndjson"
@@ -163,14 +214,23 @@ class TestSolve:
         (["--problem", "prior-nmf", "--n", "20"], ["--iters", "-5"]),
         (["--problem", "smart-design", "--n", "10", "--samples", "100", "--cost", "0.6"],
          ["--folds", "0"]),
+        (["--problem", "prior-nmf", "--n", "20"], ["--node-cap", "-1"]),
+        (["--problem", "prior-nmf", "--n", "20"], ["--timeout-s", "-1"]),
+        (["--problem", "smart-design", "--n", "10", "--samples", "100", "--cost", "0.6"],
+         ["--node-cap", "-1"]),
+        (["--problem", "smart-design", "--n", "10", "--samples", "100", "--cost", "0.6"],
+         ["--timeout-s", "-1"]),
     ])
     def test_negative_count_exits_1(self, tmp_path, capsys, generate, search):
-        inst, out = str(tmp_path / "inst.json"), tmp_path / "res.csv"
+        inst, out, trace = str(tmp_path / "inst.json"), tmp_path / "res.csv", tmp_path / "t.ndjson"
         cli.main(["generate", *generate, "--seed", "3", "--out", inst])
-        rc = cli.main(["solve", "--instance", inst, "--out", str(out), *search])
+        capsys.readouterr()
+        rc = cli.main(["solve", "--instance", inst, "--out", str(out),
+                       "--trace", str(trace), *search])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists() and not (tmp_path / "res.csv.meta.json").exists()
+        assert not trace.exists()
 
     def test_missing_instance_exits_2(self, tmp_path):
         rc = cli.main(["solve", "--instance", str(tmp_path / "nope.json"),
@@ -220,6 +280,15 @@ class TestBench:
         cli.main(args)
         assert open(cell).read() == before
         assert os.path.getmtime(cell) == stamp
+
+    @pytest.mark.parametrize("problem", ["smart-design", "prior-nmf"])
+    def test_negative_timeout_exits_1(self, tmp_path, capsys, problem):
+        out_dir = tmp_path / "sweep"
+        rc = cli.main(["bench", "--problem", problem, "--out-dir", str(out_dir),
+                       "--grid-n", "10", "--seeds", "1", "--timeout-s", "-1"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out_dir.exists()
 
     def test_changed_search_flags_recompute_cell(self, tmp_path):
         out_dir = str(tmp_path / "sweep")

@@ -1,9 +1,11 @@
+import json
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bagel import numerics
 from bagel.numerics import (
@@ -12,6 +14,8 @@ from bagel.numerics import (
     GramLeastSquares,
     NMF_CHECK_EVERY,
     NMF_STOP_RTOL,
+    decode_array,
+    encode_array,
     lp_distance,
     make_rng,
     masked_l0_cost,
@@ -395,3 +399,45 @@ class TestValidation:
         a = make_rng(123).random(5)
         b = make_rng(123).random(5)
         assert np.array_equal(a, b)
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308, 1.7976931348623157e308]
+
+
+class TestArrayEncoding:
+    """`encode_array` / `decode_array`, the instance-file form of X, y and A."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(hnp.arrays(
+        np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6),
+        elements=st.one_of(st.sampled_from(EDGE_FLOATS),
+                           st.floats(allow_nan=False, allow_infinity=False)),
+    ))
+    def test_roundtrip_is_bit_exact(self, a):
+        decoded = decode_array(json.loads(json.dumps(encode_array(a))))
+        assert decoded.dtype == np.float64 and decoded.shape == a.shape
+        assert np.array_equal(decoded.view(np.uint64), a.view(np.uint64))
+        assert decoded.flags.c_contiguous and decoded.flags.writeable
+        assert decoded.flags.owndata
+        # The nested-list form of the same values decodes to the same bits.
+        # A list with no rows cannot carry its row length, so only the
+        # entries are compared then.
+        listed = decode_array(json.loads(json.dumps(a.tolist())))
+        assert np.array_equal(listed.view(np.uint64).ravel(), a.view(np.uint64).ravel())
+        if a.shape[0]:
+            assert listed.shape == a.shape
+
+    def test_non_contiguous_input(self):
+        a = np.arange(12.0).reshape(3, 4).T
+        assert np.array_equal(decode_array(encode_array(a)), a)
+
+    @pytest.mark.parametrize("doc", [
+        {"shape": [2], "f8": encode_array(np.ones(3))["f8"]},
+        {"shape": [3, -1], "f8": encode_array(np.ones(3))["f8"]},
+        {"shape": [1.0], "f8": encode_array(np.ones(1))["f8"]},
+        {"shape": 1, "f8": encode_array(np.ones(1))["f8"]},
+        {"shape": [1], "f8": "AAAA*AAAAAA="},
+    ])
+    def test_malformed_rejected(self, doc):
+        with pytest.raises(ValueError):
+            decode_array(doc)
