@@ -133,6 +133,9 @@ def _solve_prior_nmf(instance, args, stop, trace):
         "best_loss": best.loss if best is not None else float("nan"),
         "planted_loss": planted_loss,
         "recovery": recovery,
+        # The incumbent's topic per column: propagation can fix a column
+        # that no trail decision names.
+        "assignment": " ".join(map(str, best.model.assignment)) if best is not None else "",
         "nodes": stats.nodes_opened,
         "wall_ms": stats.wall_time * 1000.0,
         "completed": stats.completed,
@@ -157,7 +160,7 @@ PROBLEMS = {
         save_instance=prior_nmf.save_instance,
         instance_from_doc=prior_nmf.instance_from_doc,
         solve=_solve_prior_nmf,
-        fields=["instance_id", "best_loss", "planted_loss", "recovery",
+        fields=["instance_id", "best_loss", "planted_loss", "recovery", "assignment",
                 "nodes", "wall_ms", "completed"],
         grid=(("n", "grid_n", int), ("true_topics", "grid_true", int),
               ("false_topics", "grid_false", int), ("docs", "grid_docs", int)),
@@ -194,6 +197,13 @@ def cmd_solve(args):
     kind, instance, instance_id = _load_instance(args.instance)
     instance.seed = _env_seed(instance.seed if args.seed is None else args.seed)
     stop = StopCondition(wall_seconds=args.timeout_s, node_budget=args.node_cap)
+    fields = PROBLEMS[kind].fields
+    if args.append and os.path.exists(args.out):
+        with open(args.out, newline="") as fh:
+            header = next(csv.reader(fh), [])
+        if header != fields:  # appended rows would land under other columns
+            raise ValueError("cannot append to %s: its columns are %s, not %s"
+                             % (args.out, ",".join(header), ",".join(fields)))
     trace_emit, trace_fh = (None, None)
     if args.trace:
         trace_emit, trace_fh = _trace_writer(args.trace)
@@ -208,7 +218,7 @@ def cmd_solve(args):
         if trace_fh is not None:
             trace_fh.close()
     rows = [dict(row, instance_id=instance_id) for row in rows]
-    _write_rows(args.out, PROBLEMS[kind].fields, rows, append=args.append)
+    _write_rows(args.out, fields, rows, append=args.append)
     _write_meta(args.out, {
         "instance": args.instance, "instance_id": instance_id, "problem": kind,
         "node_cap": args.node_cap, "seed": instance.seed, **_search_flags(args),

@@ -1,5 +1,7 @@
-"""Finite domains and the constraint layer.
+"""Variable domains and the constraint layer.
 
+A 0/1 variable's domain is one ZERO / ONE / BOTH code, so a node's
+domains are one int8 array; a topic column's domain is an `IntDomain`.
 Extended table constraints whose cost is any callable c(y, t), the budget
 rule and its propagation, pairwise alldifferent filtering, and
 the encodings of norm-ball / budget-selection constraints as extended
@@ -16,7 +18,7 @@ import numpy as np
 
 from .numerics import DimensionError, lp_distance, masked_l0_cost
 
-# BoolDomain states
+# Domain codes of a 0/1 variable: fixed to 0, fixed to 1, or free
 ZERO, ONE, BOTH = 0, 1, 2
 
 MAX_COMPONENTS = 25
@@ -25,40 +27,6 @@ MAX_ET_ARITY = 10 ** 6
 
 class CapacityError(ValueError):
     """Requested enumeration or table would blow past the hard size guards."""
-
-
-class BoolDomain:
-    """Domain of a 0/1 decision variable.
-
-    Fixing is one-way within a node (BOTH -> ZERO or BOTH -> ONE);
-    restoration happens by copying the parent snapshot, never in place.
-    """
-
-    __slots__ = ("state",)
-
-    def __init__(self, state=BOTH):
-        self.state = state
-
-    def fix(self, value):
-        if self.state == BOTH:
-            self.state = value
-        elif self.state != value:
-            raise ValueError("cannot re-fix a fixed domain to a different value")
-
-    @property
-    def is_fixed(self):
-        return self.state != BOTH
-
-    @property
-    def ub(self):
-        """Upper bound of the variable: 1 unless fixed to ZERO."""
-        return 0 if self.state == ZERO else 1
-
-    def copy(self):
-        return BoolDomain(self.state)
-
-    def __repr__(self):
-        return "BoolDomain(%s)" % {ZERO: "ZERO", ONE: "ONE", BOTH: "BOTH"}[self.state]
 
 
 class IntDomain:
@@ -224,26 +192,22 @@ def encode_smart_design_as_et(components, bound):
     return ExtendedTable(arity, rows, MASKED_L0, 0.0)
 
 
-def budget_propagate(domains, weights, bound):
+def budget_propagate(state, weights, bound):
     """Fix to ZERO every free variable that can no longer fit the budget.
 
-    S_c is the committed weight of the ONE-fixed variables.  Returns
-    (fixings, failed); failed means the committed weight already violates
-    the budget.  One pass reaches the fixpoint since S_c only counts fixed
-    variables.
+    state is an int8 array of domain codes, filtered in place.  S_c is the
+    committed weight of the ONE-fixed variables, summed left to right.
+    Returns (fixings, failed); failed means the committed weight already
+    violates the budget.  One pass reaches the fixpoint since S_c only
+    counts fixed variables.
     """
     weights = np.asarray(weights, dtype=float)
-    committed = sum(
-        weights[i] for i, d in enumerate(domains) if d.state == ONE
-    )
+    committed = sum(weights[state == ONE].tolist())
     if not within_budget(committed, bound):
         return [], True
-    fixings = []
-    for i, d in enumerate(domains):
-        if d.state == BOTH and not within_budget(weights[i] + committed, bound):
-            d.fix(ZERO)
-            fixings.append((i, ZERO))
-    return fixings, False
+    drop = np.flatnonzero((state == BOTH) & ~within_budget(weights + committed, bound))
+    state[drop] = ZERO
+    return [(i, ZERO) for i in drop.tolist()], False
 
 
 def alldifferent_filter(domains):

@@ -16,7 +16,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import constraints, numerics
-from .constraints import BOTH, ONE, ZERO, BoolDomain
+from .constraints import BOTH, ONE, ZERO
 from .engine import Decision, Problem, bagel_search
 
 FEATURE_GRID = (10, 20, 40, 70, 100, 130, 150, 180, 200, 225, 250, 300, 350)
@@ -79,11 +79,12 @@ class DesignSolution:
     test_loss: Optional[float] = None
 
 
-def expand_mask(states_ub, components):
-    """Replicate per-component activation bits over their feature blocks."""
-    return np.concatenate(
-        [np.full(c.input_size, float(b)) for b, c in zip(states_ub, components)]
-    )
+def expand_mask(bits, sizes):
+    """Replicate per-component activation bits over their feature blocks.
+
+    bits may be 0/1 selections or domain codes: every code but ZERO is on.
+    """
+    return np.repeat(np.asarray(bits) != ZERO, sizes)
 
 
 def sd_tightness(u, weights, bound):
@@ -112,6 +113,7 @@ class SmartDesignProblem(Problem):
         self.components = list(components)
         self.bound = float(bound)
         self.weights = np.array([c.weight for c in self.components])
+        self.sizes = np.array([c.input_size for c in self.components])
         self.solver = numerics.GramLeastSquares(self.X, self.y)
 
     @classmethod
@@ -119,14 +121,14 @@ class SmartDesignProblem(Problem):
         return cls(instance.X, instance.y, instance.components, instance.bound)
 
     def root_state(self):
-        return [BoolDomain(BOTH) for _ in self.components]
+        return np.full(len(self.components), BOTH, np.int8)
 
     def prune(self, node):
         _, failed = constraints.budget_propagate(node.state, self.weights, self.bound)
         return not failed
 
     def generate(self, node):
-        node.payload = expand_mask([d.ub for d in node.state], self.components)
+        node.payload = expand_mask(node.state, self.sizes)
 
     def train(self, node):
         theta, loss = self.solver.solve(node.payload)
@@ -134,26 +136,25 @@ class SmartDesignProblem(Problem):
         return loss
 
     def is_leaf(self, node):
-        # Every completion of the free variables fits the budget.
-        total = sum(w for w, d in zip(self.weights, node.state) if d.state != ZERO)
+        # Every completion of the free variables fits the budget.  Python's
+        # sum adds left to right, as the budget rule's other totals do.
+        total = sum(self.weights[node.state != ZERO].tolist())
         return constraints.within_budget(total, self.bound)
 
     def branch(self, node):
-        for i, d in enumerate(node.state):
-            if d.state == BOTH:
-                return [
-                    Decision(i, 0, "u%d=0" % (i + 1)),
-                    Decision(i, 1, "u%d=1" % (i + 1)),
-                ]
-        raise RuntimeError("branch() called on a node with no free variable")
+        free = np.flatnonzero(node.state == BOTH)
+        if not free.size:
+            raise RuntimeError("branch() called on a node with no free variable")
+        i = int(free[0])
+        return [Decision(i, ZERO, "u%d=0" % (i + 1)), Decision(i, ONE, "u%d=1" % (i + 1))]
 
     def apply(self, state, decision):
-        child = [d.copy() for d in state]
-        child[decision.var].fix(ONE if decision.value else ZERO)
+        child = state.copy()
+        child[decision.var] = decision.value  # ZERO or ONE
         return child
 
     def extract(self, node):
-        u = np.array([d.ub for d in node.state])
+        u = (node.state != ZERO).astype(int)
         return DesignSolution(u=u, theta=node.model.copy(), train_loss=node.trained_loss)
 
 
@@ -170,16 +171,16 @@ def baseline_l2_br(X, y, components, bound):
     """Basic repair: fit once, drop lowest-coefficient components until the
     budget holds, then refit once on the survivors."""
     weights = np.array([c.weight for c in components])
-    d = sum(c.input_size for c in components)
+    sizes = [c.input_size for c in components]
     solver = numerics.GramLeastSquares(X, y)
-    theta, _ = solver.solve(np.ones(d))
+    theta, _ = solver.solve(np.ones(sum(sizes)))
     scores = _component_scores(theta, components)
     u = np.ones(len(components), dtype=int)
     for i in np.argsort(scores, kind="stable"):
         if constraints.within_budget(float(np.dot(u, weights)), bound):
             break
         u[i] = 0
-    theta, loss = solver.solve(expand_mask(u, components))
+    theta, loss = solver.solve(expand_mask(u, sizes))
     return DesignSolution(u=u, theta=theta, train_loss=loss)
 
 
@@ -187,16 +188,17 @@ def baseline_l2_or(X, y, components, bound):
     """Ratio repair: iteratively drop the component with the lowest
     coefficient-over-weight ratio, refitting after every removal."""
     weights = np.array([c.weight for c in components])
+    sizes = [c.input_size for c in components]
     u = np.ones(len(components), dtype=int)
     solver = numerics.GramLeastSquares(X, y)
-    theta, loss = solver.solve(expand_mask(u, components))
+    theta, loss = solver.solve(expand_mask(u, sizes))
     while not constraints.within_budget(float(np.dot(u, weights)), bound):
         scores = _component_scores(theta, components)
         ratios = np.where(weights > 0, scores / np.maximum(weights, 1e-300), np.inf)
         active = np.flatnonzero(u)
         drop = active[np.argmin(ratios[active], )]
         u[drop] = 0
-        theta, loss = solver.solve(expand_mask(u, components))
+        theta, loss = solver.solve(expand_mask(u, sizes))
     return DesignSolution(u=u, theta=theta, train_loss=loss)
 
 
@@ -241,7 +243,7 @@ def sd_generate_instance(n_features, samples, cost_percent, seed, n_components=N
         if constraints.within_budget(total + weights[i], bound):
             support[i] = 1
             total += weights[i]
-    theta_star = rng.standard_normal(n_features) * expand_mask(support, components)
+    theta_star = rng.standard_normal(n_features) * expand_mask(support, sizes)
     X = rng.standard_normal((samples, n_features))
     clean = X @ theta_star
     sigma = NOISE_SCALE * float(np.std(clean))

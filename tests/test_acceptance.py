@@ -14,7 +14,6 @@ from bagel.constraints import (
     BOTH,
     ONE,
     ZERO,
-    BoolDomain,
     budget_propagate,
     encode_norm_ball_as_et,
     encode_smart_design_as_et,
@@ -160,7 +159,7 @@ def test_criterion_5_budget_propagation_soundness():
         w = rng.uniform(0, 5, k)
         b = float(rng.uniform(0.5, w.sum() + 1))
         states = [int(rng.choice([ZERO, ONE, BOTH], p=[0.15, 0.25, 0.6])) for _ in range(k)]
-        domains = [BoolDomain(s) for s in states]
+        domains = np.array(states, dtype=np.int8)
         fixings, failed = budget_propagate(domains, w, b)
 
         def feasible_completions(sts):
@@ -178,7 +177,7 @@ def test_criterion_5_budget_propagation_soundness():
         if failed:
             assert before == []
             continue
-        after = feasible_completions([d.state for d in domains])
+        after = feasible_completions(domains)
         assert set(before) == set(after)  # no feasible completion lost
         for i, _ in fixings:
             assert all(u[i] == 0 for u in before)  # every fixing entailed

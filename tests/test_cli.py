@@ -250,6 +250,47 @@ class TestSolve:
         assert float(row["best_loss"]) > 0 or row["best_loss"] == "nan"
         assert int(row["nodes"]) <= 40
 
+    @pytest.mark.parametrize("node_cap", ["40", "0"])
+    def test_prior_nmf_row_carries_assignment(self, tmp_path, monkeypatch, node_cap):
+        inst = str(tmp_path / "nmf.json")
+        cli.main(["generate", "--problem", "prior-nmf", "--n", "20", "--true-topics", "4",
+                  "--false-topics", "2", "--docs", "50", "--seed", "3", "--out", inst])
+        searches = []
+        search = cli.bagel_search
+
+        def keep_result(*args, **kwargs):
+            searches.append(search(*args, **kwargs))
+            return searches[-1]
+
+        monkeypatch.setattr(cli, "bagel_search", keep_result)
+        out = str(tmp_path / "res.csv")
+        assert cli.main(["solve", "--instance", inst, "--out", out,
+                         "--iters", "50", "--node-cap", node_cap]) == 0
+        (row,) = read_rows(out)
+        ((best, _),) = searches
+        if node_cap == "0":  # no node opened, so no incumbent
+            assert best is None and row["assignment"] == ""
+        else:
+            assert [int(j) for j in row["assignment"].split()] == best.model.assignment
+            assert len(best.model.assignment) == 4
+
+    def test_append_adds_rows_under_the_same_columns(self, sd_instance, tmp_path):
+        out = str(tmp_path / "res.csv")
+        argv = ["solve", "--instance", sd_instance, "--out", out, "--folds", "1", "--append"]
+        assert cli.main(argv) == 0 and cli.main(argv) == 0
+        rows = rows_without_wall(out)
+        assert len(rows) == 6 and rows[:3] == rows[3:]
+
+    def test_append_to_other_columns_exits_1(self, sd_instance, tmp_path, capsys):
+        out, trace = tmp_path / "res.csv", tmp_path / "trace.ndjson"
+        out.write_text("instance_id,best_loss\nabc,1.0\n")
+        rc = cli.main(["solve", "--instance", sd_instance, "--out", str(out), "--folds", "1",
+                       "--append", "--trace", str(trace)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: cannot append")
+        assert out.read_text() == "instance_id,best_loss\nabc,1.0\n"
+        assert not trace.exists() and not (tmp_path / "res.csv.meta.json").exists()
+
     def test_determinism_excluding_wall_time(self, sd_instance, tmp_path):
         out1, out2 = str(tmp_path / "r1.csv"), str(tmp_path / "r2.csv")
         cli.main(["solve", "--instance", sd_instance, "--out", out1, "--folds", "2"])
@@ -330,3 +371,6 @@ class TestBench:
         assert comparable(os.path.join(out_dir, cell)) == solved
         for row in solved:
             assert np.isfinite(float(row.get("planted_loss", 0.0)))
+        if "prior-nmf" in grid:
+            (row,) = solved
+            assert len(row["assignment"].split()) == 4  # one topic per column

@@ -7,7 +7,6 @@ from bagel.constraints import (
     BOTH,
     ONE,
     ZERO,
-    BoolDomain,
     CapacityError,
     ExtendedTable,
     IntDomain,
@@ -183,7 +182,7 @@ class TestSmartDesignEncoding:
 
 
 def _domains(states):
-    return [BoolDomain(s) for s in states]
+    return np.array(states, dtype=np.int8)
 
 
 class TestBudgetPropagate:
@@ -192,7 +191,19 @@ class TestBudgetPropagate:
         fixings, failed = budget_propagate(doms, TOY_WEIGHTS, TOY_BOUND)
         assert not failed
         assert fixings == [(1, ZERO), (2, ZERO)]
-        assert doms[1].state == ZERO and doms[2].state == ZERO and doms[3].state == BOTH
+        assert doms[1] == ZERO and doms[2] == ZERO and doms[3] == BOTH
+
+    def test_exact_fit_is_fixed_to_zero(self):
+        # committed 3 + weight 2 == bound 5: the budget rule is strict
+        doms = _domains([ONE, BOTH, BOTH])
+        fixings, failed = budget_propagate(doms, [3.0, 2.0, 1.0], 5.0)
+        assert not failed
+        assert fixings == [(1, ZERO)]
+        assert list(doms) == [ONE, ZERO, BOTH]
+
+    def test_committed_at_bound_fails(self):
+        _, failed = budget_propagate(_domains([ONE, ONE, BOTH]), [3.0, 2.0, 1.0], 5.0)
+        assert failed
 
     def test_no_fixed_ones(self):
         doms = _domains([BOTH] * 4)
@@ -230,7 +241,7 @@ class TestBudgetPropagate:
                         yield tuple(u)
 
             before = set(completions(states))
-            after = set(completions([d.state for d in doms]))
+            after = set(completions(doms))
             if failed:
                 assert not before
             else:
@@ -292,17 +303,6 @@ class TestAlldifferentFilter:
 
 
 class TestDomains:
-    def test_one_way_fix(self):
-        d = BoolDomain(BOTH)
-        d.fix(ONE)
-        with pytest.raises(ValueError):
-            d.fix(ZERO)
-
-    def test_bool_ub(self):
-        assert BoolDomain(BOTH).ub == 1
-        assert BoolDomain(ONE).ub == 1
-        assert BoolDomain(ZERO).ub == 0
-
     def test_int_domain_copy_independent(self):
         d = IntDomain({1, 2})
         c = d.copy()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bagel.constraints import BOTH, ONE, ZERO, BoolDomain, et_satisfied, encode_smart_design_as_et
+from bagel.constraints import BOTH, ONE, ZERO, et_satisfied, encode_smart_design_as_et
 from bagel.engine import Node, StopCondition, bagel_search
 from bagel.numerics import make_rng, solve_least_squares
 from bagel.smart_design import (
@@ -35,8 +35,19 @@ def toy_instance(seed=0, samples=30):
     return SmartDesignInstance(X=X, y=y, components=TOY_COMPONENTS, bound=TOY_BOUND, seed=seed)
 
 
+def boundary_instance(seed=0, samples=30):
+    """Integer weights where the signal's components cost exactly the bound."""
+    components = [Component(2, 3.0), Component(1, 2.0), Component(2, 4.0), Component(1, 1.0)]
+    rng = make_rng(seed)
+    X = rng.standard_normal((samples, 6))
+    theta = np.zeros(6)
+    theta[:3] = rng.standard_normal(3)  # components 1 and 2: 3 + 2 == 5
+    y = X @ theta + 0.05 * rng.standard_normal(samples)
+    return SmartDesignInstance(X=X, y=y, components=components, bound=5.0, seed=seed)
+
+
 def node_with(problem, states):
-    node = Node(0, 0, (), [BoolDomain(s) for s in states])
+    node = Node(0, 0, (), np.array(states, dtype=np.int8))
     return node
 
 
@@ -78,6 +89,33 @@ class TestIsLeaf:
     def test_all_fixed_feasible_is_leaf(self):
         problem = SmartDesignProblem.from_instance(toy_instance())
         assert problem.is_leaf(node_with(problem, [ONE, ZERO, ZERO, ONE]))  # 11 < 12
+
+    def test_selection_at_bound_is_not_leaf(self):
+        inst = boundary_instance()
+        problem = SmartDesignProblem.from_instance(inst)
+        assert not problem.is_leaf(node_with(problem, [ONE, ONE, ZERO, ZERO]))  # 3+2 == 5
+        assert problem.is_leaf(node_with(problem, [ONE, ZERO, ZERO, ONE]))  # 3+1 < 5
+
+
+class TestStateIsolation:
+    def test_apply_returns_a_new_array(self):
+        problem = SmartDesignProblem.from_instance(toy_instance())
+        parent = problem.root_state()
+        zero, one = (problem.apply(parent, d) for d in problem.branch(Node(0, 0, (), parent)))
+        assert not np.shares_memory(zero, parent) and not np.shares_memory(one, parent)
+        assert list(parent) == [BOTH] * 4
+        assert list(zero) == [ZERO, BOTH, BOTH, BOTH]
+        assert list(one) == [ONE, BOTH, BOTH, BOTH]
+
+    def test_prune_leaves_parent_and_sibling_untouched(self):
+        problem = SmartDesignProblem.from_instance(toy_instance())
+        root = node_with(problem, [BOTH] * 4)
+        zero, one = (Node(i + 1, 1, (d,), problem.apply(root.state, d))
+                     for i, d in enumerate(problem.branch(root)))
+        assert problem.prune(one)  # u1=1 commits 10 of 12: u2 and u3 no longer fit
+        assert list(one.state) == [ONE, ZERO, ZERO, BOTH]
+        assert list(zero.state) == [ZERO, BOTH, BOTH, BOTH]
+        assert list(root.state) == [BOTH] * 4
 
 
 class TestBranch:
@@ -269,6 +307,15 @@ class TestSearchProperties:
             assert stats.completed
             oracle = self.brute_force(inst)
             assert best.loss == pytest.approx(oracle, rel=1e-9)
+
+    @pytest.mark.parametrize("prune", [True, False])
+    def test_exactness_at_budget_boundary(self, prune):
+        for seed in range(3):
+            inst = boundary_instance(seed)
+            best, stats = bagel_search(SmartDesignProblem.from_instance(inst), prune=prune)
+            assert stats.completed
+            assert best.loss == pytest.approx(self.brute_force(inst), rel=1e-9)
+            assert float(np.dot(best.model.u, inst.weights)) < inst.bound
 
     def test_dominance_over_baselines(self):
         inst = sd_generate_instance(10, 100, 0.6, seed=3)
