@@ -121,9 +121,8 @@ def _solve_prior_nmf(instance, args, stop, trace):
     planted_loss = float("nan")
     recovery = float("nan")
     if instance.planted_topics:
-        domains = [prior_nmf.IntDomain({j}) for j in instance.planted_topics]
         _, _, planted_loss = prior_nmf.nmf_generate_and_train(
-            instance, domains, args.iters, args.restarts
+            instance, instance.planted_topics, args.iters, args.restarts
         )
         if best is not None:
             recovery = prior_nmf.nmf_topic_recovery(

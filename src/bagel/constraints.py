@@ -1,11 +1,10 @@
 """Variable domains and the constraint layer.
 
 A 0/1 variable's domain is one ZERO / ONE / BOTH code, so a node's
-domains are one int8 array; a topic column's domain is an `IntDomain`.
-Extended table constraints whose cost is any callable c(y, t), the budget
-rule and its propagation, pairwise alldifferent filtering, and
-the encodings of norm-ball / budget-selection constraints as extended
-tables.
+domains are one int8 array.  Extended table constraints whose cost is any
+callable c(y, t), the budget rule and its propagation, pairwise
+alldifferent filtering of plain sets, and the encodings of norm-ball /
+budget-selection constraints as extended tables.
 """
 
 from __future__ import annotations
@@ -27,45 +26,6 @@ MAX_ET_ARITY = 10 ** 6
 
 class CapacityError(ValueError):
     """Requested enumeration or table would blow past the hard size guards."""
-
-
-class IntDomain:
-    """Ordered finite domain of candidate indices."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values):
-        self.values = set(values)
-
-    def remove(self, value):
-        self.values.discard(value)
-
-    @property
-    def is_singleton(self):
-        return len(self.values) == 1
-
-    @property
-    def is_empty(self):
-        return not self.values
-
-    def value(self):
-        (v,) = self.values
-        return v
-
-    def sorted_values(self):
-        return sorted(self.values)
-
-    def copy(self):
-        return IntDomain(self.values)
-
-    def __len__(self):
-        return len(self.values)
-
-    def __contains__(self, v):
-        return v in self.values
-
-    def __repr__(self):
-        return "IntDomain(%s)" % self.sorted_values()
 
 
 def MASKED_L0(y, t):
@@ -213,29 +173,31 @@ def budget_propagate(state, weights, bound):
 def alldifferent_filter(domains):
     """Pairwise-decomposition alldifferent filtering to fixpoint.
 
-    Singleton domains remove their value from every other domain.  Returns
-    (pruned, failed) where pruned lists (var, removed values); failed means
-    a domain emptied or two singletons collide.
+    domains is a list of sets, filtered in place: a singleton removes its
+    value from every other set.  Returns (pruned, failed) where pruned
+    lists (var, removed values); failed means a set emptied or two
+    singletons collide.  Prior-nmf keeps its free columns in one shared
+    set, so its search does not call this.
     """
     removed = {i: [] for i in range(len(domains))}
     changed = True
     while changed:
         changed = False
         for i, d in enumerate(domains):
-            if not d.is_singleton:
+            if len(d) != 1:
                 continue
-            v = d.value()
+            (v,) = d
             for j, other in enumerate(domains):
                 if j == i:
                     continue
-                if other.is_singleton and other.value() == v:
+                if other == d:
                     pruned = [(k, vals) for k, vals in removed.items() if vals]
                     return pruned, True
                 if v in other:
-                    other.remove(v)
+                    other.discard(v)
                     removed[j].append(v)
                     changed = True
-                    if other.is_empty:
+                    if not other:
                         pruned = [(k, vals) for k, vals in removed.items() if vals]
                         return pruned, True
     pruned = [(k, vals) for k, vals in removed.items() if vals]

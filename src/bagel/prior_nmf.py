@@ -2,8 +2,10 @@
 
 Each column of W must match one topic from the database exactly on its
 support, and the selected topics must be pairwise distinct.  The search
-assigns a topic per column; each node trains a masked NMF whose mask is
-the OR of the topics still admissible for every column.
+assigns topics to the columns left to right, so a node's state is the
+chosen topics of a column prefix and the set of topics still free for
+the other columns; each node trains a masked NMF whose mask is each
+chosen topic in its column and the OR of the free topics elsewhere.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import constraints, numerics
-from .constraints import ExtendedTable, IntDomain, masked_lp_cost
+from .constraints import ExtendedTable, masked_lp_cost
 from .engine import Decision, Problem
 
 WORD_GRID = (20, 30, 50, 75, 100, 150)
@@ -78,25 +80,27 @@ class NmfInstance:
             raise ValueError("k cannot exceed the database size (alldifferent)")
         if self.A.shape[0] != self.db.n_words:
             raise ValueError("A row count must equal the vocabulary size")
+        planted = self.planted_topics
+        if planted is not None and not (
+                len(planted) == len(set(planted)) == self.k
+                and all(type(j) is int and 0 <= j < len(self.db) for j in planted)):
+            raise ValueError("planted must be %d distinct topic indices in [0, %d), got %r"
+                             % (self.k, len(self.db), planted))
 
 
-def nmf_build_mask(domains, db):
-    """Binary n x k mask: OR of the admissible topics per column.
+def nmf_build_mask(chosen, remaining, db, k):
+    """Binary n x k mask: column i gets topic chosen[i], and every later
+    column the OR of the `remaining` topics.
 
-    A column whose domain is still the full database stays all-ones; a
-    restricted domain contributes the OR of its remaining topics; a
-    singleton yields exactly its topic.
+    At the root, where every topic remains, the free columns stay all-ones.
     """
-    n, k = db.n_words, len(domains)
-    mask = np.ones((n, k))
-    for i, dom in enumerate(domains):
-        if dom.is_empty:
-            raise ValueError("empty domain for column %d" % i)
-        if len(dom) < len(db):
-            col = np.zeros(n)
-            for j in dom.sorted_values():
-                col = np.maximum(col, db.topics[j])
-            mask[:, i] = col
+    mask = np.ones((db.n_words, k))
+    for i, j in enumerate(chosen):
+        mask[:, i] = db.topics[j]
+    if len(chosen) < k and len(remaining) < len(db):
+        if not remaining:
+            raise ValueError("no topic left for column %d" % len(chosen))
+        mask[:, len(chosen):] = np.max([db.topics[j] for j in remaining], axis=0)[:, None]
     return mask
 
 
@@ -107,10 +111,13 @@ def _trail_entropy(seed, trail):
     return entropy
 
 
-def nmf_generate_and_train(instance, domains, iters, restarts=1):
-    """Train the masked factorization of `domains`, best loss over seeded
-    restarts."""
-    return nmf_train_mask(instance, nmf_build_mask(domains, instance.db), iters, restarts)
+def nmf_generate_and_train(instance, topics, iters, restarts=1):
+    """Train the masked factorization whose first columns take `topics`,
+    best loss over seeded restarts; any later column is free over the
+    other topics."""
+    free = frozenset(range(len(instance.db))).difference(topics)
+    mask = nmf_build_mask(tuple(topics), free, instance.db, instance.k)
+    return nmf_train_mask(instance, mask, iters, restarts)
 
 
 def nmf_train_mask(instance, mask, iters, restarts=1, trail=()):
@@ -138,7 +145,7 @@ class NmfModel:
 
 @dataclass(frozen=True)
 class TopicDecision(Decision):
-    """Column `var` takes topic `value`; every other column loses the topics
+    """Column `var` takes topic `value`; the later columns lose the topics
     in `excluded`, the values of the earlier siblings."""
 
     excluded: frozenset
@@ -147,11 +154,15 @@ class TopicDecision(Decision):
 class PriorNmfProblem(Problem):
     """Column-to-topic assignment search around a masked NMF trainer.
 
+    A node's state is `(chosen, remaining)`: the topics of columns
+    0..len(chosen)-1, and the topics still free for every later column.
     Columns of W are interchangeable (swap them with the rows of H), so the
-    search fixes their order: the child for the branched column's t-th
-    ranked candidate excludes candidates 1..t-1 from every other column.
-    Each topic set is then reached exactly once, under the child of its
-    first-ranked member, and the first child of every node is unchanged.
+    search fixes their order: it branches on column len(chosen), and the
+    child for its t-th ranked candidate removes candidates 1..t-1 from
+    `remaining`.  Each topic set is then reached exactly once, under the
+    child of its first-ranked member, and the first child of every node is
+    unchanged.  Removing each chosen topic from the one shared set is all
+    that alldifferent propagation leaves to do.
 
     The trained loss of a multiplicative-update NMF is only an approximate
     bound, so bound pruning may cut the best leaf; prune=False in
@@ -165,21 +176,16 @@ class PriorNmfProblem(Problem):
         self._rank_cost = masked_lp_cost(2)
 
     def root_state(self):
-        full = range(len(self.instance.db))
-        return [IntDomain(full) for _ in range(self.instance.k)]
+        return (), frozenset(range(len(self.instance.db)))
 
     def prune(self, node):
-        _, failed = constraints.alldifferent_filter(node.state)
-        if failed:
-            return False
         # Pigeonhole: the free columns need as many distinct topics as there
-        # are of them.  Excluded siblings can leave fewer, which pairwise
-        # alldifferent does not see.
-        free = [d.values for d in node.state if not d.is_singleton]
-        return len(set().union(*free)) >= len(free)
+        # are of them.
+        chosen, remaining = node.state
+        return len(remaining) >= self.instance.k - len(chosen)
 
     def generate(self, node):
-        node.payload = nmf_build_mask(node.state, self.instance.db)
+        node.payload = nmf_build_mask(*node.state, self.instance.db, self.instance.k)
 
     def train(self, node):
         W, H, loss = nmf_train_mask(
@@ -189,31 +195,30 @@ class PriorNmfProblem(Problem):
         return loss
 
     def is_leaf(self, node):
-        values = []
-        for dom in node.state:
-            if not dom.is_singleton:
-                return False
-            values.append(dom.value())
-        return len(set(values)) == len(values)
+        # One topic left for the last column fixes it without a decision.
+        chosen, remaining = node.state
+        free = self.instance.k - len(chosen)
+        return free == 0 or (free == 1 and len(remaining) == 1)
 
     def branch(self, node):
-        # Rank every topic and keep the column's candidates: ties break by
-        # topic index, as they would in a table of the candidates alone.
-        col = next(i for i, d in enumerate(node.state) if not d.is_singleton)
+        # Rank every topic and keep the remaining ones: ties break by topic
+        # index, as they would in a table of the candidates alone.
+        chosen, remaining = node.state
+        col = len(chosen)
         ranked = constraints.et_rank_tuples(node.model[0][:, col], self._table, self._rank_cost)
-        values = [j for j, _ in ranked if j in node.state[col]]
+        values = [j for j, _ in ranked if j in remaining]
         return [
             TopicDecision(col, j, "s%d=%d" % (col + 1, j + 1), frozenset(values[:t]))
             for t, j in enumerate(values)
         ]
 
     def apply(self, state, decision):
-        child = [IntDomain(d.values - decision.excluded) for d in state]
-        child[decision.var] = IntDomain({decision.value})
-        return child
+        chosen, remaining = state
+        return chosen + (decision.value,), remaining - decision.excluded - {decision.value}
 
     def extract(self, node):
-        assignment = [d.value() for d in node.state]
+        chosen, remaining = node.state
+        assignment = list(chosen) if len(chosen) == self.instance.k else [*chosen, *remaining]
         W, H = node.model
         return NmfModel(assignment=assignment, W=W.copy(), H=H.copy(), loss=node.trained_loss)
 

@@ -34,8 +34,8 @@ class Component:
     def __post_init__(self):
         if self.input_size < 1:
             raise ValueError("input_size must be >= 1")
-        if self.weight < 0:
-            raise ValueError("weight must be >= 0")
+        if not self.weight >= 0:  # `not >=` also rejects NaN
+            raise ValueError("weight must be >= 0, got %r" % self.weight)
 
 
 @dataclass
@@ -55,8 +55,8 @@ class SmartDesignInstance:
             raise ValueError("component sizes must partition the feature axis")
         if len(self.y) != self.X.shape[0]:
             raise ValueError("y length must match the sample axis")
-        if self.bound <= 0:
-            raise ValueError("bound must be > 0")
+        if not self.bound > 0:  # `not >` also rejects NaN
+            raise ValueError("bound must be > 0, got %r" % self.bound)
 
     @property
     def weights(self):

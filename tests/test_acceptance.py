@@ -208,7 +208,8 @@ def test_criterion_6_nmf_solver_properties():
 
 class TopicSetRecorder(PriorNmfProblem):
     """Records each leaf's topic set and trained loss.  A trace trail names
-    only the branched columns; propagation can fix the last one."""
+    only the branched columns; the last column can take the one topic left
+    without a decision."""
 
     def __init__(self, instance, **kwargs):
         super().__init__(instance, **kwargs)
@@ -217,7 +218,8 @@ class TopicSetRecorder(PriorNmfProblem):
     def is_leaf(self, node):
         leaf = super().is_leaf(node)
         if leaf:
-            self.leaf_losses.append((frozenset(d.value() for d in node.state), node.trained_loss))
+            topics = frozenset(self.extract(node).assignment)
+            self.leaf_losses.append((topics, node.trained_loss))
         return leaf
 
 

@@ -19,6 +19,18 @@ def encoded(values, **fields):
 SD_ENCODED = ('{"problem": "smart-design", "X": %s, "y": %s,'
               ' "components": [{"size": 1, "weight": 1.0}], "B": 1.0}')
 NMF_ENCODED = '{"problem": "prior-nmf", "n": 2, "k": 1, "db": [[1, 1]], "A": %s}'
+NMF_PLANTED = ('{"problem": "prior-nmf", "n": 3, "k": 4, "db": [[1, 0, 0], [0, 1, 0], [0, 0, 1],'
+               ' [1, 1, 0], [0, 1, 1]], "A": [[1.0], [2.0], [3.0]], "planted": %s}')
+SD_FIELDS = ('{"problem": "smart-design", "X": [[1.0], [2.0]], "y": [1.0, 2.0],'
+             ' "components": [{"size": 1, "weight": %s}], "B": %s}')
+# Bad instance files whose error message must name the bad field
+NAMED_FIELD = {
+    **{NMF_PLANTED % planted: "planted"
+       for planted in ("[0, 1, 2, 99]", "[-1, 0, 1, 2]", "[0, 0, 1, 2]", "[0, 1]",
+                       "[0.5, 1, 2, 3]")},
+    SD_FIELDS % ("NaN", "1.0"): "weight",
+    SD_FIELDS % ("1.0", "NaN"): "bound",
+}
 
 
 def read_rows(path):
@@ -191,14 +203,17 @@ class TestSolve:
         SD_ENCODED % (encoded([[1.0], [2.0]], shape=2), encoded([1.0, 2.0])),
         NMF_ENCODED % encoded([[1.0], [2.0]], shape="2x1"),
         NMF_ENCODED % encoded([[1.0], [2.0]], f8=5),
+        *NAMED_FIELD,
     ])
-    def test_bad_instance_exits_1(self, tmp_path, content):
+    def test_bad_instance_exits_1(self, tmp_path, capsys, content):
         inst, out, trace = tmp_path / "bad.json", tmp_path / "res.csv", tmp_path / "t.ndjson"
         inst.write_text(content)
         rc = cli.main(["solve", "--instance", str(inst), "--out", str(out),
                        "--trace", str(trace)])
         assert rc == 1
+        assert NAMED_FIELD.get(content, "error:") in capsys.readouterr().err
         assert not out.exists() and not trace.exists()
+        assert not (tmp_path / "res.csv.meta.json").exists()
 
     def test_meta_records_search_flags(self, tmp_path):
         inst, out = str(tmp_path / "nmf.json"), str(tmp_path / "res.csv")

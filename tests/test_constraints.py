@@ -9,7 +9,6 @@ from bagel.constraints import (
     ZERO,
     CapacityError,
     ExtendedTable,
-    IntDomain,
     MASKED_L0,
     alldifferent_filter,
     budget_propagate,
@@ -253,23 +252,23 @@ class TestBudgetPropagate:
 
 class TestAlldifferentFilter:
     def test_singleton_propagation(self):
-        doms = [IntDomain({1}), IntDomain({1, 2})]
+        doms = [{1}, {1, 2}]
         pruned, failed = alldifferent_filter(doms)
         assert not failed
-        assert doms[1].sorted_values() == [2]
+        assert doms[1] == {2}
         assert pruned == [(1, [1])]
 
     def test_singleton_collision_fails(self):
-        _, failed = alldifferent_filter([IntDomain({1}), IntDomain({1})])
+        _, failed = alldifferent_filter([{1}, {1}])
         assert failed
 
     def test_binary_weaker_than_global(self):
-        doms = [IntDomain({1, 2}), IntDomain({1, 2}), IntDomain({1, 2})]
+        doms = [{1, 2}, {1, 2}, {1, 2}]
         pruned, failed = alldifferent_filter(doms)
         assert pruned == [] and not failed
 
     def test_idempotent(self):
-        doms = [IntDomain({1}), IntDomain({1, 2}), IntDomain({2, 3})]
+        doms = [{1}, {1, 2}, {2, 3}]
         alldifferent_filter(doms)
         pruned, failed = alldifferent_filter(doms)
         assert pruned == [] and not failed
@@ -281,7 +280,7 @@ class TestAlldifferentFilter:
             nvals = int(rng.integers(k, 9))
             states = [set(int(v) for v in rng.choice(nvals, size=int(rng.integers(1, nvals + 1)),
                                                      replace=False)) for _ in range(k)]
-            doms = [IntDomain(s) for s in states]
+            doms = [set(s) for s in states]
             pruned, failed = alldifferent_filter(doms)
 
             def supported(var, val):
@@ -303,12 +302,6 @@ class TestAlldifferentFilter:
 
 
 class TestDomains:
-    def test_int_domain_copy_independent(self):
-        d = IntDomain({1, 2})
-        c = d.copy()
-        c.remove(1)
-        assert 1 in d and 1 not in c
-
     def test_threshold_must_be_nonnegative(self):
         with pytest.raises(ValueError):
             ExtendedTable(2, CLASSIC, lp_cost(2), -1.0)

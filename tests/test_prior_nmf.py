@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bagel.constraints import IntDomain
 from bagel.engine import LEAF, Node, bagel_search
 from bagel.numerics import make_rng, masked_l0_cost, nmf_multiplicative
 from bagel.prior_nmf import (
@@ -40,36 +39,39 @@ class TestTopicDB:
 
 
 class TestBuildMask:
-    def test_singleton_column_gets_its_topic(self):
+    def test_chosen_column_gets_its_topic(self):
         db = small_db()
-        domains = [IntDomain({1}), IntDomain({0, 1, 2})]
-        mask = nmf_build_mask(domains, db)
+        mask = nmf_build_mask((1,), frozenset({0, 2}), db, 2)
         assert np.array_equal(mask[:, 0], db.topics[1])
         assert np.all(mask[:, 1] == 1.0)
 
-    def test_restricted_domain_is_or_of_topics(self):
+    def test_free_columns_are_or_of_remaining_topics(self):
         db = small_db()
-        domains = [IntDomain({0, 1})]
-        mask = nmf_build_mask(domains, db)
+        mask = nmf_build_mask((), frozenset({0, 1}), db, 1)
         assert np.array_equal(mask[:, 0], np.array([1.0, 1.0, 1.0]))
+        mask = nmf_build_mask((2,), frozenset({1}), db, 3)
+        assert np.array_equal(mask[:, 1], db.topics[1])
+        assert np.array_equal(mask[:, 2], db.topics[1])
 
-    def test_all_singletons(self):
+    def test_root_is_all_ones(self):
+        db = TopicDB(3, [np.array([1.0, 0, 0]), np.array([0, 1.0, 0])])
+        assert np.all(nmf_build_mask((), frozenset({0, 1}), db, 2) == 1.0)
+
+    def test_all_chosen(self):
         db = small_db()
-        domains = [IntDomain({0}), IntDomain({2})]
-        mask = nmf_build_mask(domains, db)
+        mask = nmf_build_mask((0, 2), frozenset({1}), db, 2)
         assert np.array_equal(mask[:, 0], db.topics[0])
         assert np.array_equal(mask[:, 1], db.topics[2])
 
-    def test_empty_domain_is_contract_error(self):
+    def test_no_topic_left_is_contract_error(self):
         with pytest.raises(ValueError):
-            nmf_build_mask([IntDomain(set())], small_db())
+            nmf_build_mask((), frozenset(), small_db(), 1)
 
 
 class TestGenerateAndTrain:
     def test_root_equals_vanilla_nmf(self):
         inst = nmf_generate_instance(20, 4, 2, 50, seed=5, noise_sigma=0.0)
-        domains = [IntDomain(range(len(inst.db))) for _ in range(inst.k)]
-        W, H, loss = nmf_generate_and_train(inst, domains, iters=50)
+        W, H, loss = nmf_generate_and_train(inst, [], iters=50)
         seq = np.random.SeedSequence([inst.seed, 0])
         Wv, Hv, lv = nmf_multiplicative(
             inst.A, inst.k, np.ones((20, inst.k)), 50, make_rng(seq)
@@ -80,22 +82,19 @@ class TestGenerateAndTrain:
 
     def test_planted_assignment_fits_noiseless_data(self):
         inst = nmf_generate_instance(20, 4, 2, 50, seed=6, noise_sigma=0.0)
-        domains = [IntDomain({j}) for j in inst.planted_topics]
-        _, _, loss = nmf_generate_and_train(inst, domains, iters=2000)
+        _, _, loss = nmf_generate_and_train(inst, inst.planted_topics, iters=2000)
         assert loss <= 1e-3 * np.linalg.norm(inst.A)
 
     def test_fixed_column_matches_topic_support_exactly(self):
         inst = nmf_generate_instance(20, 4, 2, 50, seed=7, noise_sigma=0.0)
         j = inst.planted_topics[0]
-        domains = [IntDomain({j})] + [IntDomain(range(len(inst.db))) for _ in range(inst.k - 1)]
-        W, _, _ = nmf_generate_and_train(inst, domains, iters=100)
+        W, _, _ = nmf_generate_and_train(inst, [j], iters=100)
         assert masked_l0_cost(W[:, 0], inst.db.topics[j]) == 0
 
     def test_restarts_keep_best(self):
         inst = nmf_generate_instance(20, 4, 2, 50, seed=8, noise_sigma=0.0)
-        domains = [IntDomain(range(len(inst.db))) for _ in range(inst.k)]
-        _, _, one = nmf_generate_and_train(inst, domains, iters=50, restarts=1)
-        _, _, three = nmf_generate_and_train(inst, domains, iters=50, restarts=3)
+        _, _, one = nmf_generate_and_train(inst, [], iters=50, restarts=1)
+        _, _, three = nmf_generate_and_train(inst, [], iters=50, restarts=3)
         assert three <= one
 
 
@@ -106,20 +105,21 @@ class TestProblemContract:
 
     def test_leaf_detection(self):
         _, problem = self.make_problem()
-        leaf = Node(0, 0, (), [IntDomain({i}) for i in range(4)])
+        leaf = Node(0, 0, (), ((0, 1, 2, 3), frozenset({4, 5})))
         assert problem.is_leaf(leaf)
-        open_node = Node(1, 0, (), [IntDomain({0, 1})] + [IntDomain({i}) for i in (2, 3, 4)])
+        one_left = Node(1, 0, (), ((0, 1, 2), frozenset({3})))
+        assert problem.is_leaf(one_left)
+        open_node = Node(2, 0, (), ((2,), frozenset({0, 1, 3, 4})))
         assert not problem.is_leaf(open_node)
-        clash = Node(2, 0, (), [IntDomain({0}), IntDomain({0}),
-                                IntDomain({1}), IntDomain({2})])
-        assert not problem.is_leaf(clash)
+        two_free = Node(3, 0, (), ((0, 1), frozenset({2, 3})))
+        assert not problem.is_leaf(two_free)
 
     def test_branch_orders_by_masked_l2(self):
         db = TopicDB(5, [np.array([0, 1, 1, 0, 1.0]), np.array([1, 1, 1, 0, 0.0])])
         A = np.ones((5, 4))
         inst = NmfInstance(A=A, k=2, db=db, seed=0)
         problem = PriorNmfProblem(inst, iters=5)
-        node = Node(0, 0, (), [IntDomain({0, 1}), IntDomain({0, 1})])
+        node = Node(0, 0, (), problem.root_state())
         W = np.zeros((5, 2))
         W[:, 0] = [0.6, 0.3, 0.9, 0, 0]
         node.model = (W, np.zeros((2, 4)))
@@ -133,28 +133,28 @@ class TestProblemContract:
         db = small_db()
         inst = NmfInstance(A=np.ones((3, 2)), k=2, db=db, seed=0)
         problem = PriorNmfProblem(inst, iters=5)
-        node = Node(0, 0, (), [IntDomain({0, 1, 2}), IntDomain({0, 1, 2})])
+        node = Node(0, 0, (), problem.root_state())
         node.model = (np.zeros((3, 2)), np.zeros((2, 2)))
         decisions = problem.branch(node)
         assert [d.value for d in decisions] == [0, 1, 2]
         assert [d.excluded for d in decisions] == [frozenset(), {0}, {0, 1}]
 
-    def test_apply_excludes_earlier_siblings_from_other_columns(self):
+    def test_apply_excludes_earlier_siblings_from_later_columns(self):
         _, problem = self.make_problem()
-        state = [IntDomain(range(5)) for _ in range(3)]
-        child = problem.apply(state, TopicDecision(1, 3, "s2=4", frozenset({0, 4})))
-        assert child[1].sorted_values() == [3]
-        assert child[0].sorted_values() == child[2].sorted_values() == [1, 2, 3]
-        assert all(d.sorted_values() == [0, 1, 2, 3, 4] for d in state)
+        state = ((0,), frozenset(range(1, 6)))
+        child = problem.apply(state, TopicDecision(1, 3, "s2=4", frozenset({1, 4})))
+        assert child == ((0, 3), frozenset({2, 5}))
+        assert state == ((0,), frozenset(range(1, 6)))
 
     def test_prune_fails_too_few_topics_for_free_columns(self):
         _, problem = self.make_problem()
-        # pairwise alldifferent sees no clash: three free columns, two topics
-        short = Node(0, 1, (), [IntDomain({0})] + [IntDomain({1, 2}) for _ in range(3)])
+        # three free columns, two topics
+        short = Node(0, 1, (), ((0,), frozenset({1, 2})))
         assert not problem.prune(short)
-        enough = Node(1, 1, (), [IntDomain({0}), IntDomain({1, 2}), IntDomain({1, 2}),
-                                 IntDomain({3})])
+        enough = Node(1, 1, (), ((0,), frozenset({1, 2, 3})))
         assert problem.prune(enough)
+        done = Node(2, 4, (), ((0, 1, 2, 3), frozenset()))
+        assert problem.prune(done)
 
     def test_mask_monotone_along_path(self):
         inst, problem = self.make_problem(seed=2, iters=30)
@@ -219,7 +219,7 @@ class RecordingProblem(PriorNmfProblem):
     def is_leaf(self, node):
         leaf = super().is_leaf(node)
         if leaf:
-            self.leaves.append(frozenset(d.value() for d in node.state))
+            self.leaves.append(frozenset(super().extract(node).assignment))
         return leaf
 
     def generate(self, node):
@@ -283,6 +283,92 @@ class TestColumnSymmetryBreaking:
         replay.generate(node)
         assert replay.is_leaf(node)
         assert replay.train(node) == loss
+
+
+def per_column_state(k, n_topics, trail):
+    """The state a node had when each column kept its own domain: k sets,
+    filtered after every decision by pairwise alldifferent to a fixpoint
+    and a pigeonhole check.  Returns (domains, passed prune)."""
+    domains = [set(range(n_topics)) for _ in range(k)]
+    passed = per_column_prune(domains)
+    for d in trail:
+        domains = [dom - d.excluded for dom in domains]
+        domains[d.var] = {d.value}
+        passed = per_column_prune(domains)
+    return domains, passed
+
+
+def per_column_prune(domains):
+    if not all(domains):
+        return False
+    changed = True
+    while changed:
+        changed = False
+        for i, dom in enumerate(domains):
+            if len(dom) != 1:
+                continue
+            for j, other in enumerate(domains):
+                if j != i and not dom.isdisjoint(other):
+                    if len(other) == 1:  # two singletons collide
+                        return False
+                    other -= dom
+                    changed = True
+    free = [dom for dom in domains if len(dom) > 1]
+    return len(set().union(*free)) >= len(free)
+
+
+def per_column_mask(domains, db):
+    """Each column the OR of its domain's topics; a full domain all-ones."""
+    mask = np.ones((db.n_words, len(domains)))
+    for i, dom in enumerate(domains):
+        if len(dom) < len(db):
+            mask[:, i] = np.max([db.topics[j] for j in dom], axis=0)
+    return mask
+
+
+class PerColumnCheckingProblem(PriorNmfProblem):
+    """Asserts at every node that (chosen, remaining) agrees with the
+    per-column domains it replaced: prune verdict, mask, leaf verdict and,
+    at a leaf, the assignment."""
+
+    def __init__(self, instance):
+        super().__init__(instance, iters=4)
+        self.nodes = self.leaves = 0
+
+    def reference(self, node):
+        return per_column_state(self.instance.k, len(self.instance.db), node.trail)
+
+    def prune(self, node):
+        self.nodes += 1
+        passed = super().prune(node)
+        assert passed == self.reference(node)[1]
+        return passed
+
+    def generate(self, node):
+        super().generate(node)
+        assert np.array_equal(node.payload, per_column_mask(self.reference(node)[0],
+                                                            self.instance.db))
+
+    def is_leaf(self, node):
+        leaf = super().is_leaf(node)
+        domains, _ = self.reference(node)
+        assert leaf == all(len(dom) == 1 for dom in domains)
+        if leaf:
+            self.leaves += 1
+            assert self.extract(node).assignment == [min(dom) for dom in domains]
+        return leaf
+
+
+class TestAgainstPerColumnDomains:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(inst=small_instances())
+    def test_state_matches_per_column_domains(self, inst):
+        for strategy in ("dfs", "best-first"):
+            problem = PerColumnCheckingProblem(inst)
+            _, stats = bagel_search(problem, strategy=strategy, prune=False)
+            assert stats.completed
+            assert problem.nodes == stats.nodes_opened
+            assert problem.leaves == stats.leaves
 
 
 class TestBoundPruning:
