@@ -15,13 +15,14 @@ import hashlib
 import itertools
 import json
 import os
+import platform
 import sys
 from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
 import numpy as np
 
-from . import prior_nmf, smart_design
+from . import __version__, prior_nmf, smart_design
 from .engine import StopCondition, bagel_search
 
 
@@ -78,6 +79,21 @@ def _search_flags(args):
     """The flags that shape a search, as both sidecars record them."""
     return {"strategy": args.strategy, "pruning": args.pruning, "timeout_s": args.timeout_s,
             "folds": args.folds, "iters": args.iters, "restarts": args.restarts}
+
+
+def _versions():
+    """The versions a solve's numbers depend on, as its sidecar records them.
+
+    blas is "name version" of the BLAS numpy was built with, or None where
+    numpy cannot report it (`show_config(mode=...)` is numpy >= 1.26).
+    """
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = "%s %s" % (blas["name"], blas["version"])
+    except (TypeError, KeyError):
+        blas = None
+    return {"bagel": __version__, "numpy": np.__version__,
+            "python": platform.python_version(), "blas": blas}
 
 
 def _env_seed(seed):
@@ -221,6 +237,7 @@ def cmd_solve(args):
     _write_meta(args.out, {
         "instance": args.instance, "instance_id": instance_id, "problem": kind,
         "node_cap": args.node_cap, "seed": instance.seed, **_search_flags(args),
+        "versions": _versions(),
     })
     return 0
 

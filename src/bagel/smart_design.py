@@ -105,20 +105,22 @@ def sd_evaluate(solution, X_test, y_test):
 
 class SmartDesignProblem(Problem):
     """Search over component activations; training is masked least squares
-    from the Gram matrix of (X, y), formed once per problem."""
+    by `solver`, a `numerics.GramLeastSquares` of the training data that the
+    baselines may share."""
 
-    def __init__(self, X, y, components, bound):
-        self.X = np.asarray(X, dtype=float)
-        self.y = np.asarray(y, dtype=float)
+    reads_parent = True
+
+    def __init__(self, solver, components, bound):
+        self.solver = solver
         self.components = list(components)
         self.bound = float(bound)
         self.weights = np.array([c.weight for c in self.components])
         self.sizes = np.array([c.input_size for c in self.components])
-        self.solver = numerics.GramLeastSquares(self.X, self.y)
 
     @classmethod
     def from_instance(cls, instance):
-        return cls(instance.X, instance.y, instance.components, instance.bound)
+        solver = numerics.GramLeastSquares(instance.X, instance.y)
+        return cls(solver, instance.components, instance.bound)
 
     def root_state(self):
         return np.full(len(self.components), BOTH, np.int8)
@@ -131,6 +133,12 @@ class SmartDesignProblem(Problem):
         node.payload = expand_mask(node.state, self.sizes)
 
     def train(self, node):
+        # A child with its parent's mask has its parent's hypothesis space,
+        # and the solve is deterministic: reuse the parent's answer.
+        parent = node.parent
+        if parent is not None and np.array_equal(node.payload, parent.payload):
+            node.model = parent.model
+            return parent.trained_loss
         theta, loss = self.solver.solve(node.payload)
         node.model = theta
         return loss
@@ -167,12 +175,12 @@ def _component_scores(theta, components):
     return np.array(scores)
 
 
-def baseline_l2_br(X, y, components, bound):
+def baseline_l2_br(solver, components, bound):
     """Basic repair: fit once, drop lowest-coefficient components until the
-    budget holds, then refit once on the survivors."""
+    budget holds, then refit once on the survivors.  solver is a
+    `numerics.GramLeastSquares` of the training data."""
     weights = np.array([c.weight for c in components])
     sizes = [c.input_size for c in components]
-    solver = numerics.GramLeastSquares(X, y)
     theta, _ = solver.solve(np.ones(sum(sizes)))
     scores = _component_scores(theta, components)
     u = np.ones(len(components), dtype=int)
@@ -184,19 +192,19 @@ def baseline_l2_br(X, y, components, bound):
     return DesignSolution(u=u, theta=theta, train_loss=loss)
 
 
-def baseline_l2_or(X, y, components, bound):
+def baseline_l2_or(solver, components, bound):
     """Ratio repair: iteratively drop the component with the lowest
-    coefficient-over-weight ratio, refitting after every removal."""
+    coefficient-over-weight ratio, refitting after every removal.  solver is
+    a `numerics.GramLeastSquares` of the training data."""
     weights = np.array([c.weight for c in components])
     sizes = [c.input_size for c in components]
     u = np.ones(len(components), dtype=int)
-    solver = numerics.GramLeastSquares(X, y)
     theta, loss = solver.solve(expand_mask(u, sizes))
     while not constraints.within_budget(float(np.dot(u, weights)), bound):
         scores = _component_scores(theta, components)
         ratios = np.where(weights > 0, scores / np.maximum(weights, 1e-300), np.inf)
         active = np.flatnonzero(u)
-        drop = active[np.argmin(ratios[active], )]
+        drop = active[np.argmin(ratios[active])]
         u[drop] = 0
         theta, loss = solver.solve(expand_mask(u, sizes))
     return DesignSolution(u=u, theta=theta, train_loss=loss)
@@ -308,12 +316,12 @@ def run_methods(instance, folds=5, stop=None, strategy="dfs", prune=True, trace=
     weights = instance.weights
     for fold in range(folds):
         train_idx, test_idx = fold_split(len(instance.y), fold, instance.seed)
-        Xtr, ytr = instance.X[train_idx], instance.y[train_idx]
+        solver = numerics.GramLeastSquares(instance.X[train_idx], instance.y[train_idx])
         Xte, yte = instance.X[test_idx], instance.y[test_idx]
         for method in ("bagel", "l2_br", "l2_or"):
             nodes, wall_ms, completed = 0, 0.0, True
             if method == "bagel":
-                problem = SmartDesignProblem(Xtr, ytr, instance.components, instance.bound)
+                problem = SmartDesignProblem(solver, instance.components, instance.bound)
                 best, stats = bagel_search(
                     problem, stop=stop, strategy=strategy, prune=prune, trace=trace
                 )
@@ -324,9 +332,9 @@ def run_methods(instance, folds=5, stop=None, strategy="dfs", prune=True, trace=
                 wall_ms = stats.wall_time * 1000.0
                 completed = stats.completed
             elif method == "l2_br":
-                sol = baseline_l2_br(Xtr, ytr, instance.components, instance.bound)
+                sol = baseline_l2_br(solver, instance.components, instance.bound)
             else:
-                sol = baseline_l2_or(Xtr, ytr, instance.components, instance.bound)
+                sol = baseline_l2_or(solver, instance.components, instance.bound)
             sol.test_loss = sd_evaluate(sol, Xte, yte)
             rows.append({
                 "method": method,

@@ -21,7 +21,7 @@ from bagel.constraints import (
     lp_cost,
 )
 from bagel.engine import LEAF, StopCondition, bagel_search
-from bagel.numerics import make_rng, nmf_multiplicative
+from bagel.numerics import GramLeastSquares, make_rng, nmf_multiplicative
 from bagel.prior_nmf import (
     PriorNmfProblem,
     nmf_generate_instance,
@@ -89,13 +89,13 @@ class Fig2Problem(SmartDesignProblem):
     """Mock trainer injecting the documented per-node losses."""
 
     def train(self, node):
-        node.model = np.zeros(self.X.shape[1])
+        node.model = np.zeros(self.solver.X.shape[1])
         return FIG2_LOSSES[tuple((d.var, d.value) for d in node.trail)]
 
 
 def test_criterion_2_trace_replay():
     components = [Component(3, 10.0), Component(2, 6.0), Component(2, 5.0), Component(1, 1.0)]
-    problem = Fig2Problem(np.zeros((1, 8)), np.zeros(1), components, 12.0)
+    problem = Fig2Problem(GramLeastSquares(np.zeros((1, 8)), np.zeros(1)), components, 12.0)
     records = []
     best, stats = bagel_search(problem, trace=records.append)
     visited = [(tuple(r["trail"]), r["status"], r["loss"]) for r in records]

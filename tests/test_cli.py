@@ -1,10 +1,12 @@
 import csv
 import json
 import os
+import platform
 
 import numpy as np
 import pytest
 
+import bagel
 from bagel import cli
 from bagel.numerics import decode_array, encode_array
 from bagel.smart_design import load_instance as load_sd, run_methods, sd_generate_instance
@@ -224,6 +226,25 @@ class TestSolve:
         with open(out + ".meta.json") as fh:
             meta = json.load(fh)
         assert (meta["iters"], meta["restarts"], meta["pruning"]) == (50, 1, "on")
+
+    def test_meta_records_versions(self, sd_instance, tmp_path):
+        out, out_dir = str(tmp_path / "res.csv"), str(tmp_path / "sweep")
+        assert cli.main(["solve", "--instance", sd_instance, "--out", out, "--folds", "1"]) == 0
+        with open(out + ".meta.json") as fh:
+            versions = json.load(fh)["versions"]
+        assert set(versions) == {"bagel", "numpy", "python", "blas"}
+        assert (versions["bagel"], versions["numpy"], versions["python"]) == (
+            bagel.__version__, np.__version__, platform.python_version())
+        assert versions["blas"] is None or isinstance(versions["blas"], str)
+        # A bench cell's sidecar records only what decides whether it is resumed.
+        assert cli.main(["bench", "--problem", "smart-design", "--out-dir", out_dir,
+                         "--grid-n", "10", "--seeds", "1", "--folds", "1"]) == 0
+        with open(os.path.join(out_dir, "sd_n10_m100_c0.6_s0.csv.meta.json")) as fh:
+            assert "versions" not in json.load(fh)
+
+    def test_versions_blas_null_without_show_config_modes(self, monkeypatch):
+        monkeypatch.setattr(np, "show_config", lambda: None)  # numpy < 1.26
+        assert cli._versions()["blas"] is None
 
     @pytest.mark.parametrize("generate, search", [
         (["--problem", "prior-nmf", "--n", "20"], ["--iters", "-5"]),

@@ -3,6 +3,7 @@ import pytest
 
 from bagel.engine import (
     LEAF,
+    TRAINED,
     Decision,
     Problem,
     SearchStats,
@@ -85,6 +86,47 @@ class RootLeafProblem(SubsetProblem):
 
     def is_leaf(self, node):
         return True
+
+
+class ParentSpyProblem(SubsetProblem):
+    """Records, at each train, the node and what its parent link showed."""
+
+    reads_parent = True
+
+    def __init__(self, penalties):
+        super().__init__(penalties)
+        self.seen = []
+
+    def train(self, node):
+        parent = node.parent
+        self.seen.append((node, parent, parent.parent if parent else None,
+                          parent.status if parent else None))
+        return super().train(node)
+
+
+class TestParentLink:
+    @pytest.mark.parametrize("strategy", ["dfs", "best-first"])
+    def test_train_sees_trained_parent_only(self, strategy):
+        problem = ParentSpyProblem([1.0, 2.0, 0.5])
+        bagel_search(problem, strategy=strategy, prune=False)
+        root, *children = problem.seen
+        assert root[0].trail == () and root[1] is None
+        assert len(children) == 14
+        for node, parent, grandparent, parent_status in children:
+            assert parent.trail == node.trail[:-1]
+            assert parent_status == TRAINED
+            assert parent.trained_loss == node.parent_loss
+            assert parent.payload == parent.state
+            assert grandparent is None
+        # The engine drops the link once a node is trained.
+        assert all(node.parent is None for node, *_ in problem.seen)
+
+    def test_no_link_unless_the_problem_reads_it(self):
+        problem = ParentSpyProblem([1.0, 2.0, 0.5])
+        problem.reads_parent = False
+        bagel_search(problem, prune=False)
+        assert len(problem.seen) == 15
+        assert all(parent is None for _, parent, *_ in problem.seen)
 
 
 class TestBagelSearch:

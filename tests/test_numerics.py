@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from bagel import numerics
 from bagel.numerics import (
+    GRAM_PIVOT_RTOL,
     DimensionError,
     DomainError,
     GramLeastSquares,
@@ -245,6 +246,36 @@ class TestGramLeastSquares:
             GramLeastSquares(np.eye(2), [1.0, 2.0, 3.0])
         with pytest.raises(DimensionError):
             GramLeastSquares(np.eye(2), [1.0, 2.0]).solve([1])
+
+
+def gram_reference(solver, mask):
+    """`GramLeastSquares.solve` as it was written with `np.ix_` and `np.diag`,
+    plus whether it fell back to `solve_least_squares`."""
+    theta = np.zeros(solver.X.shape[1])
+    cols = np.flatnonzero(mask)
+    if cols.size:
+        block = solver.gram[np.ix_(cols, cols)]
+        try:
+            L = np.linalg.cholesky(block)
+        except np.linalg.LinAlgError:
+            L = None
+        if L is None or np.min(np.diag(L) ** 2 / np.diag(block)) < GRAM_PIVOT_RTOL:
+            return (*solve_least_squares(solver.X, solver.y, mask), True)
+        theta[cols] = np.linalg.solve(L.T, np.linalg.solve(L, solver.xty[cols]))
+    return theta, float(np.linalg.norm(solver.X @ theta - solver.y)), False
+
+
+class TestGramKernel:
+    """The block gather and pivot test against `gram_reference`."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(least_squares_cases())
+    def test_matches_reference_bit_for_bit(self, case):
+        X, y, mask = case
+        theta, loss, fell_back = TestGramLeastSquares.solve_and_spy(X, y, mask)
+        ref_theta, ref_loss, ref_fell_back = gram_reference(GramLeastSquares(X, y), mask)
+        assert fell_back == ref_fell_back
+        assert np.array_equal(theta, ref_theta) and loss == ref_loss
 
 
 class TestNmfMultiplicative:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from bagel.constraints import BOTH, ONE, ZERO, et_satisfied, encode_smart_design_as_et
 from bagel.engine import Node, StopCondition, bagel_search
-from bagel.numerics import make_rng, solve_least_squares
+from bagel.numerics import GramLeastSquares, make_rng, solve_least_squares
 from bagel.smart_design import (
     Component,
     SmartDesignInstance,
@@ -147,7 +147,7 @@ class TestBaselines:
         loose = SmartDesignInstance(
             X=inst.X, y=inst.y, components=inst.components, bound=1000.0, seed=0
         )
-        sol = baseline_l2_br(loose.X, loose.y, loose.components, loose.bound)
+        sol = baseline_l2_br(GramLeastSquares(loose.X, loose.y), loose.components, loose.bound)
         theta, loss = solve_least_squares(loose.X, loose.y, np.ones(8))
         assert np.allclose(sol.theta, theta)
         assert sol.train_loss == pytest.approx(loss)
@@ -159,7 +159,7 @@ class TestBaselines:
             X=inst.X, y=inst.y, components=inst.components, bound=0.5, seed=0
         )
         for fn in (baseline_l2_br, baseline_l2_or):
-            sol = fn(tight.X, tight.y, tight.components, tight.bound)
+            sol = fn(GramLeastSquares(tight.X, tight.y), tight.components, tight.bound)
             assert np.all(sol.u == 0)
             assert np.all(sol.theta == 0)
             assert sol.train_loss == pytest.approx(np.linalg.norm(tight.y))
@@ -183,7 +183,7 @@ class TestBaselines:
         expect = np.zeros(3)
         if cols:
             expect[cols] = np.linalg.lstsq(X[:, cols], y, rcond=None)[0]
-        sol = baseline_l2_br(X, y, comps, bound)
+        sol = baseline_l2_br(GramLeastSquares(X, y), comps, bound)
         assert list(sol.u) == u
         assert np.allclose(sol.theta, expect)
 
@@ -204,7 +204,7 @@ class TestBaselines:
             cols = np.flatnonzero(u)
             if cols.size:
                 theta[cols] = np.linalg.lstsq(X[:, cols], y, rcond=None)[0]
-        sol = baseline_l2_or(X, y, comps, bound)
+        sol = baseline_l2_or(GramLeastSquares(X, y), comps, bound)
         assert np.array_equal(sol.u, u)
         assert np.allclose(sol.theta, theta)
 
@@ -213,8 +213,9 @@ class TestBaselines:
         X = rng.standard_normal((30, 3))
         y = rng.standard_normal(30)
         comps = [Component(1, 2.0)] * 3
-        br = baseline_l2_br(X, y, comps, 4.5)
-        orr = baseline_l2_or(X, y, comps, 4.5)
+        solver = GramLeastSquares(X, y)
+        br = baseline_l2_br(solver, comps, 4.5)
+        orr = baseline_l2_or(solver, comps, 4.5)
         assert np.array_equal(br.u, orr.u)
 
 
@@ -321,8 +322,9 @@ class TestSearchProperties:
         inst = sd_generate_instance(10, 100, 0.6, seed=3)
         best, stats = bagel_search(SmartDesignProblem.from_instance(inst))
         assert stats.completed
-        br = baseline_l2_br(inst.X, inst.y, inst.components, inst.bound)
-        orr = baseline_l2_or(inst.X, inst.y, inst.components, inst.bound)
+        solver = GramLeastSquares(inst.X, inst.y)
+        br = baseline_l2_br(solver, inst.components, inst.bound)
+        orr = baseline_l2_or(solver, inst.components, inst.bound)
         assert best.loss <= min(br.train_loss, orr.train_loss) + 1e-9
 
     def test_root_loss_is_lower_bound(self):
@@ -382,6 +384,96 @@ class TestSearchProperties:
         assert stats.warnings == []
         oracle = self.brute_force(inst)
         assert abs(best.loss - oracle) <= 1e-9 * max(1.0, oracle)
+
+
+class AlwaysSolveProblem(SmartDesignProblem):
+    """Trains every node, never reusing its parent's answer."""
+
+    def train(self, node):
+        theta, loss = self.solver.solve(node.payload)
+        node.model = theta
+        return loss
+
+
+class CountingProblem(SmartDesignProblem):
+    """Counts trains, and the trains whose mask equals the mask generated
+    for the parent trail."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.masks, self.trained, self.same_mask = {}, 0, 0
+
+    def generate(self, node):
+        super().generate(node)
+        self.masks[node.trail] = node.payload
+
+    def train(self, node):
+        self.trained += 1
+        if node.trail and np.array_equal(self.masks[node.trail[:-1]], node.payload):
+            self.same_mask += 1
+        return super().train(node)
+
+
+class TestParentReuse:
+    @staticmethod
+    def search(problem, strategy, prune):
+        """(trail, status, loss) trace records, each trained node's θ by
+        trail, and the incumbent of one search."""
+        records, models = [], {}
+        train = problem.train
+
+        def train_and_keep(node):
+            loss = train(node)
+            models[tuple(node.trail_labels())] = node.model
+            return loss
+
+        problem.train = train_and_keep
+        best, _ = bagel_search(
+            problem, strategy=strategy, prune=prune,
+            trace=lambda r: records.append((r["trail"], r["status"], r["loss"])),
+        )
+        return records, models, best
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_reuse_matches_training_every_node(self, data):
+        k = data.draw(st.integers(2, 6))
+        sizes = data.draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+        weights = data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.5, 4.0]),
+                                     min_size=k, max_size=k))
+        d = sum(sizes)
+        m = data.draw(st.integers(2, 2 * d))  # m < d makes some masks rank-deficient
+        rng = make_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        X = rng.standard_normal((m, d))
+        if d > 1 and data.draw(st.booleans()):  # a duplicated column: the lstsq fallback
+            X[:, d - 1] = X[:, 0]
+        y = X @ rng.standard_normal(d) + 0.1 * rng.standard_normal(m)
+        components = [Component(s, w) for s, w in zip(sizes, weights)]
+        bound = data.draw(st.sampled_from([0.5, 3.0, 6.0, 10.0]))
+        strategy = data.draw(st.sampled_from(["dfs", "best-first"]))
+        prune = data.draw(st.booleans())
+        (records, models, best), (ref_records, ref_models, ref_best) = [
+            self.search(cls(GramLeastSquares(X, y), components, bound), strategy, prune)
+            for cls in (SmartDesignProblem, AlwaysSolveProblem)
+        ]
+        assert records == ref_records
+        assert all(np.array_equal(models[t], ref_models[t]) for t in models)
+        assert (best is None) == (ref_best is None)
+        if best is not None:
+            assert best.loss == ref_best.loss
+            assert np.array_equal(best.model.theta, ref_best.model.theta)
+
+    def test_solves_skip_exactly_the_parent_masks(self):
+        # The sd-many benchmark shape, one search.
+        inst = sd_generate_instance(40, 400, 0.6, seed=5, n_components=20)
+        problem = CountingProblem(GramLeastSquares(inst.X, inst.y), inst.components, inst.bound)
+        solve = problem.solver.solve
+        calls = []
+        problem.solver.solve = lambda mask: calls.append(mask) or solve(mask)
+        _, stats = bagel_search(problem, strategy="best-first")
+        assert stats.completed
+        assert problem.same_mask > 0
+        assert len(calls) == problem.trained - problem.same_mask
 
 
 class TestFolds:
