@@ -59,7 +59,7 @@ class Node:
 
 @dataclass
 class Incumbent:
-    node_id: int
+    node_id: Optional[int]  # None for an incumbent the caller seeded
     loss: float
     model: Any
 
@@ -158,7 +158,8 @@ def should_stop(stats, stop):
     return False
 
 
-def bagel_search(problem, stop=None, strategy="dfs", *, prune=True, trace=None):
+def bagel_search(problem, stop=None, strategy="dfs", *, prune=True, trace=None,
+                 incumbent=None):
     """Run the tree search; returns (best incumbent or None, stats).
 
     strategy: "dfs" (default) or "best-first" (by parent trained loss).
@@ -166,13 +167,19 @@ def bagel_search(problem, stop=None, strategy="dfs", *, prune=True, trace=None):
     search visits every feasible leaf, which is the exhaustive search when
     the trained loss is only an approximate bound.
     trace: optional callable receiving one dict per processed node.
+    incumbent: optional seed, an `Incumbent` with node_id None whose model
+    is a feasible solution of the problem found another way.  The search
+    starts from it, so a leaf replaces it only with a strictly lower loss
+    and a node whose loss reaches it is pruned.  When no leaf beats it, the
+    seed itself is returned: it has no trace record, `stats.leaves` may be
+    0, and `stats.nodes_opened` still counts the nodes the search opened
+    (0 under a node cap of 0).
     """
     if strategy not in ("dfs", "best-first"):
         raise ValueError("unknown strategy %r" % strategy)
 
     t0 = time.perf_counter()
     stats = SearchStats()
-    incumbent = None
     next_id = 1
     root = Node(0, 0, (), problem.root_state())
     if strategy == "dfs":

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import constraints, numerics
 from .constraints import BOTH, ONE, ZERO
-from .engine import Decision, Problem, bagel_search
+from .engine import Decision, Incumbent, Problem, bagel_search
 
 FEATURE_GRID = (10, 20, 40, 70, 100, 130, 150, 180, 200, 225, 250, 300, 350)
 SAMPLE_GRID = (100, 400, 700, 1000, 1500, 3000, 7000, 10000)
@@ -87,6 +87,13 @@ def expand_mask(bits, sizes):
     return np.repeat(np.asarray(bits) != ZERO, sizes)
 
 
+def component_starts(sizes):
+    """Offset of each component's first feature: the `reduceat` indices
+    that reduce a feature vector to one value per component."""
+    sizes = np.asarray(sizes)
+    return np.cumsum(sizes) - sizes
+
+
 def sd_tightness(u, weights, bound):
     """Fraction of the budget consumed by the active components."""
     if bound <= 0:
@@ -116,6 +123,8 @@ class SmartDesignProblem(Problem):
         self.bound = float(bound)
         self.weights = np.array([c.weight for c in self.components])
         self.sizes = np.array([c.input_size for c in self.components])
+        self.starts = component_starts(self.sizes)
+        self.gram_diag = solver.gram.diagonal()
 
     @classmethod
     def from_instance(cls, instance):
@@ -150,10 +159,16 @@ class SmartDesignProblem(Problem):
         return constraints.within_budget(total, self.bound)
 
     def branch(self, node):
+        # Split on the free component that carries most of the node's
+        # fitted signal, sum of theta_f^2 (X^T X)_ff over its features;
+        # argmax breaks ties to the lowest index.  The u=0 child loses that
+        # signal, so a seeded incumbent prunes it early; unseeded, a DFS
+        # would dive into it first and find poor leaves.
         free = np.flatnonzero(node.state == BOTH)
         if not free.size:
             raise RuntimeError("branch() called on a node with no free variable")
-        i = int(free[0])
+        signal = np.add.reduceat(node.model ** 2 * self.gram_diag, self.starts)
+        i = int(free[np.argmax(signal[free])])
         return [Decision(i, ZERO, "u%d=0" % (i + 1)), Decision(i, ONE, "u%d=1" % (i + 1))]
 
     def apply(self, state, decision):
@@ -166,15 +181,6 @@ class SmartDesignProblem(Problem):
         return DesignSolution(u=u, theta=node.model.copy(), train_loss=node.trained_loss)
 
 
-def _component_scores(theta, components):
-    """Largest coefficient magnitude of each component."""
-    scores, start = [], 0
-    for c in components:
-        scores.append(float(np.max(np.abs(theta[start:start + c.input_size]))))
-        start += c.input_size
-    return np.array(scores)
-
-
 def baseline_l2_br(solver, components, bound):
     """Basic repair: fit once, drop lowest-coefficient components until the
     budget holds, then refit once on the survivors.  solver is a
@@ -182,7 +188,7 @@ def baseline_l2_br(solver, components, bound):
     weights = np.array([c.weight for c in components])
     sizes = [c.input_size for c in components]
     theta, _ = solver.solve(np.ones(sum(sizes)))
-    scores = _component_scores(theta, components)
+    scores = np.maximum.reduceat(np.abs(theta), component_starts(sizes))
     u = np.ones(len(components), dtype=int)
     for i in np.argsort(scores, kind="stable"):
         if constraints.within_budget(float(np.dot(u, weights)), bound):
@@ -198,10 +204,11 @@ def baseline_l2_or(solver, components, bound):
     a `numerics.GramLeastSquares` of the training data."""
     weights = np.array([c.weight for c in components])
     sizes = [c.input_size for c in components]
+    starts = component_starts(sizes)
     u = np.ones(len(components), dtype=int)
     theta, loss = solver.solve(expand_mask(u, sizes))
     while not constraints.within_budget(float(np.dot(u, weights)), bound):
-        scores = _component_scores(theta, components)
+        scores = np.maximum.reduceat(np.abs(theta), starts)
         ratios = np.where(weights > 0, scores / np.maximum(weights, 1e-300), np.inf)
         active = np.flatnonzero(u)
         drop = active[np.argmin(ratios[active])]
@@ -309,7 +316,12 @@ def fold_split(n_samples, fold, seed):
 
 
 def run_methods(instance, folds=5, stop=None, strategy="dfs", prune=True, trace=None):
-    """Solve every fold with each method; returns flat result rows."""
+    """Solve every fold with each method; returns flat result rows.
+
+    Both repair baselines run first, and the search starts from the one
+    with the lower train loss (l2_br on a tie): a bagel row is therefore
+    written even when the search opens no node.
+    """
     if folds < 1:
         raise ValueError("folds must be >= 1")
     rows = []
@@ -318,23 +330,19 @@ def run_methods(instance, folds=5, stop=None, strategy="dfs", prune=True, trace=
         train_idx, test_idx = fold_split(len(instance.y), fold, instance.seed)
         solver = numerics.GramLeastSquares(instance.X[train_idx], instance.y[train_idx])
         Xte, yte = instance.X[test_idx], instance.y[test_idx]
-        for method in ("bagel", "l2_br", "l2_or"):
-            nodes, wall_ms, completed = 0, 0.0, True
-            if method == "bagel":
-                problem = SmartDesignProblem(solver, instance.components, instance.bound)
-                best, stats = bagel_search(
-                    problem, stop=stop, strategy=strategy, prune=prune, trace=trace
-                )
-                if best is None:
-                    continue
-                sol = best.model
-                nodes = stats.nodes_opened
-                wall_ms = stats.wall_time * 1000.0
-                completed = stats.completed
-            elif method == "l2_br":
-                sol = baseline_l2_br(solver, instance.components, instance.bound)
-            else:
-                sol = baseline_l2_or(solver, instance.components, instance.bound)
+        baselines = [
+            baseline(solver, instance.components, instance.bound)
+            for baseline in (baseline_l2_br, baseline_l2_or)
+        ]
+        better = min(baselines, key=lambda sol: sol.train_loss)
+        problem = SmartDesignProblem(solver, instance.components, instance.bound)
+        best, stats = bagel_search(
+            problem, stop=stop, strategy=strategy, prune=prune, trace=trace,
+            incumbent=Incumbent(None, better.train_loss, better),
+        )
+        results = [(best.model, stats.nodes_opened, stats.wall_time * 1000.0, stats.completed)]
+        results += [(sol, 0, 0.0, True) for sol in baselines]
+        for method, (sol, nodes, wall_ms, completed) in zip(("bagel", "l2_br", "l2_or"), results):
             sol.test_loss = sd_evaluate(sol, Xte, yte)
             rows.append({
                 "method": method,

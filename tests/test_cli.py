@@ -159,6 +159,22 @@ class TestSolve:
         bagel_rows = [r for r in read_rows(out) if r["method"] == "bagel"]
         assert all(r["completed"] == "false" for r in bagel_rows)
 
+    def test_node_cap_zero_writes_the_better_baseline(self, sd_instance, tmp_path):
+        # The search starts from the better repair baseline, so a search
+        # that opens no node still writes its bagel row: the seed itself.
+        out = str(tmp_path / "res.csv")
+        assert cli.main(["solve", "--instance", sd_instance, "--out", out,
+                         "--folds", "2", "--node-cap", "0"]) == 0
+        rows = read_rows(out)
+        assert [(r["method"], r["fold"]) for r in rows] == [
+            (m, f) for f in ("0", "1") for m in ("bagel", "l2_br", "l2_or")]
+        for fold in ("0", "1"):
+            bagel, br, orr = (r for r in rows if r["fold"] == fold)
+            seed = min((br, orr), key=lambda r: float(r["train_loss"]))
+            for column in ("train_loss", "test_loss", "tightness"):
+                assert bagel[column] == seed[column]
+            assert bagel["nodes"] == "0" and bagel["completed"] == "false"
+
     def test_trace_replay(self, sd_instance, tmp_path):
         out = str(tmp_path / "res.csv")
         trace = str(tmp_path / "trace.ndjson")

@@ -5,6 +5,7 @@ from bagel.engine import (
     LEAF,
     TRAINED,
     Decision,
+    Incumbent,
     Problem,
     SearchStats,
     StopCondition,
@@ -208,3 +209,35 @@ class TestBagelSearch:
     def test_stats_accounting(self):
         _, stats = bagel_search(SubsetProblem([1.0, 2.0, 3.0]))
         assert stats.nodes_opened >= stats.leaves + stats.nodes_pruned
+
+
+class TestSeededIncumbent:
+    def test_seed_no_leaf_beats_is_returned(self):
+        seed = Incumbent(None, 0.0, "seed")
+        records = []
+        best, stats = bagel_search(SubsetProblem([1.0, 2.0]), trace=records.append,
+                                   incumbent=seed)
+        assert best is seed
+        assert stats.completed and stats.leaves == 0 and stats.nodes_opened == 1
+        # The root's loss reaches the seed (inclusive prune); the seed has no record.
+        assert [(r["trail"], r["status"]) for r in records] == [([], "pruned")]
+
+    def test_leaf_equal_to_seed_keeps_seed(self):
+        seed = Incumbent(None, 0.0, "seed")
+        best, stats = bagel_search(SubsetProblem([1.0, 2.0]), prune=False, incumbent=seed)
+        assert best is seed
+        assert stats.leaves == 4  # (1, 1) among them, at the seed's loss 0.0
+
+    @pytest.mark.parametrize("strategy", ["dfs", "best-first"])
+    def test_lower_leaf_replaces_seed(self, strategy):
+        best, stats = bagel_search(SubsetProblem([1.0, 2.0]), strategy=strategy,
+                                   incumbent=Incumbent(None, 1.5, "seed"))
+        assert best.node_id is not None and best.loss == 0.0 and best.model == (1, 1)
+        assert stats.completed
+
+    def test_node_cap_zero_returns_seed(self):
+        seed = Incumbent(None, 5.0, "seed")
+        best, stats = bagel_search(SubsetProblem([1.0, 2.0]),
+                                   stop=StopCondition(node_budget=0), incumbent=seed)
+        assert best is seed
+        assert stats.nodes_opened == 0 and not stats.completed

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bagel.constraints import BOTH, ONE, ZERO, et_satisfied, encode_smart_design_as_et
-from bagel.engine import Node, StopCondition, bagel_search
+from bagel.engine import Decision, Incumbent, Node, StopCondition, bagel_search
 from bagel.numerics import GramLeastSquares, make_rng, solve_least_squares
 from bagel.smart_design import (
     Component,
@@ -97,48 +97,97 @@ class TestIsLeaf:
         assert problem.is_leaf(node_with(problem, [ONE, ZERO, ZERO, ONE]))  # 3+1 < 5
 
 
+def trained_root(problem):
+    root = node_with(problem, [BOTH] * len(problem.components))
+    problem.generate(root)
+    root.trained_loss = problem.train(root)
+    return root
+
+
 class TestStateIsolation:
+    # The toy signal lives in component 2 (index 1), so a trained root
+    # branches there.
     def test_apply_returns_a_new_array(self):
         problem = SmartDesignProblem.from_instance(toy_instance())
-        parent = problem.root_state()
-        zero, one = (problem.apply(parent, d) for d in problem.branch(Node(0, 0, (), parent)))
+        root = trained_root(problem)
+        parent = root.state
+        zero, one = (problem.apply(parent, d) for d in problem.branch(root))
         assert not np.shares_memory(zero, parent) and not np.shares_memory(one, parent)
         assert list(parent) == [BOTH] * 4
-        assert list(zero) == [ZERO, BOTH, BOTH, BOTH]
-        assert list(one) == [ONE, BOTH, BOTH, BOTH]
+        assert list(zero) == [BOTH, ZERO, BOTH, BOTH]
+        assert list(one) == [BOTH, ONE, BOTH, BOTH]
 
     def test_prune_leaves_parent_and_sibling_untouched(self):
         problem = SmartDesignProblem.from_instance(toy_instance())
-        root = node_with(problem, [BOTH] * 4)
+        root = trained_root(problem)
         zero, one = (Node(i + 1, 1, (d,), problem.apply(root.state, d))
                      for i, d in enumerate(problem.branch(root)))
-        assert problem.prune(one)  # u1=1 commits 10 of 12: u2 and u3 no longer fit
-        assert list(one.state) == [ONE, ZERO, ZERO, BOTH]
-        assert list(zero.state) == [ZERO, BOTH, BOTH, BOTH]
+        assert problem.prune(one)  # u2=1 commits 6 of 12: u1 (10) no longer fits
+        assert list(one.state) == [ZERO, ONE, BOTH, BOTH]
+        assert list(zero.state) == [BOTH, ZERO, BOTH, BOTH]
         assert list(root.state) == [BOTH] * 4
 
 
+def signal_problem(column_scale=None):
+    """Toy components over orthogonal columns: (X^T X)_ff = column_scale_f^2."""
+    scale = np.ones(8) if column_scale is None else np.asarray(column_scale, dtype=float)
+    return SmartDesignProblem(GramLeastSquares(np.diag(scale), np.zeros(8)),
+                              TOY_COMPONENTS, TOY_BOUND)
+
+
+def model_node(problem, states, theta):
+    node = node_with(problem, states)
+    node.model = np.asarray(theta, dtype=float)
+    return node
+
+
 class TestBranch:
+    def test_largest_signal_wins(self):
+        # Summed over the component: 0.9^2 + 0.9^2 beats component 1's lone 1.0.
+        problem = signal_problem()
+        decisions = problem.branch(model_node(problem, [BOTH] * 4,
+                                              [1.0, 0, 0, 0.9, 0.9, 0, 0, 0]))
+        assert [(d.var, d.value, d.label) for d in decisions] == [
+            (1, ZERO, "u2=0"), (1, ONE, "u2=1")]
+        # Weighted by the Gram diagonal: 0.6^2 * 2^2 beats 1.0^2.
+        problem = signal_problem([1, 1, 1, 1, 1, 2, 1, 1])
+        decisions = problem.branch(model_node(problem, [BOTH] * 4,
+                                              [1.0, 0, 0, 0, 0, 0.6, 0, 0]))
+        assert [d.var for d in decisions] == [2, 2]
+
+    def test_ties_go_to_lowest_free_index(self):
+        problem = signal_problem()
+        decisions = problem.branch(model_node(problem, [ZERO, BOTH, BOTH, BOTH],
+                                              [0, 0, 0, 0, 0.5, 0, 0, 0.5]))
+        assert decisions[0].var == 1
+
     def test_all_free_branches_first_var(self):
-        problem = SmartDesignProblem.from_instance(toy_instance())
-        decisions = problem.branch(node_with(problem, [BOTH] * 4))
+        # A zero model ties every component: the first free one is split,
+        # as in the documented trace replay.
+        problem = signal_problem()
+        decisions = problem.branch(model_node(problem, [BOTH] * 4, np.zeros(8)))
         assert [(d.var, d.value) for d in decisions] == [(0, 0), (0, 1)]
         assert decisions[0].label == "u1=0"
 
     def test_skips_fixed(self):
-        problem = SmartDesignProblem.from_instance(toy_instance())
-        decisions = problem.branch(node_with(problem, [ZERO, BOTH, BOTH, BOTH]))
+        # Component 1 holds the largest signal but is already fixed.
+        problem = signal_problem()
+        decisions = problem.branch(model_node(problem, [ONE, BOTH, BOTH, BOTH],
+                                              [3.0, 0, 0, 0, 0, 0, 0.1, 0]))
+        assert decisions[0].var == 2
+        decisions = problem.branch(model_node(problem, [ZERO, BOTH, BOTH, BOTH], np.zeros(8)))
         assert decisions[0].var == 1
 
     def test_single_free(self):
-        problem = SmartDesignProblem.from_instance(toy_instance())
-        decisions = problem.branch(node_with(problem, [ZERO, ZERO, ZERO, BOTH]))
+        problem = signal_problem()
+        decisions = problem.branch(model_node(problem, [ONE, ZERO, ZERO, BOTH],
+                                              [1.0, 1.0, 1.0, 0, 0, 0, 0, 0]))
         assert [(d.var, d.value) for d in decisions] == [(3, 0), (3, 1)]
 
     def test_no_free_is_contract_error(self):
-        problem = SmartDesignProblem.from_instance(toy_instance())
+        problem = signal_problem()
         with pytest.raises(RuntimeError):
-            problem.branch(node_with(problem, [ZERO] * 4))
+            problem.branch(model_node(problem, [ZERO] * 4, np.zeros(8)))
 
 
 class TestBaselines:
@@ -207,6 +256,15 @@ class TestBaselines:
         sol = baseline_l2_or(GramLeastSquares(X, y), comps, bound)
         assert np.array_equal(sol.u, u)
         assert np.allclose(sol.theta, theta)
+
+    def test_scores_by_largest_coefficient_of_each_component(self):
+        # Orthogonal columns, so the full fit is y.  Component 1's largest
+        # coefficient (0.6) is below component 2's (1.0), though its sum is not.
+        X, y = np.eye(3), np.array([0.6, 0.6, 1.0])
+        comps = [Component(2, 1.0), Component(1, 1.0)]
+        for fn in (baseline_l2_br, baseline_l2_or):
+            sol = fn(GramLeastSquares(X, y), comps, 1.5)
+            assert list(sol.u) == [0, 1]
 
     def test_equal_weights_same_first_removal_order(self):
         rng = make_rng(102)
@@ -282,31 +340,52 @@ class TestMetrics:
         assert sd_evaluate(sol_cls, X, y) == pytest.approx(expect, rel=1e-12)
 
 
-class TestSearchProperties:
-    def brute_force(self, inst):
-        d = inst.X.shape[1]
-        slices = inst.feature_slices()
-        best = None
-        for u in itertools.product((0, 1), repeat=len(inst.components)):
-            if np.dot(u, inst.weights) < inst.bound:
-                mask = np.zeros(d)
-                for bit, sl in zip(u, slices):
-                    if bit:
-                        mask[sl] = 1
-                cols = np.flatnonzero(mask)
-                theta = np.zeros(d)
-                if cols.size:
-                    theta[cols] = np.linalg.lstsq(inst.X[:, cols], inst.y, rcond=None)[0]
-                loss = float(np.linalg.norm(inst.X @ theta - inst.y))
-                best = loss if best is None else min(best, loss)
-        return best
+def brute_force(inst):
+    d = inst.X.shape[1]
+    slices = inst.feature_slices()
+    best = None
+    for u in itertools.product((0, 1), repeat=len(inst.components)):
+        if np.dot(u, inst.weights) < inst.bound:
+            mask = np.zeros(d)
+            for bit, sl in zip(u, slices):
+                if bit:
+                    mask[sl] = 1
+            cols = np.flatnonzero(mask)
+            theta = np.zeros(d)
+            if cols.size:
+                theta[cols] = np.linalg.lstsq(inst.X[:, cols], inst.y, rcond=None)[0]
+            loss = float(np.linalg.norm(inst.X @ theta - inst.y))
+            best = loss if best is None else min(best, loss)
+    return best
 
+
+def small_instance(data, weight_choices=(0.0, 1.0, 2.5, 4.0, 7.0)):
+    """A random instance of 2-6 components with at least one of weight 0;
+    m < d, which makes some masks rank-deficient, is among the draws."""
+    k = data.draw(st.integers(2, 6))
+    sizes = data.draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+    weights = data.draw(st.lists(st.sampled_from(weight_choices), min_size=k, max_size=k))
+    weights[data.draw(st.integers(0, k - 1))] = 0.0
+    d = sum(sizes)
+    m = data.draw(st.integers(2, 2 * d))
+    rng = make_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    X = rng.standard_normal((m, d))
+    noise = data.draw(st.sampled_from([0.0, 0.1]))
+    y = X @ rng.standard_normal(d) + noise * rng.standard_normal(m)
+    bound = data.draw(st.sampled_from([0.5, 3.0, 6.0, 10.0]))
+    return SmartDesignInstance(
+        X=X, y=y, components=[Component(s, w) for s, w in zip(sizes, weights)],
+        bound=bound,
+    )
+
+
+class TestSearchProperties:
     def test_exactness_small_instances(self):
         for seed in range(5):
             inst = sd_generate_instance(20, 100, 0.6, seed=seed)
             best, stats = bagel_search(SmartDesignProblem.from_instance(inst))
             assert stats.completed
-            oracle = self.brute_force(inst)
+            oracle = brute_force(inst)
             assert best.loss == pytest.approx(oracle, rel=1e-9)
 
     @pytest.mark.parametrize("prune", [True, False])
@@ -315,7 +394,7 @@ class TestSearchProperties:
             inst = boundary_instance(seed)
             best, stats = bagel_search(SmartDesignProblem.from_instance(inst), prune=prune)
             assert stats.completed
-            assert best.loss == pytest.approx(self.brute_force(inst), rel=1e-9)
+            assert best.loss == pytest.approx(brute_force(inst), rel=1e-9)
             assert float(np.dot(best.model.u, inst.weights)) < inst.bound
 
     def test_dominance_over_baselines(self):
@@ -363,27 +442,44 @@ class TestSearchProperties:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_exactness_with_zero_weight_components(self, data):
-        k = data.draw(st.integers(2, 6))
-        sizes = data.draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
-        weights = data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.5, 4.0, 7.0]),
-                                     min_size=k, max_size=k))
-        weights[data.draw(st.integers(0, k - 1))] = 0.0
-        d = sum(sizes)
-        m = data.draw(st.integers(2, 2 * d))  # m < d makes some masks rank-deficient
-        rng = make_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-        X = rng.standard_normal((m, d))
-        noise = data.draw(st.sampled_from([0.0, 0.1]))
-        y = X @ rng.standard_normal(d) + noise * rng.standard_normal(m)
-        bound = data.draw(st.sampled_from([0.5, 3.0, 6.0, 10.0]))
-        inst = SmartDesignInstance(
-            X=X, y=y, components=[Component(s, w) for s, w in zip(sizes, weights)],
-            bound=bound,
-        )
+        inst = small_instance(data)
         best, stats = bagel_search(SmartDesignProblem.from_instance(inst))
         assert stats.completed
         assert stats.warnings == []
-        oracle = self.brute_force(inst)
+        oracle = brute_force(inst)
         assert abs(best.loss - oracle) <= 1e-9 * max(1.0, oracle)
+
+
+class FirstFreeProblem(SmartDesignProblem):
+    """Branches on the lowest-index free component, whatever the model."""
+
+    def branch(self, node):
+        i = int(np.flatnonzero(node.state == BOTH)[0])
+        return [Decision(i, ZERO, "u%d=0" % (i + 1)), Decision(i, ONE, "u%d=1" % (i + 1))]
+
+
+class TestSeededSearch:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_seeded_and_unseeded_reach_the_optimum(self, data):
+        inst = small_instance(data)
+        oracle = brute_force(inst)
+        solver = GramLeastSquares(inst.X, inst.y)
+        seed = min((fn(solver, inst.components, inst.bound)
+                    for fn in (baseline_l2_br, baseline_l2_or)),
+                   key=lambda sol: sol.train_loss)
+        for strategy in ("dfs", "best-first"):
+            for cls, incumbent in ((SmartDesignProblem, Incumbent(None, seed.train_loss, seed)),
+                                   (SmartDesignProblem, None),
+                                   (FirstFreeProblem, None)):
+                problem = cls(solver, inst.components, inst.bound)
+                best, stats = bagel_search(problem, strategy=strategy, incumbent=incumbent)
+                assert stats.completed
+                assert abs(best.loss - oracle) <= 1e-9 * max(1.0, oracle)
+                assert float(np.dot(best.model.u, inst.weights)) < inst.bound
+                if incumbent is not None:
+                    assert best.loss <= seed.train_loss
+                    assert (best.node_id is None) == (best is incumbent)
 
 
 class AlwaysSolveProblem(SmartDesignProblem):
