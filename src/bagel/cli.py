@@ -96,11 +96,6 @@ def _versions():
             "python": platform.python_version(), "blas": blas}
 
 
-def _env_seed(seed):
-    env = os.environ.get("BAGEL_SEED")
-    return int(env) if env is not None else seed
-
-
 def _trace_writer(path):
     fh = open(path, "w")
 
@@ -187,7 +182,7 @@ PROBLEMS = {
 
 def cmd_generate(args):
     kind = PROBLEMS[args.problem]
-    instance = kind.generate(**dict(vars(args), seed=_env_seed(args.seed)))
+    instance = kind.generate(**vars(args))
     kind.save_instance(instance, args.out)
     with open(args.out, "rb") as fh:
         print("%s  %s" % (_digest(fh.read()), args.out))
@@ -210,7 +205,8 @@ def _load_instance(path):
 
 def cmd_solve(args):
     kind, instance, instance_id = _load_instance(args.instance)
-    instance.seed = _env_seed(instance.seed if args.seed is None else args.seed)
+    if args.seed is not None:
+        instance.seed = args.seed
     stop = StopCondition(wall_seconds=args.timeout_s, node_budget=args.node_cap)
     fields = PROBLEMS[kind].fields
     if args.append and os.path.exists(args.out):
@@ -247,6 +243,8 @@ def _parse_grid(text, cast):
 
 
 def cmd_bench(args):
+    if args.seeds < 1:
+        raise ValueError("seeds must be >= 1, got %d" % args.seeds)
     kind = PROBLEMS[args.problem]
     means = ["mean_" + column for column in kind.averages]
     fields = ["cell"] + (["method"] if "method" in kind.fields else []) + means + ["note"]

@@ -177,7 +177,8 @@ def alldifferent_filter(domains):
     value from every other set.  Returns (pruned, failed) where pruned
     lists (var, removed values); failed means a set emptied or two
     singletons collide.  Prior-nmf keeps its free columns in one shared
-    set, so its search does not call this.
+    set, so no search calls this: it stays only because
+    `benchmarks/tracer.py` wraps it by name.
     """
     removed = {i: [] for i in range(len(domains))}
     changed = True

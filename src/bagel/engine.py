@@ -3,8 +3,8 @@
 Each node carries a domain snapshot owned by the problem.  Processing a
 node runs, in order: problem filtering (prune), subproblem generation,
 training, bound pruning against the incumbent, the leaf test, and finally
-branching.  The default frontier discipline is depth-first with children
-pushed so the first branch decision is explored first.
+branching.  The frontier is one heap; the default key makes it depth-first,
+so the first branch decision is explored first.
 """
 
 from __future__ import annotations
@@ -23,6 +23,15 @@ PRUNED = "pruned"
 FAILED = "failed"
 
 CHILD_LOSS_TOL = 1e-9
+
+# The frontier heap pops the lowest key; ids are unique, so nodes are never
+# compared.  A DFS frontier holds at most one sibling group per depth, so the
+# deepest node with the lowest id is the next node of a recursive pre-order.
+# The root's best-first key holds None, but the root is alone on the heap.
+FRONTIER_KEYS = {
+    "dfs": lambda node: (-node.depth, node.id),
+    "best-first": lambda node: (node.parent_loss, node.id),
+}
 
 
 @dataclass(frozen=True)
@@ -175,25 +184,15 @@ def bagel_search(problem, stop=None, strategy="dfs", *, prune=True, trace=None,
     0, and `stats.nodes_opened` still counts the nodes the search opened
     (0 under a node cap of 0).
     """
-    if strategy not in ("dfs", "best-first"):
+    key = FRONTIER_KEYS.get(strategy)
+    if key is None:
         raise ValueError("unknown strategy %r" % strategy)
 
     t0 = time.perf_counter()
     stats = SearchStats()
     next_id = 1
     root = Node(0, 0, (), problem.root_state())
-    if strategy == "dfs":
-        frontier = [root]
-        pop = frontier.pop
-        def push(children):
-            frontier.extend(reversed(children))
-    else:
-        frontier = [(0.0, root.id, root)]
-        def pop():
-            return heapq.heappop(frontier)[2]
-        def push(children):
-            for c in children:
-                heapq.heappush(frontier, (c.parent_loss, c.id, c))
+    frontier = [(key(root), root)]
 
     def emit(node):
         if trace is not None:
@@ -211,7 +210,7 @@ def bagel_search(problem, stop=None, strategy="dfs", *, prune=True, trace=None,
         if should_stop(stats, stop):
             stopped = True
             break
-        node = pop()
+        _, node = heapq.heappop(frontier)
         stats.nodes_opened += 1
 
         if not problem.prune(node):
@@ -242,7 +241,6 @@ def bagel_search(problem, stop=None, strategy="dfs", *, prune=True, trace=None,
                 incumbent = Incumbent(node.id, loss, problem.extract(node))
             emit(node)
             continue
-        children = []
         for decision in problem.branch(node):
             child = Node(
                 next_id, node.depth + 1, node.trail + (decision,),
@@ -250,8 +248,7 @@ def bagel_search(problem, stop=None, strategy="dfs", *, prune=True, trace=None,
                 parent=node if problem.reads_parent else None,
             )
             next_id += 1
-            children.append(child)
-        push(children)
+            heapq.heappush(frontier, (key(child), child))
         emit(node)
 
     stats.wall_time = time.perf_counter() - t0

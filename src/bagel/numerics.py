@@ -90,15 +90,7 @@ def decode_array(doc):
     return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(float)
 
 
-def norm_l0(v, eps=0.0):
-    """Number of entries with magnitude strictly above eps."""
-    if eps < 0:
-        raise DomainError("eps must be >= 0")
-    v = np.asarray(v, dtype=float)
-    return int(np.count_nonzero(np.abs(v) > eps))
-
-
-def masked_l0_cost(y, t, eps=0.0):
+def masked_l0_cost(y, t):
     """Count of active entries of y falling outside the support of t.
 
     t is a 0/1 vector; the cost is the l0 norm of y restricted to the
@@ -108,7 +100,7 @@ def masked_l0_cost(y, t, eps=0.0):
     t = np.asarray(t, dtype=float)
     if y.shape != t.shape:
         raise DimensionError("y and t must have the same length")
-    return int(np.count_nonzero((t == 0) & (np.abs(y) > eps)))
+    return int(np.count_nonzero((t == 0) & (np.abs(y) > 0)))
 
 
 def lp_distance(y, t, p):
@@ -226,9 +218,12 @@ def frobenius(A):
 # fits for the reason given in `GramLeastSquares`.
 NMF_STOP_RTOL = 1e-5
 NMF_CHECK_EVERY = 10
+# Added to the denominators of the multiplicative updates, so an all-zero
+# column of W or row of H stays 0 instead of dividing 0 by 0.
+NMF_EPS = 1e-12
 
 
-def nmf_multiplicative(A, k, mask, iters, rng, eps=1e-12, on_iteration=None):
+def nmf_multiplicative(A, k, mask, iters, rng, on_iteration=None):
     """Masked NMF by multiplicative updates for the Frobenius objective.
 
     W (n x k) and H (k x m) are initialised uniformly in (0, 1] from rng,
@@ -264,8 +259,8 @@ def nmf_multiplicative(A, k, mask, iters, rng, eps=1e-12, on_iteration=None):
     W *= mask
     prev = None
     for it in range(iters):
-        H *= (W.T @ A) / (W.T @ W @ H + eps)
-        W *= (A @ H.T) / (W @ (H @ H.T) + eps)
+        H *= (W.T @ A) / (W.T @ W @ H + NMF_EPS)
+        W *= (A @ H.T) / (W @ (H @ H.T) + NMF_EPS)
         W *= mask
         if on_iteration is not None:
             on_iteration(it, W, H, frobenius(A - W @ H))

@@ -25,6 +25,7 @@ WORD_GRID = (20, 30, 50, 75, 100, 150)
 TRUE_TOPIC_GRID = (4, 5, 6, 7, 8)
 FALSE_TOPIC_GRID = (2, 3, 5, 10)
 DOC_GRID = (50, 100, 150, 200, 250, 300)
+MIN_TOPICS_PER_DOC = 2
 
 
 @dataclass
@@ -246,22 +247,25 @@ def _random_distinct_topics(rng, count, n_words, density, taken):
 
 
 def nmf_generate_instance(n_words, true_topics, false_topics, docs, sparsity=0.8,
-                          seed=0, noise_sigma=None, min_topics_per_doc=2,
-                          removed_topics=0):
+                          seed=0, noise_sigma=None):
     """Seeded planted instance: A = W* H* (+ noise), topics from a fresh DB.
 
     Topic bit patterns have word density 1 - sparsity; W* columns are
     positive exactly on their topic's support; H* activates at least
-    min_topics_per_doc topics per document.  removed_topics drops that many
-    true topics from the database (exploratory only; with it the planted
-    decomposition is no longer feasible).
+    MIN_TOPICS_PER_DOC topics per document.  The database holds the
+    true and false topics, so the planted decomposition is feasible.
     """
-    if min_topics_per_doc > true_topics:
-        raise ValueError("min_topics_per_doc cannot exceed the number of true topics")
+    for name, value, low in (("n_words", n_words, 1), ("docs", docs, 1),
+                             ("true_topics", true_topics, MIN_TOPICS_PER_DOC),
+                             ("false_topics", false_topics, 0)):
+        if value < low:
+            raise ValueError("%s must be >= %d, got %r" % (name, low, value))
+    # Every topic is a distinct non-empty word pattern.
+    if true_topics + false_topics > 2 ** n_words - 1:
+        raise ValueError("true_topics + false_topics must be <= 2**n_words - 1 = %d, got %d"
+                         % (2 ** n_words - 1, true_topics + false_topics))
     if not (0 < sparsity < 1):
         raise ValueError("sparsity must be in (0, 1)")
-    if removed_topics < 0 or removed_topics > true_topics:
-        raise ValueError("removed_topics out of range")
     if n_words not in WORD_GRID:
         warnings.warn("n_words=%d is off the usual grid" % n_words)
     if true_topics not in TRUE_TOPIC_GRID:
@@ -282,7 +286,7 @@ def nmf_generate_instance(n_words, true_topics, false_topics, docs, sparsity=0.8
     for i, t in enumerate(true):
         support = np.flatnonzero(t)
         W_star[support, i] = rng.uniform(0.5, 1.5, size=len(support))
-    active_per_doc = max(min_topics_per_doc, int(round((1.0 - sparsity) * k)))
+    active_per_doc = max(MIN_TOPICS_PER_DOC, int(round((1.0 - sparsity) * k)))
     H_star = np.zeros((k, docs))
     for j in range(docs):
         rows = rng.choice(k, size=active_per_doc, replace=False)
@@ -293,17 +297,13 @@ def nmf_generate_instance(n_words, true_topics, false_topics, docs, sparsity=0.8
     A = clean + sigma * rng.standard_normal(clean.shape) if sigma > 0 else clean
     A = np.clip(A, 0.0, None)
 
-    db_topics = list(true[removed_topics:]) + list(false)
+    db_topics = true + false
     order = rng.permutation(len(db_topics))
     db = TopicDB(n_words, [db_topics[i] for i in order])
-    # Planted indices in the shuffled database (only meaningful when no
-    # topics were removed).
-    planted = []
-    if removed_topics == 0:
-        keys = {tuple(t.astype(int)): i for i, t in enumerate(db.topics)}
-        planted = [keys[tuple(t.astype(int))] for t in true]
+    keys = {tuple(t.astype(int)): i for i, t in enumerate(db.topics)}
+    planted = [keys[tuple(t.astype(int))] for t in true]
     return NmfInstance(
-        A=A, k=k, db=db, planted_topics=planted or None,
+        A=A, k=k, db=db, planted_topics=planted,
         planted_W=W_star, planted_H=H_star, noise_sigma=sigma, seed=seed,
     )
 
@@ -325,6 +325,8 @@ def save_instance(instance, path):
 
 
 def load_instance(path):
+    """Instance of a file.  The CLI parses files once in `cli._load_instance`,
+    so this stays only because `benchmarks/tracer.py` wraps it by name."""
     with open(path) as fh:
         return instance_from_doc(json.load(fh))
 

@@ -62,14 +62,6 @@ class SmartDesignInstance:
     def weights(self):
         return np.array([c.weight for c in self.components])
 
-    def feature_slices(self):
-        """Per-component index ranges partitioning the feature axis."""
-        out, start = [], 0
-        for c in self.components:
-            out.append(slice(start, start + c.input_size))
-            start += c.input_size
-        return out
-
 
 @dataclass
 class DesignSolution:
@@ -285,6 +277,8 @@ def save_instance(instance, path):
 
 
 def load_instance(path):
+    """Instance of a file.  The CLI parses files once in `cli._load_instance`,
+    so this stays only because `benchmarks/tracer.py` wraps it by name."""
     with open(path) as fh:
         return instance_from_doc(json.load(fh))
 

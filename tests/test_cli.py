@@ -103,23 +103,26 @@ class TestGenerate:
 
         assert solved(listed_path) == solved(encoded_path)
 
-    def test_invalid_cost_exits_1(self, tmp_path):
-        rc = cli.main(["generate", "--problem", "smart-design", "--n", "10",
-                       "--samples", "100", "--cost", "1.5", "--seed", "7",
-                       "--out", str(tmp_path / "x.json")])
+    @pytest.mark.parametrize("flags, error", [
+        (["--problem", "smart-design", "--n", "10", "--samples", "100", "--cost", "1.5"],
+         "error: cost_percent"),
+        # 2 words make 3 distinct non-empty topics, not 4 + 2.
+        (["--problem", "prior-nmf", "--n", "2", "--true-topics", "4", "--false-topics", "2"],
+         "error: true_topics + false_topics"),
+    ], ids=["cost", "topics"])
+    def test_invalid_shape_exits_1(self, tmp_path, capsys, flags, error):
+        out = tmp_path / "x.json"
+        rc = cli.main(["generate", *flags, "--seed", "7", "--out", str(out)])
         assert rc == 1
+        assert capsys.readouterr().err.startswith(error)
+        assert not out.exists()
 
-    def test_env_seed_override(self, tmp_path, monkeypatch):
-        out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
-        monkeypatch.setenv("BAGEL_SEED", "11")
-        cli.main(["generate", "--problem", "smart-design", "--n", "10",
-                  "--samples", "100", "--cost", "0.6", "--seed", "7", "--out", out1])
-        monkeypatch.delenv("BAGEL_SEED")
-        cli.main(["generate", "--problem", "smart-design", "--n", "10",
-                  "--samples", "100", "--cost", "0.6", "--seed", "11", "--out", out2])
-        a = load_sd(out1)
-        b = load_sd(out2)
-        assert np.array_equal(a.X, b.X)
+    def test_bagel_seed_env_is_ignored(self, tmp_path, monkeypatch):
+        argv = ["generate", "--problem", "prior-nmf", "--n", "20", "--seed", "0", "--out"]
+        assert cli.main(argv + [str(tmp_path / "a.json")]) == 0
+        monkeypatch.setenv("BAGEL_SEED", "5")
+        assert cli.main(argv + [str(tmp_path / "b.json")]) == 0
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
 class TestSolve:
@@ -184,14 +187,13 @@ class TestSolve:
         assert records[0]["depth"] == 0 and records[0]["trail"] == []
         assert all(set(r) == {"id", "depth", "trail", "loss", "status"} for r in records)
 
-    def test_meta_records_effective_seed(self, sd_instance, tmp_path, monkeypatch):
+    def test_meta_records_effective_seed(self, sd_instance, tmp_path):
         out = str(tmp_path / "res.csv")
-        monkeypatch.setenv("BAGEL_SEED", "123")
         rc = cli.main(["solve", "--instance", sd_instance, "--out", out,
                        "--folds", "1", "--seed", "5"])
         assert rc == 0
         with open(out + ".meta.json") as fh:
-            assert json.load(fh)["seed"] == 123
+            assert json.load(fh)["seed"] == 5
 
     @pytest.mark.parametrize("content", [
         "{not json", "[1, 2]", '{"problem": "tsp"}',
@@ -375,10 +377,13 @@ class TestBench:
         assert os.path.getmtime(cell) == stamp
 
     @pytest.mark.parametrize("problem", ["smart-design", "prior-nmf"])
-    def test_negative_timeout_exits_1(self, tmp_path, capsys, problem):
+    @pytest.mark.parametrize("flags", [["--seeds", "1", "--timeout-s", "-1"],
+                                       ["--seeds", "0"], ["--seeds", "-1"]],
+                             ids=["timeout-s=-1", "seeds=0", "seeds=-1"])
+    def test_bad_value_exits_1(self, tmp_path, capsys, problem, flags):
         out_dir = tmp_path / "sweep"
         rc = cli.main(["bench", "--problem", problem, "--out-dir", str(out_dir),
-                       "--grid-n", "10", "--seeds", "1", "--timeout-s", "-1"])
+                       "--grid-n", "10", *flags])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
         assert not out_dir.exists()
@@ -406,8 +411,7 @@ class TestBench:
           "--grid-docs", "50"],
          ["--iters", "30"]),
     ], ids=["smart-design", "prior-nmf"])
-    def test_cell_rows_match_solve(self, tmp_path, monkeypatch, generate, grid, search):
-        monkeypatch.delenv("BAGEL_SEED", raising=False)
+    def test_cell_rows_match_solve(self, tmp_path, generate, grid, search):
         inst, out = str(tmp_path / "inst.json"), str(tmp_path / "res.csv")
         out_dir = str(tmp_path / "sweep")
         assert cli.main(["generate", *generate, "--seed", "0", "--out", inst]) == 0

@@ -1,8 +1,15 @@
+import itertools
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bagel.engine import (
+    FAILED,
     LEAF,
+    PRUNED,
     TRAINED,
     Decision,
     Incumbent,
@@ -241,3 +248,73 @@ class TestSeededIncumbent:
                                    stop=StopCondition(node_budget=0), incumbent=seed)
         assert best is seed
         assert stats.nodes_opened == 0 and not stats.completed
+
+
+class RandomTreeProblem(SubsetProblem):
+    """A SubsetProblem whose items take `values`, branched in that order,
+    and where a state with more than `max_ones` items fixed to 1 fails."""
+
+    def __init__(self, penalties, values, max_ones):
+        super().__init__(penalties)
+        self.values = values
+        self.max_ones = max_ones
+
+    def prune(self, node):
+        return sum(s == 1 for s in node.state) <= self.max_ones
+
+    def branch(self, node):
+        i = node.state.index(None)
+        return [Decision(i, v, "x%d=%d" % (i, v)) for v in self.values]
+
+
+def preorder(problem, prune):
+    """(id, trail, status) of every node, visited by recursion: a node,
+    then each child's subtree in branch order.  Ids are handed out when a
+    node branches, as the engine does."""
+    visits, ids, best = [], itertools.count(1), None
+
+    def visit(node_id, trail, state):
+        nonlocal best
+        node = SimpleNamespace(id=node_id, trail=trail, state=state, payload=None,
+                               model=None, parent=None)
+        labels = [d.label for d in trail]
+        if not problem.prune(node):
+            visits.append((node_id, labels, FAILED))
+            return
+        problem.generate(node)
+        loss = problem.train(node)
+        if prune and best is not None and loss >= best:
+            visits.append((node_id, labels, PRUNED))
+            return
+        if problem.is_leaf(node):
+            if best is None or loss < best:
+                best = loss
+            visits.append((node_id, labels, LEAF))
+            return
+        children = [(next(ids), trail + (d,), problem.apply(state, d))
+                    for d in problem.branch(node)]
+        visits.append((node_id, labels, TRAINED))
+        for child in children:
+            visit(*child)
+
+    visit(0, (), problem.root_state())
+    return visits
+
+
+class TestDepthFirstOrder:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(k=st.integers(0, 5), data=st.data(), prune=st.booleans(),
+           cap=st.one_of(st.none(), st.integers(0, 40)))
+    def test_visits_in_recursive_preorder(self, k, data, prune, cap):
+        # Few distinct penalties, so losses tie and the inclusive prune fires.
+        penalties = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                                       min_size=k, max_size=k))
+        values = data.draw(st.permutations([0, 1, 2])
+                           .flatmap(lambda p: st.integers(1, 3).map(lambda n: p[:n])))
+        problem = RandomTreeProblem(penalties, values, data.draw(st.integers(0, k)))
+        records = []
+        _, stats = bagel_search(problem, stop=StopCondition(node_budget=cap), prune=prune,
+                                trace=records.append)
+        expected = preorder(problem, prune)
+        assert [(r["id"], r["trail"], r["status"]) for r in records] == expected[:cap]
+        assert stats.completed == (cap is None or cap >= len(expected))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bagel import prior_nmf
 from bagel.engine import LEAF, Node, bagel_search
 from bagel.numerics import make_rng, masked_l0_cost, nmf_multiplicative
 from bagel.prior_nmf import (
@@ -410,19 +411,35 @@ class TestInstanceGenerator:
             assert masked_l0_cost(inst.planted_W[:, i], inst.db.topics[j]) == 0
 
     def test_infeasible_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            nmf_generate_instance(20, 1, 2, 50, min_topics_per_doc=2)
+        with pytest.raises(ValueError, match="true_topics"):
+            nmf_generate_instance(20, 1, 2, 50)
         with pytest.raises(ValueError):
             nmf_generate_instance(20, 4, 2, 50, sparsity=1.5)
+
+    @pytest.mark.parametrize("shape, field", [
+        ((0, 4, 2, 50), "n_words"),
+        ((20, 4, 2, 0), "docs"),
+        ((20, 4, -1, 50), "false_topics"),
+        # 2 words make 3 distinct non-empty topics, not 6.
+        ((2, 4, 2, 50), "true_topics \\+ false_topics"),
+        ((3, 4, 4, 50), "true_topics \\+ false_topics"),
+    ])
+    def test_bad_shape_rejected_before_any_draw(self, monkeypatch, shape, field):
+        def no_draw(seed):
+            raise AssertionError("drew before validating")
+
+        monkeypatch.setattr(prior_nmf.numerics, "make_rng", no_draw)
+        with pytest.raises(ValueError, match=field):
+            nmf_generate_instance(*shape)
+
+    def test_every_distinct_topic_fits(self):
+        with pytest.warns(UserWarning):  # an off-grid shape
+            inst = nmf_generate_instance(2, 2, 1, 5, seed=0)
+        assert len(inst.db) == 3
 
     def test_off_grid_warns(self):
         with pytest.warns(UserWarning):
             nmf_generate_instance(21, 4, 2, 50, seed=0)
-
-    def test_removed_topics_shrinks_db(self):
-        inst = nmf_generate_instance(20, 4, 2, 50, seed=6, removed_topics=1)
-        assert len(inst.db) == 5
-        assert inst.planted_topics is None
 
 
 class TestRecovery:

@@ -340,9 +340,15 @@ class TestMetrics:
         assert sd_evaluate(sol_cls, X, y) == pytest.approx(expect, rel=1e-12)
 
 
+def feature_slices(inst):
+    """Per-component index ranges partitioning the feature axis."""
+    ends = np.cumsum([c.input_size for c in inst.components])
+    return [slice(end - c.input_size, end) for c, end in zip(inst.components, ends)]
+
+
 def brute_force(inst):
     d = inst.X.shape[1]
-    slices = inst.feature_slices()
+    slices = feature_slices(inst)
     best = None
     for u in itertools.product((0, 1), repeat=len(inst.components)):
         if np.dot(u, inst.weights) < inst.bound:
@@ -425,7 +431,7 @@ class TestSearchProperties:
         # budget, exactly
         assert float(np.dot(sol.u, inst.weights)) < inst.bound
         # support coupling, exactly
-        for bit, sl in zip(sol.u, inst.feature_slices()):
+        for bit, sl in zip(sol.u, feature_slices(inst)):
             if not bit:
                 assert np.all(sol.theta[sl] == 0.0)
         # and via the table encoding
