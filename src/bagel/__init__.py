@@ -27,4 +27,4 @@ __all__ = [
     "should_stop",
 ]
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

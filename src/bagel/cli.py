@@ -3,6 +3,9 @@
 Subcommands: generate, solve, bench.  Results are flat CSV rows plus a
 JSON metadata sidecar; the optional trace is newline-delimited JSON, one
 record per search node.  Exit codes: 0 success, 1 validation, 2 I/O.
+A solve writes its outputs to temporary files beside them and moves each
+into place only once the solve succeeded, so a failed or interrupted
+solve leaves no output and leaves an `--append` target as it was.
 Each problem kind is one `ProblemKind` entry of `PROBLEMS`, and every
 subcommand runs a kind only through its entry.
 """
@@ -10,12 +13,14 @@ subcommand runs a kind only through its entry.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import itertools
 import json
 import os
 import platform
+import shutil
 import sys
 from dataclasses import dataclass
 from typing import Callable, List, Tuple
@@ -33,7 +38,8 @@ class ProblemKind:
     generate: Callable           # (seed=, **generate flags) -> instance
     save_instance: Callable      # (instance, path)
     instance_from_doc: Callable  # parsed instance file -> instance
-    solve: Callable              # (instance, args, stop, trace) -> result rows
+    solve: Callable              # (instance, args, stop, trace) -> result rows, each with
+                                 # its search's SearchStats.warnings under "warnings"
     fields: List[str]            # result CSV columns
     grid: Tuple                  # bench axes: (generate flag, --grid-* dest, cast)
     cell: str                    # bench cell name, formatted with the axis values and seed
@@ -62,8 +68,8 @@ def _write_rows(path, fields, rows, append=False):
             writer.writerow([_fmt(row[f]) for f in fields])
 
 
-def _write_meta(out_path, config):
-    with open(out_path + ".meta.json", "w") as fh:
+def _write_meta(path, config):
+    with open(path, "w") as fh:
         json.dump(config, fh, indent=2, sort_keys=True)
 
 
@@ -94,15 +100,6 @@ def _versions():
         blas = None
     return {"bagel": __version__, "numpy": np.__version__,
             "python": platform.python_version(), "blas": blas}
-
-
-def _trace_writer(path):
-    fh = open(path, "w")
-
-    def emit(record):
-        fh.write(json.dumps(record) + "\n")
-
-    return emit, fh
 
 
 def _generate_smart_design(seed, n, samples, cost, **_):
@@ -149,6 +146,7 @@ def _solve_prior_nmf(instance, args, stop, trace):
         "nodes": stats.nodes_opened,
         "wall_ms": stats.wall_time * 1000.0,
         "completed": stats.completed,
+        "warnings": stats.warnings,
     }]
 
 
@@ -215,26 +213,32 @@ def cmd_solve(args):
         if header != fields:  # appended rows would land under other columns
             raise ValueError("cannot append to %s: its columns are %s, not %s"
                              % (args.out, ",".join(header), ",".join(fields)))
-    trace_emit, trace_fh = (None, None)
-    if args.trace:
-        trace_emit, trace_fh = _trace_writer(args.trace)
+    meta_path = args.out + ".meta.json"
+    targets = [args.out, meta_path] + ([args.trace] if args.trace else [])
+    staged = {path: "%s.%d.tmp" % (path, os.getpid()) for path in targets}
     try:
-        rows = PROBLEMS[kind].solve(instance, args, stop, trace_emit)
-    except Exception:
-        if trace_fh is not None:  # a failed solve leaves no output
-            trace_fh.close()
-            os.remove(args.trace)
+        with (open(staged[args.trace], "w") if args.trace
+              else contextlib.nullcontext()) as trace_fh:
+            emit = None if trace_fh is None else (
+                lambda record: trace_fh.write(json.dumps(record) + "\n"))
+            rows = PROBLEMS[kind].solve(instance, args, stop, emit)
+        rows = [dict(row, instance_id=instance_id) for row in rows]
+        if args.append and os.path.exists(args.out):
+            shutil.copyfile(args.out, staged[args.out])
+        _write_rows(staged[args.out], fields, rows, append=args.append)
+        _write_meta(staged[meta_path], {
+            "instance": args.instance, "instance_id": instance_id, "problem": kind,
+            "node_cap": args.node_cap, "seed": instance.seed, **_search_flags(args),
+            "versions": _versions(),
+            "warnings": [w for row in rows for w in row["warnings"]],
+        })
+    except BaseException:  # a failed or interrupted solve leaves no output
+        for path in staged.values():
+            if os.path.exists(path):
+                os.remove(path)
         raise
-    finally:
-        if trace_fh is not None:
-            trace_fh.close()
-    rows = [dict(row, instance_id=instance_id) for row in rows]
-    _write_rows(args.out, fields, rows, append=args.append)
-    _write_meta(args.out, {
-        "instance": args.instance, "instance_id": instance_id, "problem": kind,
-        "node_cap": args.node_cap, "seed": instance.seed, **_search_flags(args),
-        "versions": _versions(),
-    })
+    for path in targets:
+        os.replace(staged[path], path)
     return 0
 
 
@@ -250,14 +254,16 @@ def cmd_bench(args):
     fields = ["cell"] + (["method"] if "method" in kind.fields else []) + means + ["note"]
     stop = StopCondition(wall_seconds=args.timeout_s)
     axes = [_parse_grid(getattr(args, dest), cast) for _, dest, cast in kind.grid]
+    versions = _versions()
     os.makedirs(args.out_dir, exist_ok=True)
     aggregate = []
     for *values, seed in itertools.product(*axes, range(args.seeds)):
         cell = kind.cell % (*values, seed)
         cell_path = os.path.join(args.out_dir, cell + ".csv")
         meta = {"instance_id": cell, "problem": args.problem, "seed": seed,
-                **_search_flags(args)}
-        # Resume a cell only when it was solved with the same search flags.
+                **_search_flags(args), "versions": versions}
+        # Resume a cell only when it was solved with the same search flags
+        # and versions.
         if _read_meta(cell_path) != meta:
             try:
                 flags = {flag: value for (flag, _, _), value in zip(kind.grid, values)}
@@ -265,7 +271,7 @@ def cmd_bench(args):
                 rows = kind.solve(instance, args, stop, None)
                 _write_rows(cell_path, kind.fields,
                             [dict(row, instance_id=cell) for row in rows])
-                _write_meta(cell_path, meta)
+                _write_meta(cell_path + ".meta.json", meta)
             except Exception as exc:  # sweep continues past bad cells
                 aggregate.append({"cell": cell, "method": "error", "note": str(exc),
                                   **dict.fromkeys(means, float("nan"))})

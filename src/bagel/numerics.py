@@ -1,6 +1,7 @@
 """Dense numeric kernels.
 
-Masked least squares, masked multiplicative-update NMF, the norm /
+Masked least squares, masked NMF by masked HALS (hierarchical
+alternating least squares; its `iters` is a cap on sweeps), the norm /
 cost primitives that back the constraint layer, and the instance-file
 form of a float array.  All heavy lifting is numpy; inputs are plain
 float64 arrays.
@@ -218,27 +219,40 @@ def frobenius(A):
 # fits for the reason given in `GramLeastSquares`.
 NMF_STOP_RTOL = 1e-5
 NMF_CHECK_EVERY = 10
-# Added to the denominators of the multiplicative updates, so an all-zero
-# column of W or row of H stays 0 instead of dividing 0 by 0.
+# Floor of the diagonal entry a HALS update divides by, so an all-zero
+# column of W or row of H stays as it is instead of dividing 0 by 0.
 NMF_EPS = 1e-12
 
 
 def nmf_multiplicative(A, k, mask, iters, rng, on_iteration=None):
-    """Masked NMF by multiplicative updates for the Frobenius objective.
+    """Masked NMF by masked HALS for the Frobenius objective.
+
+    The name stays because `benchmarks/tracer.py` wraps this function by
+    name and reads its `iters` argument; the kernel is no longer the
+    multiplicative update.  HALS (hierarchical alternating least squares;
+    Cichocki & Phan, IEICE 2009; Gillis & Glineur, Neural Computation
+    2012) minimises the objective exactly over one row of H or one column
+    of W at a time, in place.  A sweep updates the rows of H in order
+    l = 0..k-1,
+
+        H[l] = max(0, H[l] + (W^T A[l] - W^T W[l] H) / max(W^T W[l, l], NMF_EPS)),
+
+    then the columns of W the same way against A H^T and H H^T, multiplying
+    each column by mask[:, l] right after its update.
 
     W (n x k) and H (k x m) are initialised uniformly in (0, 1] from rng,
-    then W is projected onto the binary mask (W *= mask) before the first
-    update and after every W update, so masked positions stay exactly 0.
-    Returns (W, H, loss) with loss = ||A - W H||_F (unsquared).
+    W first, then W is projected onto the binary mask (W *= mask), so
+    masked positions are exactly 0 throughout.  Returns (W, H, loss) with
+    loss = ||A - W H||_F (unsquared).
 
-    iters is a cap.  Every NMF_CHECK_EVERY updates the loss is checked, and
-    the run stops once it fell by at most NMF_STOP_RTOL relative since the
-    previous check (prev - loss <= NMF_STOP_RTOL * prev, so an exact fit
-    stops too).  A stopped run is a bit-identical prefix of a run of all
-    iters updates.
+    iters is a cap on sweeps.  Every NMF_CHECK_EVERY sweeps the loss is
+    checked, and the run stops once it fell by at most NMF_STOP_RTOL
+    relative since the previous check (prev - loss <= NMF_STOP_RTOL * prev,
+    so an exact fit stops too).  A stopped run is a bit-identical prefix of
+    a run of all iters sweeps.
 
     on_iteration, if given, is called as on_iteration(it, W, H, loss) after
-    each update step that ran (views, do not mutate).
+    each sweep that ran (views, do not mutate).
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
@@ -257,11 +271,13 @@ def nmf_multiplicative(A, k, mask, iters, rng, on_iteration=None):
     W = 1.0 - rng.random((n, k))
     H = 1.0 - rng.random((k, m))
     W *= mask
+    # W is held as its transpose, so a column of W is a contiguous row.
+    Wt, mask_t = W.T.copy(), mask.T.copy()
+    W = Wt.T
     prev = None
     for it in range(iters):
-        H *= (W.T @ A) / (W.T @ W @ H + NMF_EPS)
-        W *= (A @ H.T) / (W @ (H @ H.T) + NMF_EPS)
-        W *= mask
+        _hals_rows(H, Wt @ A, Wt @ W)
+        _hals_rows(Wt, H @ A.T, H @ H.T, mask_t)
         if on_iteration is not None:
             on_iteration(it, W, H, frobenius(A - W @ H))
         if (it + 1) % NMF_CHECK_EVERY == 0:
@@ -270,3 +286,17 @@ def nmf_multiplicative(A, k, mask, iters, rng, on_iteration=None):
                 return W, H, loss
             prev = loss
     return W, H, frobenius(A - W @ H)
+
+
+def _hals_rows(X, B, G, mask=None):
+    """One HALS pass over the rows of X, in place.  Row l in turn becomes
+    the non-negative minimiser of 1/2 <X, G X> - <B, X> over X[l] with
+    the other rows fixed, then is multiplied by mask[l]."""
+    for l in range(X.shape[0]):
+        x = X[l]
+        step = B[l] - G[l] @ X
+        step /= max(G[l, l], NMF_EPS)
+        step += x
+        np.maximum(step, 0.0, out=x)
+        if mask is not None:
+            x *= mask[l]

@@ -165,8 +165,9 @@ class PriorNmfProblem(Problem):
     unchanged.  Removing each chosen topic from the one shared set is all
     that alldifferent propagation leaves to do.
 
-    The trained loss of a multiplicative-update NMF is only an approximate
-    bound, so bound pruning may cut the best leaf; prune=False in
+    Training is a masked HALS NMF whose `iters` is a cap on sweeps.  It
+    finds a local optimum only, so the trained loss is only an approximate
+    bound, and bound pruning may cut the best leaf; prune=False in
     `bagel_search` is the exhaustive search over topic sets."""
 
     def __init__(self, instance, iters=1000, restarts=1):

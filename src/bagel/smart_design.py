@@ -314,7 +314,8 @@ def run_methods(instance, folds=5, stop=None, strategy="dfs", prune=True, trace=
 
     Both repair baselines run first, and the search starts from the one
     with the lower train loss (l2_br on a tie): a bagel row is therefore
-    written even when the search opens no node.
+    written even when the search opens no node.  The bagel row of a fold
+    carries its search's `SearchStats.warnings` under "warnings".
     """
     if folds < 1:
         raise ValueError("folds must be >= 1")
@@ -347,5 +348,6 @@ def run_methods(instance, folds=5, stop=None, strategy="dfs", prune=True, trace=
                 "nodes": nodes,
                 "wall_ms": wall_ms,
                 "completed": completed,
+                "warnings": stats.warnings if method == "bagel" else [],
             })
     return rows

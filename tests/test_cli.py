@@ -11,6 +11,8 @@ from bagel import cli
 from bagel.numerics import decode_array, encode_array
 from bagel.smart_design import load_instance as load_sd, run_methods, sd_generate_instance
 from bagel.engine import StopCondition
+from bagel.prior_nmf import PriorNmfProblem
+from bagel.smart_design import SmartDesignProblem
 
 
 def encoded(values, **fields):
@@ -254,11 +256,39 @@ class TestSolve:
         assert (versions["bagel"], versions["numpy"], versions["python"]) == (
             bagel.__version__, np.__version__, platform.python_version())
         assert versions["blas"] is None or isinstance(versions["blas"], str)
-        # A bench cell's sidecar records only what decides whether it is resumed.
+        # The versions decide whether a bench cell is resumed, so its sidecar
+        # records them too.
         assert cli.main(["bench", "--problem", "smart-design", "--out-dir", out_dir,
                          "--grid-n", "10", "--seeds", "1", "--folds", "1"]) == 0
         with open(os.path.join(out_dir, "sd_n10_m100_c0.6_s0.csv.meta.json")) as fh:
-            assert "versions" not in json.load(fh)
+            assert json.load(fh)["versions"] == versions
+
+    @pytest.mark.parametrize("problem", ["smart-design", "prior-nmf"])
+    def test_meta_records_search_warnings(self, tmp_path, monkeypatch, problem):
+        inst, out = str(tmp_path / "inst.json"), str(tmp_path / "res.csv")
+        generate = {"smart-design": ["--n", "10", "--samples", "100", "--cost", "0.6"],
+                    "prior-nmf": ["--n", "20"]}[problem]
+        cli.main(["generate", "--problem", problem, *generate, "--seed", "3", "--out", inst])
+        argv = ["solve", "--instance", inst, "--out", out, "--folds", "1", "--iters", "50",
+                "--node-cap", "10"]
+
+        def warnings():
+            assert cli.main(argv) == 0
+            with open(out + ".meta.json") as fh:
+                return json.load(fh)["warnings"]
+
+        assert warnings() == []
+        # A trainer whose node 1 fits better than its parent: one warning.
+        cls = SmartDesignProblem if problem == "smart-design" else PriorNmfProblem
+        train = cls.train
+
+        def forced(self, node):
+            loss = train(self, node)
+            return -1.0 if node.id == 1 else loss
+
+        monkeypatch.setattr(cls, "train", forced)
+        (warning,) = warnings()
+        assert warning.startswith("node 1 loss -1 below parent loss ")
 
     def test_versions_blas_null_without_show_config_modes(self, monkeypatch):
         monkeypatch.setattr(np, "show_config", lambda: None)  # numpy < 1.26
@@ -345,6 +375,27 @@ class TestSolve:
         assert out.read_text() == "instance_id,best_loss\nabc,1.0\n"
         assert not trace.exists() and not (tmp_path / "res.csv.meta.json").exists()
 
+    @pytest.mark.parametrize("append", [False, True], ids=["fresh", "append"])
+    def test_failed_sidecar_write_leaves_no_output(self, sd_instance, tmp_path, monkeypatch,
+                                                   append):
+        out, trace = tmp_path / "res.csv", tmp_path / "trace.ndjson"
+        argv = ["solve", "--instance", sd_instance, "--out", str(out), "--folds", "1"]
+        if append:
+            assert cli.main(argv) == 0
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+
+        def disk_full(path, config):
+            with open(path, "w") as fh:
+                fh.write("{")  # half-written
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(cli, "_write_meta", disk_full)
+        rc = cli.main(argv + ["--trace", str(trace)] + (["--append"] if append else []))
+        assert rc == 2
+        # No new CSV, sidecar or trace, no temporary file, and an --append
+        # target byte-identical.
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
     def test_determinism_excluding_wall_time(self, sd_instance, tmp_path):
         out1, out2 = str(tmp_path / "r1.csv"), str(tmp_path / "r2.csv")
         cli.main(["solve", "--instance", sd_instance, "--out", out1, "--folds", "2"])
@@ -387,6 +438,26 @@ class TestBench:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
         assert not out_dir.exists()
+
+    def test_other_bagel_version_recomputes_cell(self, tmp_path):
+        out_dir = str(tmp_path / "sweep")
+        args = ["bench", "--problem", "prior-nmf", "--out-dir", out_dir,
+                "--grid-n", "20", "--seeds", "1", "--iters", "20"]
+        cell = os.path.join(out_dir, "nmf_n20_t4_f2_m50_s0.csv")
+        assert cli.main(args) == 0
+        rows = rows_without_wall(cell)
+        # A cell solved by another bagel version, whose rows differ.
+        with open(cell + ".meta.json") as fh:
+            meta = json.load(fh)
+        meta["versions"]["bagel"] = "0.1.0"
+        with open(cell + ".meta.json", "w") as fh:
+            json.dump(meta, fh)
+        with open(cell, "a") as fh:
+            fh.write(",".join(["stale"] * len(rows[0])) + "\n")
+        assert cli.main(args) == 0
+        assert rows_without_wall(cell) == rows
+        with open(cell + ".meta.json") as fh:
+            assert json.load(fh)["versions"]["bagel"] == bagel.__version__
 
     def test_changed_search_flags_recompute_cell(self, tmp_path):
         out_dir = str(tmp_path / "sweep")

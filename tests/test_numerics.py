@@ -336,17 +336,70 @@ class TestNmfMultiplicative:
         assert len(seen) == 2 * NMF_CHECK_EVERY
 
 
-def nmf_reference(A, k, mask, iters, rng):
-    """The fixed-iteration loop that `nmf_multiplicative` stops early."""
+@st.composite
+def nmf_edge_cases(draw):
+    """(A, k, mask, seed) at the edges of the kernel: k = 1, n = 1 or
+    m = 1, all-zero mask columns, an all-zero mask and all-zero rows of A,
+    at criterion 6's data scale."""
+    n, m, k = [draw(st.one_of(st.just(1), st.integers(2, hi))) for hi in (8, 8, 4)]
+    rng = make_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    A = rng.random((n, m)) * draw(st.floats(0.5, 3.0))
+    A[draw(st.lists(st.booleans(), min_size=n, max_size=n))] = 0.0
+    mask = (rng.random((n, k)) < 0.7).astype(float)
+    mask[:, draw(st.lists(st.booleans(), min_size=k, max_size=k))] = 0.0
+    if draw(st.booleans()):
+        mask[:] = 0.0
+    return A, k, mask, draw(st.integers(0, 2 ** 32 - 1))
+
+
+class TestNmfEdgeCases:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(nmf_edge_cases())
+    def test_invariants_hold_every_sweep(self, case):
+        A, k, mask, seed = case
+        rng = make_rng(seed)
+        W0 = (1.0 - rng.random(mask.shape)) * mask
+        losses = [numerics.frobenius(A - W0 @ (1.0 - rng.random((k, A.shape[1]))))]
+        sweeps = []
+
+        def check(it, W, H, loss):
+            assert np.all(np.isfinite(W)) and np.all(np.isfinite(H))
+            assert np.all(W >= 0) and np.all(H >= 0)
+            assert np.all(W[mask == 0] == 0.0)
+            losses.append(loss)
+            sweeps.append((W.copy(), H.copy()))
+
+        nmf_multiplicative(A, k, mask, 30, make_rng(seed), on_iteration=check)
+        # criterion 6's absolute tolerance, from the initial factors on
+        for prev, nxt in zip(losses, losses[1:]):
+            assert nxt <= prev + 1e-12
+        if k == 1:
+            # the W update is exact: the closed-form rank-one fit given h
+            W, H = sweeps[0]
+            h = H[0]
+            if h @ h >= NMF_EPS:
+                closed = np.maximum(0.0, A @ h / (h @ h)) * mask[:, 0]
+                np.testing.assert_allclose(W[:, 0], closed, rtol=1e-12, atol=1e-12)
+
+
+def nmf_reference(A, k, mask, sweeps, rng):
+    """The fixed-sweep masked HALS loop that `nmf_multiplicative` stops
+    early.  W is held transposed, as in the kernel, so that every product
+    rounds alike."""
     n, m = A.shape
     W = 1.0 - rng.random((n, k))
     H = 1.0 - rng.random((k, m))
     W *= mask
-    for _ in range(iters):
-        H *= (W.T @ A) / (W.T @ W @ H + NMF_EPS)
-        W *= (A @ H.T) / (W @ (H @ H.T) + NMF_EPS)
-        W *= mask
-    return W, H
+    Wt = W.T.copy()
+    for _ in range(sweeps):
+        WtA, WtW = Wt @ A, Wt @ Wt.T
+        for l in range(k):
+            H[l] = np.maximum(0.0, H[l] + (WtA[l] - WtW[l] @ H) / max(WtW[l, l], NMF_EPS))
+        HAt, HHt = H @ A.T, H @ H.T
+        for l in range(k):
+            Wt[l] = np.maximum(0.0, Wt[l] + (HAt[l] - HHt[l] @ Wt) / max(HHt[l, l], NMF_EPS))
+            Wt[l] *= mask[:, l]
+    return Wt.T, H
 
 
 @st.composite
