@@ -2,7 +2,8 @@
 
 Subcommands: generate, solve, bench.  Results are flat CSV rows plus a
 JSON metadata sidecar; the optional trace is newline-delimited JSON, one
-record per search node.  Exit codes: 0 success, 1 validation, 2 I/O.
+record per search node.  Exit codes: 0 success, 1 validation, 2 I/O or
+an argparse usage error.
 A solve writes its outputs to temporary files beside them and moves each
 into place only once the solve succeeded, so a failed or interrupted
 solve leaves no output and leaves an `--append` target as it was.
@@ -84,7 +85,16 @@ def _read_meta(out_path):
 def _search_flags(args):
     """The flags that shape a search, as both sidecars record them."""
     return {"strategy": args.strategy, "pruning": args.pruning, "timeout_s": args.timeout_s,
-            "folds": args.folds, "iters": args.iters, "restarts": args.restarts}
+            "folds": args.folds, "iters": args.iters}
+
+
+def _check_search_flags(args):
+    """Reject a bad --folds or --iters before any output, whether or not
+    the problem kind uses it."""
+    if args.folds < 1:
+        raise ValueError("folds must be >= 1, got %d" % args.folds)
+    if args.iters < 0:
+        raise ValueError("iters must be >= 0, got %d" % args.iters)
 
 
 def _versions():
@@ -106,11 +116,9 @@ def _generate_smart_design(seed, n, samples, cost, **_):
     return smart_design.sd_generate_instance(n, samples, cost, seed)
 
 
-def _generate_prior_nmf(seed, n, true_topics, false_topics, docs, sparsity=0.8,
-                        noiseless=False, **_):
+def _generate_prior_nmf(seed, n, true_topics, false_topics, docs, noiseless=False, **_):
     return prior_nmf.nmf_generate_instance(
-        n, true_topics, false_topics, docs, sparsity=sparsity, seed=seed,
-        noise_sigma=0.0 if noiseless else None,
+        n, true_topics, false_topics, docs, seed=seed, noise_sigma=0.0 if noiseless else None,
     )
 
 
@@ -122,7 +130,7 @@ def _solve_smart_design(instance, args, stop, trace):
 
 
 def _solve_prior_nmf(instance, args, stop, trace):
-    problem = prior_nmf.PriorNmfProblem(instance, iters=args.iters, restarts=args.restarts)
+    problem = prior_nmf.PriorNmfProblem(instance, iters=args.iters)
     best, stats = bagel_search(
         problem, stop=stop, strategy=args.strategy, prune=args.pruning == "on", trace=trace,
     )
@@ -130,7 +138,7 @@ def _solve_prior_nmf(instance, args, stop, trace):
     recovery = float("nan")
     if instance.planted_topics:
         _, _, planted_loss = prior_nmf.nmf_generate_and_train(
-            instance, instance.planted_topics, args.iters, args.restarts
+            instance, instance.planted_topics, args.iters
         )
         if best is not None:
             recovery = prior_nmf.nmf_topic_recovery(
@@ -202,6 +210,7 @@ def _load_instance(path):
 
 
 def cmd_solve(args):
+    _check_search_flags(args)
     kind, instance, instance_id = _load_instance(args.instance)
     if args.seed is not None:
         instance.seed = args.seed
@@ -247,6 +256,7 @@ def _parse_grid(text, cast):
 
 
 def cmd_bench(args):
+    _check_search_flags(args)
     if args.seeds < 1:
         raise ValueError("seeds must be >= 1, got %d" % args.seeds)
     kind = PROBLEMS[args.problem]
@@ -302,7 +312,6 @@ def build_parser():
     search.add_argument("--pruning", choices=["on", "off"], default="on")
     search.add_argument("--folds", type=int, default=5)
     search.add_argument("--iters", type=int, default=1000)
-    search.add_argument("--restarts", type=int, default=1)
 
     gen = sub.add_parser("generate", help="write a seeded instance file")
     gen.add_argument("--problem", choices=list(PROBLEMS), required=True)
@@ -314,7 +323,6 @@ def build_parser():
     gen.add_argument("--true-topics", type=int, default=4)
     gen.add_argument("--false-topics", type=int, default=2)
     gen.add_argument("--docs", type=int, default=50)
-    gen.add_argument("--sparsity", type=float, default=0.8)
     gen.add_argument("--noiseless", action="store_true")
     gen.set_defaults(func=cmd_generate)
 

@@ -26,6 +26,10 @@ TRUE_TOPIC_GRID = (4, 5, 6, 7, 8)
 FALSE_TOPIC_GRID = (2, 3, 5, 10)
 DOC_GRID = (50, 100, 150, 200, 250, 300)
 MIN_TOPICS_PER_DOC = 2
+# Expected fraction of the vocabulary a generated topic leaves out; a
+# generated document leaves out this fraction of the topics, keeping at
+# least MIN_TOPICS_PER_DOC.
+SPARSITY = 0.8
 
 
 @dataclass
@@ -105,35 +109,24 @@ def nmf_build_mask(chosen, remaining, db, k):
     return mask
 
 
-def _trail_entropy(seed, trail):
-    entropy = [seed & (2 ** 63 - 1)]
-    for d in trail:
-        entropy.extend((d.var, d.value))
-    return entropy
-
-
-def nmf_generate_and_train(instance, topics, iters, restarts=1):
-    """Train the masked factorization whose first columns take `topics`,
-    best loss over seeded restarts; any later column is free over the
-    other topics."""
+def nmf_generate_and_train(instance, topics, iters):
+    """Train the masked factorization whose first columns take `topics`;
+    any later column is free over the other topics."""
     free = frozenset(range(len(instance.db))).difference(topics)
     mask = nmf_build_mask(tuple(topics), free, instance.db, instance.k)
-    return nmf_train_mask(instance, mask, iters, restarts)
+    return nmf_train_mask(instance, mask, iters)
 
 
-def nmf_train_mask(instance, mask, iters, restarts=1, trail=()):
-    """Best (W, H, loss) over restarts seeded from the instance seed, the
-    trail and the restart index."""
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    best = None
-    for r in range(restarts):
-        seq = np.random.SeedSequence(_trail_entropy(instance.seed, trail) + [r])
-        rng = numerics.make_rng(seq)
-        W, H, loss = numerics.nmf_multiplicative(instance.A, instance.k, mask, iters, rng)
-        if best is None or loss < best[2]:
-            best = (W, H, loss)
-    return best
+def nmf_train_mask(instance, mask, iters, trail=()):
+    """(W, H, loss) of one masked NMF seeded from the instance seed and the
+    trail's decisions, so a node's training does not depend on search order."""
+    entropy = [instance.seed & (2 ** 63 - 1)]
+    for d in trail:
+        entropy.extend((d.var, d.value))
+    # The trailing 0 is the index of the one restart there used to be; it
+    # keeps every seed stream, and so every loss, as it was.
+    rng = numerics.make_rng(np.random.SeedSequence(entropy + [0]))
+    return numerics.nmf_multiplicative(instance.A, instance.k, mask, iters, rng)
 
 
 @dataclass
@@ -170,10 +163,9 @@ class PriorNmfProblem(Problem):
     bound, and bound pruning may cut the best leaf; prune=False in
     `bagel_search` is the exhaustive search over topic sets."""
 
-    def __init__(self, instance, iters=1000, restarts=1):
+    def __init__(self, instance, iters):
         self.instance = instance
         self.iters = iters
-        self.restarts = restarts
         self._table = instance.db.as_table()
         self._rank_cost = masked_lp_cost(2)
 
@@ -190,9 +182,7 @@ class PriorNmfProblem(Problem):
         node.payload = nmf_build_mask(*node.state, self.instance.db, self.instance.k)
 
     def train(self, node):
-        W, H, loss = nmf_train_mask(
-            self.instance, node.payload, self.iters, self.restarts, trail=node.trail
-        )
+        W, H, loss = nmf_train_mask(self.instance, node.payload, self.iters, trail=node.trail)
         node.model = (W, H)
         return loss
 
@@ -247,11 +237,11 @@ def _random_distinct_topics(rng, count, n_words, density, taken):
     return topics
 
 
-def nmf_generate_instance(n_words, true_topics, false_topics, docs, sparsity=0.8,
-                          seed=0, noise_sigma=None):
+def nmf_generate_instance(n_words, true_topics, false_topics, docs, seed=0,
+                          noise_sigma=None):
     """Seeded planted instance: A = W* H* (+ noise), topics from a fresh DB.
 
-    Topic bit patterns have word density 1 - sparsity; W* columns are
+    Topic bit patterns have word density 1 - SPARSITY; W* columns are
     positive exactly on their topic's support; H* activates at least
     MIN_TOPICS_PER_DOC topics per document.  The database holds the
     true and false topics, so the planted decomposition is feasible.
@@ -265,8 +255,6 @@ def nmf_generate_instance(n_words, true_topics, false_topics, docs, sparsity=0.8
     if true_topics + false_topics > 2 ** n_words - 1:
         raise ValueError("true_topics + false_topics must be <= 2**n_words - 1 = %d, got %d"
                          % (2 ** n_words - 1, true_topics + false_topics))
-    if not (0 < sparsity < 1):
-        raise ValueError("sparsity must be in (0, 1)")
     if n_words not in WORD_GRID:
         warnings.warn("n_words=%d is off the usual grid" % n_words)
     if true_topics not in TRUE_TOPIC_GRID:
@@ -277,7 +265,7 @@ def nmf_generate_instance(n_words, true_topics, false_topics, docs, sparsity=0.8
         warnings.warn("docs=%d is off the usual grid" % docs)
 
     rng = numerics.make_rng(seed)
-    density = 1.0 - sparsity
+    density = 1.0 - SPARSITY
     taken = set()
     true = _random_distinct_topics(rng, true_topics, n_words, density, taken)
     false = _random_distinct_topics(rng, false_topics, n_words, density, taken)
@@ -287,7 +275,7 @@ def nmf_generate_instance(n_words, true_topics, false_topics, docs, sparsity=0.8
     for i, t in enumerate(true):
         support = np.flatnonzero(t)
         W_star[support, i] = rng.uniform(0.5, 1.5, size=len(support))
-    active_per_doc = max(MIN_TOPICS_PER_DOC, int(round((1.0 - sparsity) * k)))
+    active_per_doc = max(MIN_TOPICS_PER_DOC, int(round(density * k)))
     H_star = np.zeros((k, docs))
     for j in range(docs):
         rows = rng.choice(k, size=active_per_doc, replace=False)

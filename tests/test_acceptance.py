@@ -227,7 +227,7 @@ def test_criterion_7_planted_nmf_recovery():
     recoveries = []
     for seed in range(10):
         inst = nmf_generate_instance(20, 4, 2, 50, seed=seed, noise_sigma=0.0)
-        problem = TopicSetRecorder(inst, iters=2000, restarts=1)
+        problem = TopicSetRecorder(inst, iters=2000)
         best, stats = bagel_search(problem, prune=False)
         assert stats.completed
         # every topic set is a leaf exactly once (the search fixes the column

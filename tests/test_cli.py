@@ -245,7 +245,8 @@ class TestSolve:
                          "--iters", "50", "--node-cap", "3"]) == 0
         with open(out + ".meta.json") as fh:
             meta = json.load(fh)
-        assert (meta["iters"], meta["restarts"], meta["pruning"]) == (50, 1, "on")
+        assert (meta["iters"], meta["pruning"]) == (50, "on")
+        assert "restarts" not in meta
 
     def test_meta_records_versions(self, sd_instance, tmp_path):
         out, out_dir = str(tmp_path / "res.csv"), str(tmp_path / "sweep")
@@ -304,6 +305,10 @@ class TestSolve:
          ["--node-cap", "-1"]),
         (["--problem", "smart-design", "--n", "10", "--samples", "100", "--cost", "0.6"],
          ["--timeout-s", "-1"]),
+        # A flag the problem kind does not use is still validated.
+        (["--problem", "smart-design", "--n", "10", "--samples", "100", "--cost", "0.6"],
+         ["--iters", "-5"]),
+        (["--problem", "prior-nmf", "--n", "20"], ["--folds", "0"]),
     ])
     def test_negative_count_exits_1(self, tmp_path, capsys, generate, search):
         inst, out, trace = str(tmp_path / "inst.json"), tmp_path / "res.csv", tmp_path / "t.ndjson"
@@ -315,6 +320,19 @@ class TestSolve:
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists() and not (tmp_path / "res.csv.meta.json").exists()
         assert not trace.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--instance", "inst.json", "--out", "res.csv", "--restarts", "2"],
+        ["generate", "--problem", "prior-nmf", "--n", "20", "--out", "nmf.json",
+         "--sparsity", "0.5"],
+    ], ids=["restarts", "sparsity"])
+    def test_removed_flag_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
 
     def test_missing_instance_exits_2(self, tmp_path):
         rc = cli.main(["solve", "--instance", str(tmp_path / "nope.json"),
@@ -429,8 +447,11 @@ class TestBench:
 
     @pytest.mark.parametrize("problem", ["smart-design", "prior-nmf"])
     @pytest.mark.parametrize("flags", [["--seeds", "1", "--timeout-s", "-1"],
-                                       ["--seeds", "0"], ["--seeds", "-1"]],
-                             ids=["timeout-s=-1", "seeds=0", "seeds=-1"])
+                                       ["--seeds", "0"], ["--seeds", "-1"],
+                                       ["--seeds", "1", "--folds", "0"],
+                                       ["--seeds", "1", "--iters", "-1"]],
+                             ids=["timeout-s=-1", "seeds=0", "seeds=-1", "folds=0",
+                                  "iters=-1"])
     def test_bad_value_exits_1(self, tmp_path, capsys, problem, flags):
         out_dir = tmp_path / "sweep"
         rc = cli.main(["bench", "--problem", problem, "--out-dir", str(out_dir),

@@ -92,11 +92,27 @@ class TestGenerateAndTrain:
         W, _, _ = nmf_generate_and_train(inst, [j], iters=100)
         assert masked_l0_cost(W[:, 0], inst.db.topics[j]) == 0
 
-    def test_restarts_keep_best(self):
-        inst = nmf_generate_instance(20, 4, 2, 50, seed=8, noise_sigma=0.0)
-        _, _, one = nmf_generate_and_train(inst, [], iters=50, restarts=1)
-        _, _, three = nmf_generate_and_train(inst, [], iters=50, restarts=3)
-        assert three <= one
+    def test_depth_two_seeds_from_the_trail(self):
+        inst = nmf_generate_instance(20, 4, 2, 50, seed=5, noise_sigma=0.0)
+        problem = PriorNmfProblem(inst, iters=50)
+        node = Node(0, 0, (), problem.root_state())
+        for pick in (1, 0):  # the second decision has excluded a sibling
+            problem.prune(node)
+            problem.generate(node)
+            problem.train(node)
+            decision = problem.branch(node)[pick]
+            node = Node(node.id + 1, node.depth + 1, node.trail + (decision,),
+                        problem.apply(node.state, decision))
+        assert problem.prune(node)
+        problem.generate(node)
+        loss = problem.train(node)
+        d1, d2 = node.trail
+        assert d1.excluded
+        seq = np.random.SeedSequence([inst.seed, d1.var, d1.value, d2.var, d2.value, 0])
+        W, H, lv = nmf_multiplicative(inst.A, inst.k, node.payload, 50, make_rng(seq))
+        assert np.array_equal(node.model[0], W)
+        assert np.array_equal(node.model[1], H)
+        assert loss == lv
 
 
 class TestProblemContract:
@@ -286,6 +302,22 @@ class TestColumnSymmetryBreaking:
         assert replay.train(node) == loss
 
 
+class TestSearchOrder:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(inst=small_instances())
+    def test_exhaustive_losses_do_not_depend_on_strategy(self, inst):
+        """Each node's NMF is seeded from its trail, so dfs and best-first
+        train the same loss at every node."""
+        losses = {}
+        for strategy in ("dfs", "best-first"):
+            records = []
+            bagel_search(PriorNmfProblem(inst, iters=20), strategy=strategy, prune=False,
+                         trace=records.append)
+            losses[strategy] = {tuple(rec["trail"]): rec["loss"] for rec in records}
+            assert len(losses[strategy]) == len(records)
+        assert losses["dfs"] == losses["best-first"]
+
+
 def per_column_state(k, n_topics, trail):
     """The state a node had when each column kept its own domain: k sets,
     filtered after every decision by pairwise alldifferent to a fixpoint
@@ -413,8 +445,6 @@ class TestInstanceGenerator:
     def test_infeasible_parameters_rejected(self):
         with pytest.raises(ValueError, match="true_topics"):
             nmf_generate_instance(20, 1, 2, 50)
-        with pytest.raises(ValueError):
-            nmf_generate_instance(20, 4, 2, 50, sparsity=1.5)
 
     @pytest.mark.parametrize("shape, field", [
         ((0, 4, 2, 50), "n_words"),
