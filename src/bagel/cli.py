@@ -4,9 +4,9 @@ Subcommands: generate, solve, bench.  Results are flat CSV rows plus a
 JSON metadata sidecar; the optional trace is newline-delimited JSON, one
 record per search node.  Exit codes: 0 success, 1 validation, 2 I/O or
 an argparse usage error.
-A solve writes its outputs to temporary files beside them and moves each
-into place only once the solve succeeded, so a failed or interrupted
-solve leaves no output and leaves an `--append` target as it was.
+`generate` and `solve` write their outputs to temporary files beside them
+and move each into place only once the command succeeded, so a failed or
+interrupted one leaves no output and leaves an `--append` target as it was.
 Each problem kind is one `ProblemKind` entry of `PROBLEMS`, and every
 subcommand runs a kind only through its entry.
 """
@@ -28,7 +28,7 @@ from typing import Callable, List, Tuple
 
 import numpy as np
 
-from . import __version__, prior_nmf, smart_design
+from . import __version__, numerics, prior_nmf, smart_design
 from .engine import StopCondition, bagel_search
 
 
@@ -38,7 +38,7 @@ class ProblemKind:
 
     generate: Callable           # (seed=, **generate flags) -> instance
     save_instance: Callable      # (instance, path)
-    instance_from_doc: Callable  # parsed instance file -> instance
+    instance_from_doc: Callable  # numerics.read_instance document -> instance
     solve: Callable              # (instance, args, stop, trace) -> result rows, each with
                                  # its search's SearchStats.warnings under "warnings"
     fields: List[str]            # result CSV columns
@@ -72,6 +72,23 @@ def _write_rows(path, fields, rows, append=False):
 def _write_meta(path, config):
     with open(path, "w") as fh:
         json.dump(config, fh, indent=2, sort_keys=True)
+
+
+@contextlib.contextmanager
+def _staged(targets):
+    """{target: temporary path beside it}; each temporary file is moved
+    onto its target when the block succeeds and removed when it fails or
+    is interrupted."""
+    staged = {path: "%s.%d.tmp" % (path, os.getpid()) for path in targets}
+    try:
+        yield staged
+    except BaseException:
+        for path in staged.values():
+            if os.path.exists(path):
+                os.remove(path)
+        raise
+    for path in targets:
+        os.replace(staged[path], path)
 
 
 def _read_meta(out_path):
@@ -189,7 +206,8 @@ PROBLEMS = {
 def cmd_generate(args):
     kind = PROBLEMS[args.problem]
     instance = kind.generate(**vars(args))
-    kind.save_instance(instance, args.out)
+    with _staged([args.out]) as staged:
+        kind.save_instance(instance, staged[args.out])
     with open(args.out, "rb") as fh:
         print("%s  %s" % (_digest(fh.read()), args.out))
     return 0
@@ -199,7 +217,7 @@ def _load_instance(path):
     """(kind, instance, digest) of an instance file, read and parsed once."""
     with open(path, "rb") as fh:
         data = fh.read()
-    doc = json.loads(data)
+    doc = numerics.read_instance(data)
     kind = doc.get("problem") if isinstance(doc, dict) else None
     if kind not in PROBLEMS:
         raise ValueError("unrecognised instance kind %r" % kind)
@@ -224,8 +242,7 @@ def cmd_solve(args):
                              % (args.out, ",".join(header), ",".join(fields)))
     meta_path = args.out + ".meta.json"
     targets = [args.out, meta_path] + ([args.trace] if args.trace else [])
-    staged = {path: "%s.%d.tmp" % (path, os.getpid()) for path in targets}
-    try:
+    with _staged(targets) as staged:
         with (open(staged[args.trace], "w") if args.trace
               else contextlib.nullcontext()) as trace_fh:
             emit = None if trace_fh is None else (
@@ -241,13 +258,6 @@ def cmd_solve(args):
             "versions": _versions(),
             "warnings": [w for row in rows for w in row["warnings"]],
         })
-    except BaseException:  # a failed or interrupted solve leaves no output
-        for path in staged.values():
-            if os.path.exists(path):
-                os.remove(path)
-        raise
-    for path in targets:
-        os.replace(staged[path], path)
     return 0
 
 

@@ -3,8 +3,8 @@
 Masked least squares, masked NMF by masked HALS (hierarchical
 alternating least squares; its `iters` is a cap on sweeps), the norm /
 cost primitives that back the constraint layer, and the instance-file
-form of a float array.  All heavy lifting is numpy; inputs are plain
-float64 arrays.
+format (`write_instance` / `read_instance`).  All heavy lifting is numpy;
+inputs are plain float64 arrays.
 
 Many masked least-squares solves over one (X, y) go through
 `GramLeastSquares`, which forms X^T X and X^T y once and solves each
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import base64
 import binascii
+import json
 import math
 
 import numpy as np
@@ -40,8 +41,9 @@ def make_rng(seed):
 
 
 def vector(data):
-    """Validate and return a finite 1-d float array."""
-    a = np.array(data, dtype=float)
+    """Validate and return a finite 1-d float array (`data` itself when it
+    already is one)."""
+    a = np.asarray(data, dtype=float)
     if a.ndim != 1:
         raise DimensionError("expected a 1-d array, got shape %s" % (a.shape,))
     if not np.all(np.isfinite(a)):
@@ -50,8 +52,9 @@ def vector(data):
 
 
 def matrix(data):
-    """Validate and return a finite 2-d float array."""
-    a = np.array(data, dtype=float)
+    """Validate and return a finite 2-d float array (`data` itself when it
+    already is one)."""
+    a = np.asarray(data, dtype=float)
     if a.ndim != 2:
         raise DimensionError("expected a 2-d array, got shape %s" % (a.shape,))
     if not np.all(np.isfinite(a)):
@@ -59,35 +62,95 @@ def matrix(data):
     return a
 
 
-def encode_array(a):
-    """JSON form of a float array in an instance file.
+def write_instance(path, doc):
+    """Write `doc` as an instance file.
 
-    {"shape": [...], "f8": base64 of the little-endian float64 bytes in C
-    order}: exact, and parsed without a Python float per entry.
+    The file is one line of compact JSON, a newline, then the raw
+    little-endian float64 bytes in C order of every top-level ndarray of
+    `doc`, back to back.  In the header line each such array is
+    {"shape": [...], "at": its byte offset into the bytes after the
+    newline}.  The same `doc` always gives the same bytes.
     """
-    a = np.asarray(a, dtype="<f8")
-    return {"shape": list(a.shape), "f8": base64.b64encode(a.tobytes()).decode("ascii")}
+    header, arrays, at = {}, [], 0
+    for key, value in doc.items():
+        if isinstance(value, np.ndarray):
+            value = np.ascontiguousarray(value, dtype="<f8")
+            header[key] = {"shape": list(value.shape), "at": at}
+            arrays.append(value)
+            at += value.nbytes
+        else:
+            header[key] = value
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header, separators=(",", ":")).encode("ascii") + b"\n")
+        for a in arrays:
+            fh.write(a.data)
 
 
-def decode_array(doc):
-    """Float64 array of an `encode_array` document or of nested lists.
+def read_instance(data):
+    """The document of an instance file's bytes, every top-level array
+    object decoded to a float64 array.
 
-    The result is C-contiguous, writeable and owns its data.  Only the
-    encoding is checked here; shape and finiteness are for `matrix` and
-    `vector`.
+    A file `write_instance` wrote is a JSON header line and a tail of raw
+    bytes.  Any other file is one JSON document, whose arrays are nested
+    lists (left as they are) or {"shape": [...], "f8": base64 of the
+    little-endian float64 bytes}, the form files had before the tail.
+    Each "at" array must lie inside the tail, and the arrays must fill the
+    tail back to back in header order, with no byte left over.  Whether
+    an array's shape fits its problem, and finiteness, are for `matrix`
+    and `vector`.
     """
-    if not isinstance(doc, dict):
-        return np.array(doc, dtype=float)
-    shape = doc["shape"]
-    if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
-        raise ValueError("array shape must be a list of non-negative integers")
+    end = data.find(b"\n")
     try:
-        raw = base64.b64decode(doc["f8"], validate=True)
-    except binascii.Error as exc:
-        raise ValueError("array bytes are not valid base64: %s" % exc) from exc
+        doc = json.loads(data[:end]) if end >= 0 else None
+    except ValueError:  # a pretty-printed document
+        doc = None
+    if isinstance(doc, dict) and any(isinstance(v, dict) and "at" in v for v in doc.values()):
+        tail = memoryview(data)[end + 1:]
+    else:
+        doc, tail = json.loads(data), memoryview(b"")
+    if not isinstance(doc, dict):
+        return doc
+    filled, last = 0, None
+    for key, value in doc.items():
+        if not isinstance(value, dict):
+            continue
+        try:
+            doc[key] = _decode_array(value, tail)
+            if "at" in value:
+                if value["at"] != filled:
+                    raise ValueError("at is %d, but the arrays before it end at byte %d"
+                                     % (value["at"], filled))
+                filled, last = filled + doc[key].nbytes, key
+        except ValueError as exc:
+            raise ValueError("array %r: %s" % (key, exc)) from exc
+    if filled != len(tail):
+        raise ValueError("array %r: the tail has %d bytes after it" % (last, len(tail) - filled))
+    return doc
+
+
+def _decode_array(doc, tail):
+    """Float64 copy of one array object; C-contiguous, writeable, owning."""
+    shape = doc.get("shape")
+    if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+        raise ValueError("shape must be a list of non-negative integers")
     nbytes = 8 * math.prod(shape)
-    if len(raw) != nbytes:
-        raise ValueError("array of shape %s needs %d bytes, got %d" % (shape, nbytes, len(raw)))
+    if "at" in doc:
+        at = doc["at"]
+        if not (type(at) is int and at >= 0):
+            raise ValueError("at must be a non-negative integer, got %r" % (at,))
+        if at + nbytes > len(tail):
+            raise ValueError("bytes [%d, %d) lie past the end of the %d-byte tail"
+                             % (at, at + nbytes, len(tail)))
+        raw = tail[at:at + nbytes]
+    else:
+        if not isinstance(doc.get("f8"), str):
+            raise ValueError("needs an integer \"at\" or a base64 \"f8\" string")
+        try:
+            raw = base64.b64decode(doc["f8"], validate=True)
+        except binascii.Error as exc:
+            raise ValueError("bytes are not valid base64: %s" % exc) from exc
+        if len(raw) != nbytes:
+            raise ValueError("shape %s needs %d bytes, got %d" % (shape, nbytes, len(raw)))
     return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(float)
 
 

@@ -10,7 +10,6 @@ chosen topic in its column and the OR of the free topics elsewhere.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from typing import List, Optional
@@ -306,31 +305,27 @@ def save_instance(instance, path):
         "m": instance.A.shape[1],
         "noise_sigma": instance.noise_sigma,
         "db": [t.astype(int).tolist() for t in instance.db.topics],
-        "A": numerics.encode_array(instance.A),
+        "A": instance.A,
         "planted": instance.planted_topics,
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+    numerics.write_instance(path, doc)
 
 
 def load_instance(path):
     """Instance of a file.  The CLI parses files once in `cli._load_instance`,
     so this stays only because `benchmarks/tracer.py` wraps it by name."""
-    with open(path) as fh:
-        return instance_from_doc(json.load(fh))
+    with open(path, "rb") as fh:
+        return instance_from_doc(numerics.read_instance(fh.read()))
 
 
 def instance_from_doc(doc):
-    """Instance from a parsed instance file, as `save_instance` writes it.
-
-    Its arrays may also be nested lists, the form files had before arrays
-    were written with `numerics.encode_array`.
-    """
+    """Instance from an instance file's document (`numerics.read_instance`),
+    whose arrays are float arrays or nested lists."""
     if doc.get("problem") != "prior-nmf":
         raise ValueError("not a prior-nmf instance file")
     db = TopicDB(int(doc["n"]), [np.array(t, dtype=float) for t in doc["db"]])
     return NmfInstance(
-        A=numerics.decode_array(doc["A"]),
+        A=doc["A"],
         k=int(doc["k"]),
         db=db,
         planted_topics=doc.get("planted"),

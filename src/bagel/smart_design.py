@@ -8,7 +8,6 @@ baselines, a seeded instance generator, and evaluation helpers live here.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from typing import List, Optional
@@ -269,31 +268,27 @@ def save_instance(instance, path):
         ],
         "B": instance.bound,
         "noise_sigma": instance.noise_sigma,
-        "X": numerics.encode_array(instance.X),
-        "y": numerics.encode_array(instance.y),
+        "X": instance.X,
+        "y": instance.y,
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+    numerics.write_instance(path, doc)
 
 
 def load_instance(path):
     """Instance of a file.  The CLI parses files once in `cli._load_instance`,
     so this stays only because `benchmarks/tracer.py` wraps it by name."""
-    with open(path) as fh:
-        return instance_from_doc(json.load(fh))
+    with open(path, "rb") as fh:
+        return instance_from_doc(numerics.read_instance(fh.read()))
 
 
 def instance_from_doc(doc):
-    """Instance from a parsed instance file, as `save_instance` writes it.
-
-    Its arrays may also be nested lists, the form files had before arrays
-    were written with `numerics.encode_array`.
-    """
+    """Instance from an instance file's document (`numerics.read_instance`),
+    whose arrays are float arrays or nested lists."""
     if doc.get("problem") != "smart-design":
         raise ValueError("not a smart-design instance file")
     return SmartDesignInstance(
-        X=numerics.decode_array(doc["X"]),
-        y=numerics.decode_array(doc["y"]),
+        X=doc["X"],
+        y=doc["y"],
         components=[Component(int(c["size"]), float(c["weight"])) for c in doc["components"]],
         bound=float(doc["B"]),
         noise_sigma=float(doc.get("noise_sigma", 0.0)),

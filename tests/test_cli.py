@@ -1,3 +1,4 @@
+import base64
 import csv
 import json
 import os
@@ -7,17 +8,22 @@ import numpy as np
 import pytest
 
 import bagel
-from bagel import cli
-from bagel.numerics import decode_array, encode_array
+from bagel import cli, numerics
 from bagel.smart_design import load_instance as load_sd, run_methods, sd_generate_instance
 from bagel.engine import StopCondition
 from bagel.prior_nmf import PriorNmfProblem
 from bagel.smart_design import SmartDesignProblem
 
 
+def f8_array(values):
+    """The base64 form of an array, as files had it before the binary tail."""
+    a = np.asarray(values, dtype="<f8")
+    return {"shape": list(a.shape), "f8": base64.b64encode(a.tobytes()).decode("ascii")}
+
+
 def encoded(values, **fields):
-    """An encoded array document; fields override its shape or bytes."""
-    return json.dumps(dict(encode_array(np.array(values, dtype=float)), **fields))
+    """A base64 array document; fields override its shape or bytes."""
+    return json.dumps(dict(f8_array(values), **fields))
 
 
 SD_ENCODED = ('{"problem": "smart-design", "X": %s, "y": %s,'
@@ -34,6 +40,27 @@ NAMED_FIELD = {
                        "[0.5, 1, 2, 3]")},
     SD_FIELDS % ("NaN", "1.0"): "weight",
     SD_FIELDS % ("1.0", "NaN"): "bound",
+}
+# X = [[1], [2]] and y = [1, 2] in a binary tail
+SD_TAIL = np.array([1.0, 2.0, 1.0, 2.0], dtype="<f8").tobytes()
+
+
+def sd_binary(tail=SD_TAIL, x_at=0, y_at=16):
+    header = {"problem": "smart-design", "X": {"shape": [2, 1], "at": x_at},
+              "y": {"shape": [2], "at": y_at}, "components": [{"size": 1, "weight": 1.0}],
+              "B": 1.0}
+    return json.dumps(header).encode() + b"\n" + tail
+
+
+# Bad binary-tail files: test id -> (file bytes, the error text naming the array)
+BAD_TAILS = {
+    "tail-truncated": (sd_binary(tail=SD_TAIL[:-8]), "error: array 'y'"),
+    "tail-8-extra-bytes": (sd_binary(tail=SD_TAIL + bytes(8)), "error: array 'y'"),
+    "at-negative": (sd_binary(x_at=-16), "error: array 'X'"),
+    "at-float": (sd_binary(y_at=16.0), "error: array 'y'"),
+    "at-string": (sd_binary(y_at="16"), "error: array 'y'"),
+    "at-past-end": (sd_binary(y_at=32), "error: array 'y'"),
+    "header-not-json": (b"{not json\n" + SD_TAIL, "error:"),
 }
 
 
@@ -74,8 +101,9 @@ class TestGenerate:
                        "--true-topics", "4", "--false-topics", "2", "--docs", "50",
                        "--seed", "3", "--out", out])
         assert rc == 0
-        doc = json.load(open(out))
-        assert decode_array(doc["A"]).shape == (20, 50)
+        with open(out, "rb") as fh:
+            doc = numerics.read_instance(fh.read())
+        assert doc["A"].shape == (20, 50)
         assert len(doc["db"]) == 6
 
     @pytest.mark.parametrize("generate, search", [
@@ -84,18 +112,20 @@ class TestGenerate:
         (["--problem", "prior-nmf", "--n", "20"], ["--iters", "50"]),
     ], ids=["smart-design", "prior-nmf"])
     def test_list_form_solves_alike(self, tmp_path, generate, search):
-        """Files written before arrays were encoded hold them as nested lists."""
-        encoded_path, again, listed_path = (tmp_path / name for name in
-                                            ("enc.json", "again.json", "list.json"))
-        for path in (encoded_path, again):
+        """Files written before the binary tail hold their arrays as base64
+        or nested lists, in one JSON document, maybe pretty-printed."""
+        binary, again = tmp_path / "bin.json", tmp_path / "again.json"
+        for path in (binary, again):
             assert cli.main(["generate", *generate, "--seed", "3", "--out", str(path)]) == 0
-        assert encoded_path.read_bytes() == again.read_bytes()
-        doc = json.loads(encoded_path.read_text())
-        for key in ("X", "y", "A"):
-            if key in doc:
-                doc[key] = decode_array(doc[key]).tolist()
-        with open(listed_path, "w") as fh:
-            json.dump(doc, fh)
+        assert binary.read_bytes() == again.read_bytes()
+        doc = numerics.read_instance(binary.read_bytes())
+        arrays = [key for key in ("X", "y", "A") if key in doc]
+        listed = {**doc, **{key: doc[key].tolist() for key in arrays}}
+        older = {"f8.json": ({**doc, **{key: f8_array(doc[key]) for key in arrays}}, None),
+                 "list.json": (listed, None), "indent.json": (listed, 2)}
+        for name, (older_doc, indent) in older.items():
+            with open(tmp_path / name, "w") as fh:
+                json.dump(older_doc, fh, indent=indent)
 
         def solved(path):
             out = str(path) + ".csv"
@@ -103,7 +133,28 @@ class TestGenerate:
             return [{k: v for k, v in row.items() if k not in ("wall_ms", "instance_id")}
                     for row in read_rows(out)]
 
-        assert solved(listed_path) == solved(encoded_path)
+        expected = solved(binary)
+        for name in older:
+            assert solved(tmp_path / name) == expected, name
+
+    @pytest.mark.parametrize("error", [OSError("disk full"), KeyboardInterrupt()],
+                             ids=["oserror", "interrupt"])
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, error):
+        def write_header_then_fail(path, doc):
+            with open(path, "wb") as fh:
+                fh.write(b'{"problem": "smart-design"}\n')
+            raise error
+
+        monkeypatch.setattr(numerics, "write_instance", write_header_then_fail)
+        out = tmp_path / "inst.json"
+        argv = ["generate", "--problem", "smart-design", "--n", "10", "--seed", "7",
+                "--out", str(out)]
+        if isinstance(error, OSError):
+            assert cli.main(argv) == 2
+        else:
+            with pytest.raises(KeyboardInterrupt):
+                cli.main(argv)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flags, error", [
         (["--problem", "smart-design", "--n", "10", "--samples", "100", "--cost", "1.5"],
@@ -226,14 +277,20 @@ class TestSolve:
         NMF_ENCODED % encoded([[1.0], [2.0]], shape="2x1"),
         NMF_ENCODED % encoded([[1.0], [2.0]], f8=5),
         *NAMED_FIELD,
+        *(pytest.param(content, id=name) for name, (content, _) in BAD_TAILS.items()),
     ])
     def test_bad_instance_exits_1(self, tmp_path, capsys, content):
         inst, out, trace = tmp_path / "bad.json", tmp_path / "res.csv", tmp_path / "t.ndjson"
-        inst.write_text(content)
+        if isinstance(content, bytes):
+            inst.write_bytes(content)
+            named = dict(BAD_TAILS.values())[content]
+        else:
+            inst.write_text(content)
+            named = NAMED_FIELD.get(content, "error:")
         rc = cli.main(["solve", "--instance", str(inst), "--out", str(out),
                        "--trace", str(trace)])
         assert rc == 1
-        assert NAMED_FIELD.get(content, "error:") in capsys.readouterr().err
+        assert named in capsys.readouterr().err
         assert not out.exists() and not trace.exists()
         assert not (tmp_path / "res.csv.meta.json").exists()
 

@@ -1,3 +1,4 @@
+import base64
 import json
 from unittest import mock
 
@@ -16,13 +17,13 @@ from bagel.numerics import (
     NMF_CHECK_EVERY,
     NMF_EPS,
     NMF_STOP_RTOL,
-    decode_array,
-    encode_array,
     lp_distance,
     make_rng,
     masked_l0_cost,
     nmf_multiplicative,
+    read_instance,
     solve_least_squares,
+    write_instance,
 )
 
 
@@ -470,8 +471,19 @@ class TestValidation:
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308, 1.7976931348623157e308]
 
 
+def f8_array(a):
+    """The base64 form of an array, as files had it before the binary tail."""
+    a = np.asarray(a, dtype="<f8")
+    return {"shape": list(a.shape), "f8": base64.b64encode(a.tobytes()).decode("ascii")}
+
+
+def parsed(doc):
+    """`read_instance` of a one-document file."""
+    return read_instance(json.dumps(doc).encode())
+
+
 class TestArrayEncoding:
-    """`encode_array` / `decode_array`, the instance-file form of X, y and A."""
+    """`write_instance` / `read_instance`, the instance-file form of X, y and A."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(hnp.arrays(
@@ -479,31 +491,44 @@ class TestArrayEncoding:
         elements=st.one_of(st.sampled_from(EDGE_FLOATS),
                            st.floats(allow_nan=False, allow_infinity=False)),
     ))
-    def test_roundtrip_is_bit_exact(self, a):
-        decoded = decode_array(json.loads(json.dumps(encode_array(a))))
-        assert decoded.dtype == np.float64 and decoded.shape == a.shape
-        assert np.array_equal(decoded.view(np.uint64), a.view(np.uint64))
-        assert decoded.flags.c_contiguous and decoded.flags.writeable
-        assert decoded.flags.owndata
-        # The nested-list form of the same values decodes to the same bits.
-        # A list with no rows cannot carry its row length, so only the
-        # entries are compared then.
-        listed = decode_array(json.loads(json.dumps(a.tolist())))
+    def test_roundtrip_is_bit_exact(self, tmp_path_factory, a):
+        tmp = tmp_path_factory.mktemp("roundtrip")
+        first, second = tmp / "first.json", tmp / "second.json"
+        doc = {"problem": "p", "a": a, "b": a[::-1].copy(), "seed": 3}
+        write_instance(first, doc)
+        write_instance(second, doc)
+        assert first.read_bytes() == second.read_bytes()
+        back = read_instance(first.read_bytes())
+        assert (back["problem"], back["seed"]) == ("p", 3)
+        for key in ("a", "b"):
+            decoded = back[key]
+            assert decoded.dtype == np.float64 and decoded.shape == a.shape
+            assert np.array_equal(decoded.view(np.uint64), doc[key].view(np.uint64))
+            assert decoded.flags.c_contiguous and decoded.flags.writeable
+            assert decoded.flags.owndata
+        # The base64 and nested-list forms of the same values decode to the
+        # same bits.  A list with no rows cannot carry its row length, so
+        # only the entries are compared then.
+        assert np.array_equal(parsed({"a": f8_array(a)})["a"].view(np.uint64),
+                              a.view(np.uint64))
+        listed = parsed({"a": a.tolist()})["a"]
+        listed = (numerics.matrix if a.ndim == 2 and a.shape[0] else numerics.vector)(listed)
         assert np.array_equal(listed.view(np.uint64).ravel(), a.view(np.uint64).ravel())
         if a.shape[0]:
             assert listed.shape == a.shape
 
-    def test_non_contiguous_input(self):
+    def test_non_contiguous_input(self, tmp_path):
         a = np.arange(12.0).reshape(3, 4).T
-        assert np.array_equal(decode_array(encode_array(a)), a)
+        write_instance(tmp_path / "inst.json", {"a": a})
+        assert np.array_equal(read_instance((tmp_path / "inst.json").read_bytes())["a"], a)
 
     @pytest.mark.parametrize("doc", [
-        {"shape": [2], "f8": encode_array(np.ones(3))["f8"]},
-        {"shape": [3, -1], "f8": encode_array(np.ones(3))["f8"]},
-        {"shape": [1.0], "f8": encode_array(np.ones(1))["f8"]},
-        {"shape": 1, "f8": encode_array(np.ones(1))["f8"]},
+        {"shape": [2], "f8": f8_array(np.ones(3))["f8"]},
+        {"shape": [3, -1], "f8": f8_array(np.ones(3))["f8"]},
+        {"shape": [1.0], "f8": f8_array(np.ones(1))["f8"]},
+        {"shape": 1, "f8": f8_array(np.ones(1))["f8"]},
         {"shape": [1], "f8": "AAAA*AAAAAA="},
     ])
     def test_malformed_rejected(self, doc):
         with pytest.raises(ValueError):
-            decode_array(doc)
+            parsed({"a": doc})
