@@ -172,6 +172,7 @@ def _solve_prior_nmf(instance, args, stop, trace):
         "wall_ms": stats.wall_time * 1000.0,
         "completed": stats.completed,
         "warnings": stats.warnings,
+        "stop": stats.stop,
     }]
 
 
@@ -257,6 +258,7 @@ def cmd_solve(args):
             "node_cap": args.node_cap, "seed": instance.seed, **_search_flags(args),
             "versions": _versions(),
             "warnings": [w for row in rows for w in row["warnings"]],
+            "stops": [row["stop"] for row in rows if row["stop"] is not None],
         })
     return 0
 

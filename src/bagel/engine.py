@@ -93,8 +93,14 @@ class SearchStats:
     nodes_failed: int = 0
     leaves: int = 0
     wall_time: float = 0.0
-    completed: bool = False
+    # Why the search ended: "completed" (the frontier ran empty),
+    # "node_cap" or "timeout"; None while it runs.
+    stop: Optional[str] = None
     warnings: List[str] = field(default_factory=list)
+
+    @property
+    def completed(self):
+        return self.stop == "completed"
 
 
 class Problem(ABC):
@@ -108,9 +114,10 @@ class Problem(ABC):
     # True when `train` reads node.parent; only then does the engine link
     # each child to its trained parent.  A linked parent stays alive until
     # its last child is trained.  On prior-nmf, whose train does not read
-    # it, linking still raised the nmf-large benchmark's wall_rel by 1-10%
-    # in 4 of 4 alternating pairs (2-core Xeon), though a 30-node search
-    # takes under 100 minor page faults either way.
+    # it, linking cost 30-node nmf-large searches a median 3% in an
+    # in-process A/B (30 alternating pairs on a 2-core Xeon: slower in 17,
+    # pair ratios 0.69-1.54, so not told apart from noise) and about 60
+    # more minor page faults per search.
     reads_parent = False
 
     @abstractmethod
@@ -158,13 +165,15 @@ def bound_prune(node_loss, incumbent_loss):
 
 
 def should_stop(stats, stop):
+    """The reason the search must stop now, "timeout" or "node_cap", or
+    None when it may go on."""
     if stop is None:
-        return False
+        return None
     if stop.wall_seconds is not None and stats.wall_time >= stop.wall_seconds:
-        return True
+        return "timeout"
     if stop.node_budget is not None and stats.nodes_opened >= stop.node_budget:
-        return True
-    return False
+        return "node_cap"
+    return None
 
 
 def bagel_search(problem, stop=None, strategy="dfs", *, prune=True, trace=None,
@@ -204,11 +213,10 @@ def bagel_search(problem, stop=None, strategy="dfs", *, prune=True, trace=None,
                 "status": node.status,
             })
 
-    stopped = False
     while frontier:
         stats.wall_time = time.perf_counter() - t0
-        if should_stop(stats, stop):
-            stopped = True
+        stats.stop = should_stop(stats, stop)
+        if stats.stop is not None:
             break
         _, node = heapq.heappop(frontier)
         stats.nodes_opened += 1
@@ -252,5 +260,6 @@ def bagel_search(problem, stop=None, strategy="dfs", *, prune=True, trace=None,
         emit(node)
 
     stats.wall_time = time.perf_counter() - t0
-    stats.completed = not stopped and not frontier
+    if stats.stop is None:
+        stats.stop = "completed"
     return incumbent, stats

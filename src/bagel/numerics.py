@@ -296,12 +296,16 @@ def nmf_multiplicative(A, k, mask, iters, rng, on_iteration=None):
     Cichocki & Phan, IEICE 2009; Gillis & Glineur, Neural Computation
     2012) minimises the objective exactly over one row of H or one column
     of W at a time, in place.  A sweep updates the rows of H in order
-    l = 0..k-1,
+    l = 0..k-1 in scaled form: with d = max(diag(W^T W), NMF_EPS),
+    B = W^T A / d and G = W^T W / d - I (row l divided by d[l]),
 
-        H[l] = max(0, H[l] + (W^T A[l] - W^T W[l] H) / max(W^T W[l, l], NMF_EPS)),
+        H[l] = max(0, B[l] - G[l] H).
 
-    then the columns of W the same way against A H^T and H H^T, multiplying
-    each column by mask[:, l] right after its update.
+    G[l, l] is 0 unless the floor applies, so this is the update
+    H[l] + (W^T A[l] - W^T W[l] H) / d[l], rounded differently.  The
+    columns of W are then updated the same way against A H^T and H H^T,
+    with B = -inf wherever the binary mask is 0, so those entries come
+    out exactly 0.
 
     W (n x k) and H (k x m) are initialised uniformly in (0, 1] from rng,
     W first, then W is projected onto the binary mask (W *= mask), so
@@ -335,31 +339,59 @@ def nmf_multiplicative(A, k, mask, iters, rng, on_iteration=None):
     H = 1.0 - rng.random((k, m))
     W *= mask
     # W is held as its transpose, so a column of W is a contiguous row.
-    Wt, mask_t = W.T.copy(), mask.T.copy()
+    Wt = W.T.copy()
     W = Wt.T
+    # Work buffers and their row views, made once per call: a sweep and a
+    # loss check then allocate nothing that grows with n or m.
+    eye = np.eye(k)
+    sentinel = np.where(mask.T == 0, -np.inf, 0.0)
+    B_h, G_h, t_h = np.empty((k, m)), np.empty((k, k)), np.empty(m)
+    B_w, G_w, t_w = np.empty((k, n)), np.empty((k, k)), np.empty(n)
+    rows_h, rows_w = list(zip(G_h, B_h, H)), list(zip(G_w, B_w, Wt))
+    R = np.empty((n, m))
+
+    def residual():
+        np.dot(W, H, out=R)
+        np.subtract(A, R, out=R)
+        return frobenius(R)
+
     prev = None
     for it in range(iters):
-        _hals_rows(H, Wt @ A, Wt @ W)
-        _hals_rows(Wt, H @ A.T, H @ H.T, mask_t)
+        np.dot(Wt, A, out=B_h)
+        np.dot(Wt, W, out=G_h)
+        _hals_rows(H, B_h, G_h, rows_h, eye, t_h)
+        np.dot(H, A.T, out=B_w)
+        np.dot(H, H.T, out=G_w)
+        _hals_rows(Wt, B_w, G_w, rows_w, eye, t_w, sentinel)
         if on_iteration is not None:
-            on_iteration(it, W, H, frobenius(A - W @ H))
+            on_iteration(it, W, H, residual())
         if (it + 1) % NMF_CHECK_EVERY == 0:
-            loss = frobenius(A - W @ H)
+            loss = residual()
             if prev is not None and prev - loss <= NMF_STOP_RTOL * prev:
                 return W, H, loss
             prev = loss
-    return W, H, frobenius(A - W @ H)
+    return W, H, residual()
 
 
-def _hals_rows(X, B, G, mask=None):
-    """One HALS pass over the rows of X, in place.  Row l in turn becomes
-    the non-negative minimiser of 1/2 <X, G X> - <B, X> over X[l] with
-    the other rows fixed, then is multiplied by mask[l]."""
-    for l in range(X.shape[0]):
-        x = X[l]
-        step = B[l] - G[l] @ X
-        step /= max(G[l, l], NMF_EPS)
-        step += x
-        np.maximum(step, 0.0, out=x)
-        if mask is not None:
-            x *= mask[l]
+def _hals_rows(X, B, G, rows, eye, t, sentinel=None):
+    """One HALS pass over the rows of X, in place, overwriting B and G.
+    Row l in turn becomes the non-negative minimiser of
+    1/2 <X, G X> - <B, X> over X[l] with the other rows fixed; entries
+    where `sentinel` is -inf become 0.  rows holds the views
+    (G[l], B[l], X[l]) and t is a scratch row.
+
+    B and G are scaled row-wise by d = max(diag G, NMF_EPS) and G loses
+    the identity, so each row is three in-place calls into t.  The -inf
+    of the sentinel is only ever subtracted from, never multiplied, so it
+    yields no NaN.
+    """
+    d = np.maximum(G.diagonal(), NMF_EPS)[:, None]
+    B /= d
+    G /= d
+    G -= eye
+    if sentinel is not None:
+        B += sentinel
+    for g, b, x in rows:
+        np.dot(g, X, out=t)
+        np.subtract(b, t, out=t)
+        np.maximum(t, 0.0, out=x)

@@ -1,7 +1,7 @@
 """Topic modeling by NMF with a database of prior topics.
 
-Each column of W must match one topic from the database exactly on its
-support, and the selected topics must be pairwise distinct.  The search
+Each column of W must have its support inside one topic from the
+database, and the selected topics must be pairwise distinct.  The search
 assigns topics to the columns left to right, so a node's state is the
 chosen topics of a column prefix and the set of topics still free for
 the other columns; each node trains a masked NMF whose mask is each

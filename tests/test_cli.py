@@ -230,6 +230,9 @@ class TestSolve:
             for column in ("train_loss", "test_loss", "tightness"):
                 assert bagel[column] == seed[column]
             assert bagel["nodes"] == "0" and bagel["completed"] == "false"
+        # one stop reason per search, that is per fold
+        with open(out + ".meta.json") as fh:
+            assert json.load(fh)["stops"] == ["node_cap", "node_cap"]
 
     def test_trace_replay(self, sd_instance, tmp_path):
         out = str(tmp_path / "res.csv")
@@ -304,6 +307,19 @@ class TestSolve:
             meta = json.load(fh)
         assert (meta["iters"], meta["pruning"]) == (50, "on")
         assert "restarts" not in meta
+
+    @pytest.mark.parametrize("limit, stop", [
+        (["--node-cap", "3"], "node_cap"), (["--timeout-s", "0"], "timeout"), ([], "completed"),
+    ])
+    def test_meta_records_stop_reason(self, tmp_path, limit, stop):
+        inst, out = str(tmp_path / "nmf.json"), str(tmp_path / "res.csv")
+        cli.main(["generate", "--problem", "prior-nmf", "--n", "20", "--true-topics", "4",
+                  "--false-topics", "2", "--docs", "50", "--seed", "3", "--out", inst])
+        assert cli.main(["solve", "--instance", inst, "--out", out, *limit]) == 0
+        with open(out + ".meta.json") as fh:
+            assert json.load(fh)["stops"] == [stop]
+        (row,) = read_rows(out)
+        assert row["completed"] == str(stop == "completed").lower()
 
     def test_meta_records_versions(self, sd_instance, tmp_path):
         out, out_dir = str(tmp_path / "res.csv"), str(tmp_path / "sweep")

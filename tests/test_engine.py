@@ -36,15 +36,18 @@ class TestBoundPrune:
 
 class TestShouldStop:
     def test_no_budgets(self):
-        assert not should_stop(SearchStats(nodes_opened=10 ** 6, wall_time=10 ** 6), None)
+        assert should_stop(SearchStats(nodes_opened=10 ** 6, wall_time=10 ** 6), None) is None
 
     def test_node_budget_inclusive(self):
         stats = SearchStats(nodes_opened=100)
-        assert should_stop(stats, StopCondition(node_budget=100))
+        assert should_stop(stats, StopCondition(node_budget=100)) == "node_cap"
+        assert should_stop(stats, StopCondition(node_budget=101)) is None
 
     def test_wall_budget(self):
         stats = SearchStats(wall_time=601.0)
-        assert should_stop(stats, StopCondition(wall_seconds=600.0))
+        assert should_stop(stats, StopCondition(wall_seconds=600.0)) == "timeout"
+        # a spent clock is named first
+        assert should_stop(stats, StopCondition(wall_seconds=600.0, node_budget=0)) == "timeout"
 
 
 class SubsetProblem(Problem):
@@ -147,14 +150,14 @@ class TestBagelSearch:
     def test_node_budget_one_on_nonleaf_root(self):
         best, stats = bagel_search(SubsetProblem([1.0, 2.0]), stop=StopCondition(node_budget=1))
         assert best is None
-        assert not stats.completed
+        assert stats.stop == "node_cap" and not stats.completed
         assert stats.nodes_opened == 1
 
     def test_finds_optimum(self):
         best, stats = bagel_search(SubsetProblem([1.0, 2.0, 3.0]))
         assert best.loss == 0.0
         assert best.model == (1, 1, 1)
-        assert stats.completed
+        assert stats.stop == "completed" and stats.completed
 
     def test_pruning_matches_no_pruning(self):
         rng = make_rng(1)
@@ -317,4 +320,4 @@ class TestDepthFirstOrder:
                                 trace=records.append)
         expected = preorder(problem, prune)
         assert [(r["id"], r["trail"], r["status"]) for r in records] == expected[:cap]
-        assert stats.completed == (cap is None or cap >= len(expected))
+        assert stats.stop == ("completed" if cap is None or cap >= len(expected) else "node_cap")

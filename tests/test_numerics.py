@@ -370,7 +370,10 @@ class TestNmfEdgeCases:
             losses.append(loss)
             sweeps.append((W.copy(), H.copy()))
 
-        nmf_multiplicative(A, k, mask, 30, make_rng(seed), on_iteration=check)
+        # Any 0 * inf or 0 / 0 in the kernel (its -inf mask sentinel, its
+        # NMF_EPS floor) raises here instead of leaving a NaN.
+        with np.errstate(all="raise"):
+            nmf_multiplicative(A, k, mask, 30, make_rng(seed), on_iteration=check)
         # criterion 6's absolute tolerance, from the initial factors on
         for prev, nxt in zip(losses, losses[1:]):
             assert nxt <= prev + 1e-12
@@ -385,8 +388,31 @@ class TestNmfEdgeCases:
 
 def nmf_reference(A, k, mask, sweeps, rng):
     """The fixed-sweep masked HALS loop that `nmf_multiplicative` stops
-    early.  W is held transposed, as in the kernel, so that every product
+    early, in the kernel's scaled form: each half-sweep divides row l of
+    the products by d[l] = max(G[l, l], NMF_EPS) and takes the identity
+    off G.  W is held transposed, as in the kernel, so that every product
     rounds alike."""
+    n, m = A.shape
+    W = 1.0 - rng.random((n, k))
+    H = 1.0 - rng.random((k, m))
+    W *= mask
+    Wt = W.T.copy()
+
+    def half_sweep(X, B, G, keep):
+        d = np.maximum(np.diag(G), NMF_EPS)[:, None]
+        B, G = B / d, G / d - np.eye(k)
+        for l in range(k):
+            X[l] = np.maximum(0.0, B[l] - G[l] @ X) * keep[l]
+
+    for _ in range(sweeps):
+        half_sweep(H, Wt @ A, Wt @ Wt.T, np.ones((k, m)))
+        half_sweep(Wt, H @ A.T, H @ H.T, mask.T)
+    return Wt.T, H
+
+
+def nmf_reference_unscaled(A, k, mask, sweeps, rng):
+    """The same loop as `nmf_reference` with each update in its textbook
+    form, H[l] + (B[l] - G[l] H) / d[l]: equal up to rounding."""
     n, m = A.shape
     W = 1.0 - rng.random((n, k))
     H = 1.0 - rng.random((k, m))
@@ -441,6 +467,9 @@ class TestNmfStoppingRule:
         ref_W, ref_H = nmf_reference(A, k, mask, ran, make_rng(seed))
         assert np.array_equal(W, ref_W) and np.array_equal(H, ref_H)
         assert loss == numerics.frobenius(A - W @ H)
+        # (b') the textbook update, rounded otherwise, gives the same product
+        un_W, un_H = nmf_reference_unscaled(A, k, mask, ran, make_rng(seed))
+        np.testing.assert_allclose(W @ H, un_W @ un_H, rtol=1e-8, atol=1e-8 * A.max())
         # (c) the rule holds at the stopping check and at no earlier one
         checked = losses[NMF_CHECK_EVERY - 1::NMF_CHECK_EVERY]
         met = [prev - cur <= NMF_STOP_RTOL * prev for prev, cur in zip(checked, checked[1:])]
