@@ -10,6 +10,7 @@ budget-selection constraints as extended tables.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -73,9 +74,16 @@ class ExtendedTable:
         object.__setattr__(self, "tuples", t)
 
 
-def within_budget(total, bound):
-    """The budget rule: the total weight stays below the bound."""
-    return total < bound
+def budget_total(weights):
+    """Total of the selected components' weights, exactly rounded
+    (`math.fsum`): the same in any order, and never lower for a superset."""
+    return math.fsum(weights)
+
+
+def within_budget(weights, bound):
+    """The budget rule: the selected components' weights total below the
+    bound.  Every feasibility test of a selection goes through here."""
+    return budget_total(weights) < bound
 
 
 def et_satisfied(y, et):
@@ -120,11 +128,9 @@ def enumerate_budget_feasible(weights, bound):
         raise CapacityError("refusing to enumerate more than %d variables" % MAX_COMPONENTS)
     if np.any(weights < 0):
         raise ValueError("weights must be >= 0")
-    out = []
-    for u in itertools.product((0, 1), repeat=k):
-        if within_budget(float(np.dot(u, weights)), bound):
-            out.append(u)
-    return out
+    w = weights.tolist()
+    return [u for u in itertools.product((0, 1), repeat=k)
+            if within_budget(itertools.compress(w, u), bound)]
 
 
 def encode_smart_design_as_et(components, bound):
@@ -155,19 +161,24 @@ def encode_smart_design_as_et(components, bound):
 def budget_propagate(state, weights, bound):
     """Fix to ZERO every free variable that can no longer fit the budget.
 
-    state is an int8 array of domain codes, filtered in place.  S_c is the
-    committed weight of the ONE-fixed variables, summed left to right.
-    Returns (fixings, failed); failed means the committed weight already
-    violates the budget.  One pass reaches the fixpoint since S_c only
-    counts fixed variables.
+    state is an int8 array of domain codes, filtered in place.  A free
+    variable is fixed when the committed (ONE-fixed) weights plus its own
+    fail `within_budget`; the exact total never falls as weights are
+    added, so no completion that sets it fits either.  Returns (fixings,
+    failed); failed means the committed weights alone fail the rule.  One
+    pass reaches the fixpoint, as a fixing to ZERO leaves the committed
+    set as it was.
     """
-    weights = np.asarray(weights, dtype=float)
-    committed = sum(weights[state == ONE].tolist())
+    codes = state.tolist()
+    weights = np.asarray(weights, dtype=float).tolist()
+    committed = [w for w, code in zip(weights, codes) if code == ONE]
     if not within_budget(committed, bound):
         return [], True
-    drop = np.flatnonzero((state == BOTH) & ~within_budget(weights + committed, bound))
-    state[drop] = ZERO
-    return [(i, ZERO) for i in drop.tolist()], False
+    drop = [i for i, (w, code) in enumerate(zip(weights, codes))
+            if code == BOTH and not within_budget(committed + [w], bound)]
+    if drop:
+        state[drop] = ZERO
+    return [(i, ZERO) for i in drop], False
 
 
 def alldifferent_filter(domains):

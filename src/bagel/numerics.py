@@ -16,8 +16,6 @@ SVD-based reference.
 
 from __future__ import annotations
 
-import base64
-import binascii
 import json
 import math
 
@@ -91,11 +89,10 @@ def read_instance(data):
     object decoded to a float64 array.
 
     A file `write_instance` wrote is a JSON header line and a tail of raw
-    bytes.  Any other file is one JSON document, whose arrays are nested
-    lists (left as they are) or {"shape": [...], "f8": base64 of the
-    little-endian float64 bytes}, the form files had before the tail.
-    Each "at" array must lie inside the tail, and the arrays must fill the
-    tail back to back in header order, with no byte left over.  Whether
+    bytes.  Any other file is one JSON document whose arrays are nested
+    lists, left as they are; an array object in it is an error.  Each
+    array must lie inside the tail, and the arrays must fill the tail
+    back to back in header order, with no byte left over.  Whether
     an array's shape fits its problem, and finiteness, are for `matrix`
     and `vector`.
     """
@@ -116,11 +113,10 @@ def read_instance(data):
             continue
         try:
             doc[key] = _decode_array(value, tail)
-            if "at" in value:
-                if value["at"] != filled:
-                    raise ValueError("at is %d, but the arrays before it end at byte %d"
-                                     % (value["at"], filled))
-                filled, last = filled + doc[key].nbytes, key
+            if value["at"] != filled:
+                raise ValueError("at is %d, but the arrays before it end at byte %d"
+                                 % (value["at"], filled))
+            filled, last = filled + doc[key].nbytes, key
         except ValueError as exc:
             raise ValueError("array %r: %s" % (key, exc)) from exc
     if filled != len(tail):
@@ -130,27 +126,20 @@ def read_instance(data):
 
 def _decode_array(doc, tail):
     """Float64 copy of one array object; C-contiguous, writeable, owning."""
+    if "at" not in doc:
+        raise ValueError("has no \"at\" offset into a binary tail; regenerate the file "
+                         "with `bagel generate` (the same seed gives the same arrays)")
     shape = doc.get("shape")
     if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
         raise ValueError("shape must be a list of non-negative integers")
     nbytes = 8 * math.prod(shape)
-    if "at" in doc:
-        at = doc["at"]
-        if not (type(at) is int and at >= 0):
-            raise ValueError("at must be a non-negative integer, got %r" % (at,))
-        if at + nbytes > len(tail):
-            raise ValueError("bytes [%d, %d) lie past the end of the %d-byte tail"
-                             % (at, at + nbytes, len(tail)))
-        raw = tail[at:at + nbytes]
-    else:
-        if not isinstance(doc.get("f8"), str):
-            raise ValueError("needs an integer \"at\" or a base64 \"f8\" string")
-        try:
-            raw = base64.b64decode(doc["f8"], validate=True)
-        except binascii.Error as exc:
-            raise ValueError("bytes are not valid base64: %s" % exc) from exc
-        if len(raw) != nbytes:
-            raise ValueError("shape %s needs %d bytes, got %d" % (shape, nbytes, len(raw)))
+    at = doc["at"]
+    if not (type(at) is int and at >= 0):
+        raise ValueError("at must be a non-negative integer, got %r" % (at,))
+    if at + nbytes > len(tail):
+        raise ValueError("bytes [%d, %d) lie past the end of the %d-byte tail"
+                         % (at, at + nbytes, len(tail)))
+    raw = tail[at:at + nbytes]
     return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(float)
 
 

@@ -86,10 +86,12 @@ def component_starts(sizes):
 
 
 def sd_tightness(u, weights, bound):
-    """Fraction of the budget consumed by the active components."""
+    """Fraction of the budget consumed by the active components: their
+    `constraints.budget_total` over the bound, so it is below 1 exactly
+    when the selection is within budget."""
     if bound <= 0:
         raise ValueError("bound must be > 0")
-    return float(np.dot(u, weights) / bound)
+    return constraints.budget_total(np.asarray(weights)[np.asarray(u) != 0]) / bound
 
 
 def sd_evaluate(solution, X_test, y_test):
@@ -144,10 +146,8 @@ class SmartDesignProblem(Problem):
         return loss
 
     def is_leaf(self, node):
-        # Every completion of the free variables fits the budget.  Python's
-        # sum adds left to right, as the budget rule's other totals do.
-        total = sum(self.weights[node.state != ZERO].tolist())
-        return constraints.within_budget(total, self.bound)
+        # Every completion of the free variables fits the budget.
+        return constraints.within_budget(self.weights[node.state != ZERO].tolist(), self.bound)
 
     def branch(self, node):
         # Split on the free component that carries most of the node's
@@ -182,7 +182,7 @@ def baseline_l2_br(solver, components, bound):
     scores = np.maximum.reduceat(np.abs(theta), component_starts(sizes))
     u = np.ones(len(components), dtype=int)
     for i in np.argsort(scores, kind="stable"):
-        if constraints.within_budget(float(np.dot(u, weights)), bound):
+        if constraints.within_budget(weights[u == 1], bound):
             break
         u[i] = 0
     theta, loss = solver.solve(expand_mask(u, sizes))
@@ -198,7 +198,7 @@ def baseline_l2_or(solver, components, bound):
     starts = component_starts(sizes)
     u = np.ones(len(components), dtype=int)
     theta, loss = solver.solve(expand_mask(u, sizes))
-    while not constraints.within_budget(float(np.dot(u, weights)), bound):
+    while not constraints.within_budget(weights[u == 1], bound):
         scores = np.maximum.reduceat(np.abs(theta), starts)
         ratios = np.where(weights > 0, scores / np.maximum(weights, 1e-300), np.inf)
         active = np.flatnonzero(u)
@@ -241,14 +241,12 @@ def sd_generate_instance(n_features, samples, cost_percent, seed, n_components=N
     bound = float(cost_percent * weights.sum())
 
     # Planted support: greedily admit components in random order while the
-    # budget holds, so the ground truth is always feasible.
-    order = rng.permutation(k)
+    # budget holds, so the ground truth is always feasible.  Component i
+    # stays only if the support with it is within budget.
     support = np.zeros(k, dtype=int)
-    total = 0.0
-    for i in order:
-        if constraints.within_budget(total + weights[i], bound):
-            support[i] = 1
-            total += weights[i]
+    for i in rng.permutation(k):
+        support[i] = 1
+        support[i] = constraints.within_budget(weights[support == 1], bound)
     theta_star = rng.standard_normal(n_features) * expand_mask(support, sizes)
     X = rng.standard_normal((samples, n_features))
     clean = X @ theta_star

@@ -46,7 +46,7 @@ def brute_force_sd(inst):
     sizes = [c.input_size for c in inst.components]
     best = None
     for u in itertools.product((0, 1), repeat=len(w)):
-        if sum(ui * wi for ui, wi in zip(u, w)) < inst.bound:
+        if math.fsum(itertools.compress(w, u)) < inst.bound:
             cols = []
             start = 0
             for bit, size in zip(u, sizes):
@@ -169,7 +169,7 @@ def test_criterion_5_budget_propagation_soundness():
                 u = [1 if s == ONE else 0 for s in sts]
                 for i, bit in zip(free, bits):
                     u[i] = bit
-                if float(np.dot(u, w)) < b:
+                if math.fsum(itertools.compress(w, u)) < b:
                     found.append(tuple(u))
             return found
 
@@ -275,7 +275,8 @@ def test_criterion_8_extended_table_suite():
     for bits in itertools.product((0, 1), repeat=8):
         theta = np.array(bits, dtype=float) * rng.uniform(0.5, 1.5, 8)
         active = [int(np.any(theta[starts[i]:starts[i + 1]] != 0)) for i in range(4)]
-        assert et_satisfied(theta, et)[0] == (float(np.dot(active, weights)) < 12.0)
+        feasible = math.fsum(itertools.compress(weights, active)) < 12.0
+        assert et_satisfied(theta, et)[0] == feasible
     _report(8, "extended table suite: classic equivalence, norm ball, budget encoding")
 
 

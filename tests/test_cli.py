@@ -16,19 +16,11 @@ from bagel.smart_design import SmartDesignProblem
 
 
 def f8_array(values):
-    """The base64 form of an array, as files had it before the binary tail."""
+    """The base64 form of an array, as files had it before the binary tail;
+    readers no longer decode it."""
     a = np.asarray(values, dtype="<f8")
     return {"shape": list(a.shape), "f8": base64.b64encode(a.tobytes()).decode("ascii")}
 
-
-def encoded(values, **fields):
-    """A base64 array document; fields override its shape or bytes."""
-    return json.dumps(dict(f8_array(values), **fields))
-
-
-SD_ENCODED = ('{"problem": "smart-design", "X": %s, "y": %s,'
-              ' "components": [{"size": 1, "weight": 1.0}], "B": 1.0}')
-NMF_ENCODED = '{"problem": "prior-nmf", "n": 2, "k": 1, "db": [[1, 1]], "A": %s}'
 NMF_PLANTED = ('{"problem": "prior-nmf", "n": 3, "k": 4, "db": [[1, 0, 0], [0, 1, 0], [0, 0, 1],'
                ' [1, 1, 0], [0, 1, 1]], "A": [[1.0], [2.0], [3.0]], "planted": %s}')
 SD_FIELDS = ('{"problem": "smart-design", "X": [[1.0], [2.0]], "y": [1.0, 2.0],'
@@ -45,15 +37,27 @@ NAMED_FIELD = {
 SD_TAIL = np.array([1.0, 2.0, 1.0, 2.0], dtype="<f8").tobytes()
 
 
-def sd_binary(tail=SD_TAIL, x_at=0, y_at=16):
-    header = {"problem": "smart-design", "X": {"shape": [2, 1], "at": x_at},
+def sd_binary(tail=SD_TAIL, x_at=0, y_at=16, x_shape=(2, 1)):
+    header = {"problem": "smart-design", "X": {"shape": x_shape, "at": x_at},
               "y": {"shape": [2], "at": y_at}, "components": [{"size": 1, "weight": 1.0}],
               "B": 1.0}
     return json.dumps(header).encode() + b"\n" + tail
 
 
-# Bad binary-tail files: test id -> (file bytes, the error text naming the array)
-BAD_TAILS = {
+def nmf_binary(A, shape=None):
+    A = np.asarray(A, dtype="<f8")
+    header = {"problem": "prior-nmf", "n": 2, "k": 1, "db": [[1, 1]],
+              "A": {"shape": shape or list(A.shape), "at": 0}}
+    return json.dumps(header).encode() + b"\n" + A.tobytes()
+
+
+def sd_values(X, y):
+    """A binary-tail smart-design file of these X and y values."""
+    return sd_binary(tail=np.concatenate([np.ravel(X), y]).astype("<f8").tobytes())
+
+
+# Bad array files: test id -> (file bytes, the error text naming the array)
+BAD_ARRAYS = {
     "tail-truncated": (sd_binary(tail=SD_TAIL[:-8]), "error: array 'y'"),
     "tail-8-extra-bytes": (sd_binary(tail=SD_TAIL + bytes(8)), "error: array 'y'"),
     "at-negative": (sd_binary(x_at=-16), "error: array 'X'"),
@@ -61,6 +65,17 @@ BAD_TAILS = {
     "at-string": (sd_binary(y_at="16"), "error: array 'y'"),
     "at-past-end": (sd_binary(y_at=32), "error: array 'y'"),
     "header-not-json": (b"{not json\n" + SD_TAIL, "error:"),
+    "shape-int": (sd_binary(x_shape=2), "error: array 'X'"),
+    "shape-string": (sd_binary(x_shape="2x1"), "error: array 'X'"),
+    # One value fewer than the header's shape of X: y's bytes start early.
+    "shape-too-long": (sd_binary(tail=SD_TAIL[8:], y_at=8), "error: array 'y'"),
+    "X-nan": (sd_values([np.nan, 1.0], [1.0, 2.0]), "error: matrix entries must be finite"),
+    "X-inf": (sd_values([1.0, np.inf], [1.0, 2.0]), "error: matrix entries must be finite"),
+    "y-minus-inf": (sd_values([1.0, 2.0], [1.0, -np.inf]), "error: vector entries must be finite"),
+    "A-nan": (nmf_binary([[np.nan], [1.0]]), "error: matrix entries must be finite"),
+    "A-inf": (nmf_binary([[1.0], [np.inf]]), "error: matrix entries must be finite"),
+    "A-negative": (nmf_binary([[1.0], [-1.0]]), "error: A must be non-negative"),
+    "A-shape-mismatch": (nmf_binary([1.0, 1.0, 1.0], shape=[2, 1]), "error: array 'A'"),
 }
 
 
@@ -111,9 +126,10 @@ class TestGenerate:
          ["--folds", "2"]),
         (["--problem", "prior-nmf", "--n", "20"], ["--iters", "50"]),
     ], ids=["smart-design", "prior-nmf"])
-    def test_list_form_solves_alike(self, tmp_path, generate, search):
-        """Files written before the binary tail hold their arrays as base64
-        or nested lists, in one JSON document, maybe pretty-printed."""
+    def test_list_form_solves_alike(self, tmp_path, capsys, generate, search):
+        """A file with no tail holds its arrays as nested lists, in one JSON
+        document, maybe pretty-printed; the base64 form of older files is
+        a validation error."""
         binary, again = tmp_path / "bin.json", tmp_path / "again.json"
         for path in (binary, again):
             assert cli.main(["generate", *generate, "--seed", "3", "--out", str(path)]) == 0
@@ -121,8 +137,8 @@ class TestGenerate:
         doc = numerics.read_instance(binary.read_bytes())
         arrays = [key for key in ("X", "y", "A") if key in doc]
         listed = {**doc, **{key: doc[key].tolist() for key in arrays}}
-        older = {"f8.json": ({**doc, **{key: f8_array(doc[key]) for key in arrays}}, None),
-                 "list.json": (listed, None), "indent.json": (listed, 2)}
+        f8 = {**doc, **{key: f8_array(doc[key]) for key in arrays}}
+        older = {"f8.json": (f8, None), "list.json": (listed, None), "indent.json": (listed, 2)}
         for name, (older_doc, indent) in older.items():
             with open(tmp_path / name, "w") as fh:
                 json.dump(older_doc, fh, indent=indent)
@@ -134,8 +150,14 @@ class TestGenerate:
                     for row in read_rows(out)]
 
         expected = solved(binary)
-        for name in older:
+        for name in ("list.json", "indent.json"):
             assert solved(tmp_path / name) == expected, name
+        out = tmp_path / "f8.csv"
+        rc = cli.main(["solve", "--instance", str(tmp_path / "f8.json"), "--out", str(out),
+                       *search])
+        assert rc == 1
+        assert "error: array '%s'" % arrays[0] in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "f8.csv.meta.json").exists()
 
     @pytest.mark.parametrize("error", [OSError("disk full"), KeyboardInterrupt()],
                              ids=["oserror", "interrupt"])
@@ -266,27 +288,14 @@ class TestSolve:
         ' "components": [{"size": 1, "weight": 1.0}], "B": 1.0}',
         '{"problem": "prior-nmf", "n": 2, "k": 1, "db": [[1, 0, 1]], "A": [[1.0], [1.0]]}',
         '{"problem": "prior-nmf", "n": 2, "k": 1, "db": [[1, 0]], "A": [[1.0], [1.0], [1.0]]}',
-        SD_ENCODED % (encoded([[np.nan], [1.0]]), encoded([1.0, 2.0])),
-        SD_ENCODED % (encoded([[1.0], [np.inf]]), encoded([1.0, 2.0])),
-        SD_ENCODED % (encoded([[1.0], [2.0]]), encoded([1.0, -np.inf])),
-        NMF_ENCODED % encoded([[np.nan], [1.0]]),
-        NMF_ENCODED % encoded([[1.0], [np.inf]]),
-        NMF_ENCODED % encoded([[1.0], [-1.0]]),
-        SD_ENCODED % (encoded([1.0], shape=[2, 1]), encoded([1.0, 2.0])),
-        NMF_ENCODED % encoded([1.0, 1.0, 1.0], shape=[2, 1]),
-        SD_ENCODED % (encoded([[1.0], [2.0]], f8="AAAA*AAA8D8AAAAAAAAAQA=="),
-                      encoded([1.0, 2.0])),
-        SD_ENCODED % (encoded([[1.0], [2.0]], shape=2), encoded([1.0, 2.0])),
-        NMF_ENCODED % encoded([[1.0], [2.0]], shape="2x1"),
-        NMF_ENCODED % encoded([[1.0], [2.0]], f8=5),
         *NAMED_FIELD,
-        *(pytest.param(content, id=name) for name, (content, _) in BAD_TAILS.items()),
+        *(pytest.param(content, id=name) for name, (content, _) in BAD_ARRAYS.items()),
     ])
     def test_bad_instance_exits_1(self, tmp_path, capsys, content):
         inst, out, trace = tmp_path / "bad.json", tmp_path / "res.csv", tmp_path / "t.ndjson"
         if isinstance(content, bytes):
             inst.write_bytes(content)
-            named = dict(BAD_TAILS.values())[content]
+            named = dict(BAD_ARRAYS.values())[content]
         else:
             inst.write_text(content)
             named = NAMED_FIELD.get(content, "error:")

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from bagel.constraints import (
     et_satisfied,
     lp_cost,
     masked_lp_cost,
+    within_budget,
 )
 from bagel.numerics import DimensionError, make_rng
 
@@ -117,6 +119,24 @@ class TestNormBallEncoding:
             assert et_satisfied(theta, et)[0] == direct
 
 
+class TestWithinBudget:
+    # Left to right, (w0 + w2) + w1 is one ulp above (w0 + w1) + w2.
+    W = (5.644617269930908, 2.042790512236933, 6.611407799837504)
+
+    def test_order_free_at_the_bound(self):
+        w0, w1, w2 = self.W
+        bound = (w0 + w2) + w1
+        assert (w0 + w1) + w2 < bound
+        for order in itertools.permutations(self.W):
+            assert within_budget(order, bound)
+            assert not within_budget(order, (w0 + w1) + w2)
+
+    def test_strict(self):
+        assert not within_budget([1.0, 2.0], 3.0)
+        assert within_budget([], 1e-300)
+        assert not within_budget([], 0.0)
+
+
 class TestEnumerateBudgetFeasible:
     def test_toy(self):
         assert enumerate_budget_feasible(TOY_WEIGHTS, TOY_BOUND) == TOY_TS
@@ -176,7 +196,7 @@ class TestSmartDesignEncoding:
         for bits in itertools.product((0, 1), repeat=sum(sizes)):
             theta = np.array(bits, dtype=float) * rng.uniform(0.5, 1.5, len(bits))
             needed = [int(np.any(theta[sl] != 0)) for sl in slices]
-            feasible = float(np.dot(needed, TOY_WEIGHTS)) < TOY_BOUND
+            feasible = math.fsum(itertools.compress(TOY_WEIGHTS, needed)) < TOY_BOUND
             assert et_satisfied(theta, et)[0] == feasible
 
 
@@ -236,7 +256,7 @@ class TestBudgetPropagate:
                     u = [1 if s == ONE else 0 for s in sts]
                     for i, bit in zip(free, bits):
                         u[i] = bit
-                    if np.dot(u, w) < b:
+                    if math.fsum(itertools.compress(w, u)) < b:
                         yield tuple(u)
 
             before = set(completions(states))

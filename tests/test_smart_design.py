@@ -1,11 +1,20 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bagel.constraints import BOTH, ONE, ZERO, et_satisfied, encode_smart_design_as_et
+from bagel.constraints import (
+    BOTH,
+    ONE,
+    ZERO,
+    budget_propagate,
+    encode_smart_design_as_et,
+    et_satisfied,
+    within_budget,
+)
 from bagel.engine import Decision, Incumbent, Node, StopCondition, bagel_search
 from bagel.numerics import GramLeastSquares, make_rng, solve_least_squares
 from bagel.smart_design import (
@@ -225,7 +234,7 @@ class TestBaselines:
         u = [1, 1, 1]
         w = [2.0, 3.0, 4.0]
         for i in order:
-            if sum(ui * wi for ui, wi in zip(u, w)) < bound:
+            if math.fsum(itertools.compress(w, u)) < bound:
                 break
             u[i] = 0
         cols = [i for i in range(3) if u[i]]
@@ -245,7 +254,7 @@ class TestBaselines:
         bound = 5.0
         u = np.ones(3, dtype=int)
         theta = np.linalg.lstsq(X, y, rcond=None)[0]
-        while np.dot(u, w) >= bound:
+        while math.fsum(itertools.compress(w, u)) >= bound:
             active = np.flatnonzero(u)
             drop = active[np.argmin(np.abs(theta[active]) / w[active])]
             u[drop] = 0
@@ -351,7 +360,7 @@ def brute_force(inst):
     slices = feature_slices(inst)
     best = None
     for u in itertools.product((0, 1), repeat=len(inst.components)):
-        if np.dot(u, inst.weights) < inst.bound:
+        if math.fsum(itertools.compress(inst.weights, u)) < inst.bound:
             mask = np.zeros(d)
             for bit, sl in zip(u, slices):
                 if bit:
@@ -401,7 +410,7 @@ class TestSearchProperties:
             best, stats = bagel_search(SmartDesignProblem.from_instance(inst), prune=prune)
             assert stats.completed
             assert best.loss == pytest.approx(brute_force(inst), rel=1e-9)
-            assert float(np.dot(best.model.u, inst.weights)) < inst.bound
+            assert math.fsum(itertools.compress(inst.weights, best.model.u)) < inst.bound
 
     def test_dominance_over_baselines(self):
         inst = sd_generate_instance(10, 100, 0.6, seed=3)
@@ -429,7 +438,7 @@ class TestSearchProperties:
         best, _ = bagel_search(SmartDesignProblem.from_instance(inst))
         sol = best.model
         # budget, exactly
-        assert float(np.dot(sol.u, inst.weights)) < inst.bound
+        assert math.fsum(itertools.compress(inst.weights, sol.u)) < inst.bound
         # support coupling, exactly
         for bit, sl in zip(sol.u, feature_slices(inst)):
             if not bit:
@@ -482,10 +491,81 @@ class TestSeededSearch:
                 best, stats = bagel_search(problem, strategy=strategy, incumbent=incumbent)
                 assert stats.completed
                 assert abs(best.loss - oracle) <= 1e-9 * max(1.0, oracle)
-                assert float(np.dot(best.model.u, inst.weights)) < inst.bound
+                assert math.fsum(itertools.compress(inst.weights, best.model.u)) < inst.bound
                 if incumbent is not None:
                     assert best.loss <= seed.train_loss
                     assert (best.node_id is None) == (best is incumbent)
+
+
+# Left to right, (w0 + w2) + w1 == TIE_BOUND but (w0 + w1) + w2 is one ulp
+# below it, so only an order-free total agrees on {0, 1, 2} at this bound.
+TIE_WEIGHTS = (5.644617269930908, 2.042790512236933, 6.611407799837504, 1.0)
+TIE_BOUND = (TIE_WEIGHTS[0] + TIE_WEIGHTS[2]) + TIE_WEIGHTS[1]
+TIE_POOL = (0.1, 0.2, 0.3, 0.7) + TIE_WEIGHTS[:3]
+
+
+def one_feature_instance(weights, bound, seed, samples=200, theta=None):
+    rng = make_rng(seed)
+    X = rng.standard_normal((samples, len(weights)))
+    theta = rng.standard_normal(len(weights)) if theta is None else np.asarray(theta)
+    y = X @ theta + 0.01 * rng.standard_normal(samples)
+    return SmartDesignInstance(X=X, y=y, components=[Component(1, w) for w in weights],
+                               bound=bound)
+
+
+def fsum_feasible(u, weights, bound):
+    return math.fsum(itertools.compress(weights, u)) < bound
+
+
+class TestBudgetRule:
+    """Propagation, leaf test, baselines and tightness apply one budget rule,
+    so the search stays exact when a selection's total ties the bound."""
+
+    @pytest.mark.parametrize("strategy", ["dfs", "best-first"])
+    def test_unseeded_search_exact_at_a_rounding_tie(self, strategy):
+        inst = one_feature_instance(TIE_WEIGHTS, TIE_BOUND, seed=0, theta=(3, 0.5, 5, 0.2))
+        best, stats = bagel_search(SmartDesignProblem.from_instance(inst), strategy=strategy)
+        assert stats.completed
+        assert list(best.model.u) == [1, 1, 1, 0]
+        assert abs(best.loss - brute_force(inst)) <= 1e-9 * max(1.0, best.loss)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_one_rule_at_rounding_ties(self, data):
+        k = data.draw(st.integers(3, 8))
+        weights = data.draw(st.lists(st.sampled_from(TIE_POOL), min_size=k, max_size=k))
+        # The bound is a subset's float sum in a random order, or a neighbour.
+        bound = 0.0
+        for i in data.draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=k, unique=True)):
+            bound += weights[i]
+        bound = float(np.nextafter(bound, data.draw(st.sampled_from([0.0, bound, np.inf]))))
+        inst = one_feature_instance(weights, bound, data.draw(st.integers(0, 2 ** 32 - 1)),
+                                    samples=3 * k)
+        oracle = brute_force(inst)
+        for strategy in ("dfs", "best-first"):
+            best, stats = bagel_search(SmartDesignProblem.from_instance(inst),
+                                       strategy=strategy)
+            assert stats.completed
+            assert abs(best.loss - oracle) <= 1e-9 * max(1.0, oracle)
+        solver = GramLeastSquares(inst.X, inst.y)
+        for baseline in (baseline_l2_br, baseline_l2_or):
+            sol = baseline(solver, inst.components, bound)
+            assert within_budget(inst.weights[sol.u == 1], bound)
+        # Propagation never removes a value some feasible completion uses.
+        states = data.draw(st.lists(st.sampled_from([ZERO, ONE, BOTH]), min_size=k, max_size=k))
+        domains = np.array(states, dtype=np.int8)
+        fixings, failed = budget_propagate(domains, inst.weights, bound)
+        completions = [u for u in itertools.product((0, 1), repeat=k)
+                       if all(s == BOTH or s == bit for s, bit in zip(states, u))
+                       and fsum_feasible(u, weights, bound)]
+        if failed:
+            assert completions == []
+        for i, _ in fixings:
+            assert all(u[i] == 0 for u in completions)
+        # Tightness is below 1 exactly when the selection is within budget.
+        for u in itertools.product((0, 1), repeat=k):
+            u = np.array(u)
+            assert (sd_tightness(u, inst.weights, bound) < 1) == fsum_feasible(u, weights, bound)
 
 
 class AlwaysSolveProblem(SmartDesignProblem):
