@@ -23,6 +23,7 @@ import os
 import platform
 import shutil
 import sys
+import threading
 from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
@@ -214,23 +215,61 @@ def cmd_generate(args):
     return 0
 
 
-def _load_instance(path):
-    """(kind, instance, digest) of an instance file, read and parsed once."""
+def _read_aligned(path):
+    """A file's bytes in one writable buffer in which the bytes after the
+    first newline, an instance file's binary tail, start 8-byte aligned:
+    `numerics.read_instance` then decodes the arrays as views of it."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        head = fh.readline()
+        size = max(len(head), os.fstat(fh.fileno()).st_size)
+        buf = np.empty(size + 7, np.uint8)
+        pad = -(buf.__array_interface__["data"][0] + len(head)) % 8
+        data = memoryview(buf)[pad:pad + size]
+        data[:len(head)] = head
+        size = len(head) + fh.readinto(data[len(head):])
+        more = fh.read()
+    if more:  # a pipe, or a file that grew: plain bytes, decoded to copies
+        return bytes(data[:size]) + more
+    return data[:size]
+
+
+def _load_instance(path):
+    """(kind, instance, data) of an instance file, read and parsed once;
+    data is the file's bytes, which the instance's arrays may view."""
+    data = _read_aligned(path)
     doc = numerics.read_instance(data)
     kind = doc.get("problem") if isinstance(doc, dict) else None
     if kind not in PROBLEMS:
         raise ValueError("unrecognised instance kind %r" % kind)
     try:
-        return kind, PROBLEMS[kind].instance_from_doc(doc), _digest(data)
+        return kind, PROBLEMS[kind].instance_from_doc(doc), data
     except TypeError as exc:  # a field of the wrong JSON type
         raise ValueError("malformed %s instance: %s" % (kind, exc)) from exc
 
 
+@contextlib.contextmanager
+def _digesting(data):
+    """Compute `_digest(data)` on a thread while the block runs (hashlib
+    releases the GIL on large buffers).  Yields a function that waits for
+    the digest and returns it; the thread is joined however the block
+    exits."""
+    digest = []
+    thread = threading.Thread(target=lambda: digest.append(_digest(data)))
+    thread.start()
+
+    def result():
+        thread.join()
+        return digest[0]
+
+    try:
+        yield result
+    finally:
+        thread.join()
+
+
 def cmd_solve(args):
     _check_search_flags(args)
-    kind, instance, instance_id = _load_instance(args.instance)
+    kind, instance, data = _load_instance(args.instance)
     if args.seed is not None:
         instance.seed = args.seed
     stop = StopCondition(wall_seconds=args.timeout_s, node_budget=args.node_cap)
@@ -243,12 +282,13 @@ def cmd_solve(args):
                              % (args.out, ",".join(header), ",".join(fields)))
     meta_path = args.out + ".meta.json"
     targets = [args.out, meta_path] + ([args.trace] if args.trace else [])
-    with _staged(targets) as staged:
+    with _digesting(data) as digest, _staged(targets) as staged:
         with (open(staged[args.trace], "w") if args.trace
               else contextlib.nullcontext()) as trace_fh:
             emit = None if trace_fh is None else (
                 lambda record: trace_fh.write(json.dumps(record) + "\n"))
             rows = PROBLEMS[kind].solve(instance, args, stop, emit)
+        instance_id = digest()
         rows = [dict(row, instance_id=instance_id) for row in rows]
         if args.append and os.path.exists(args.out):
             shutil.copyfile(args.out, staged[args.out])

@@ -7,10 +7,10 @@ format (`write_instance` / `read_instance`).  All heavy lifting is numpy;
 inputs are plain float64 arrays.
 
 Many masked least-squares solves over one (X, y) go through
-`GramLeastSquares`, which forms X^T X and X^T y once and solves each
-column subset by a Cholesky factorisation of its block of the Gram
-matrix ("leaps and bounds", Furnival & Wilson 1974).  Blocks that are not
-safely positive definite fall back to `solve_least_squares`, the
+`GramLeastSquares`, which forms X^T X, X^T y and y^T y once and solves
+each column subset from its block of the Gram matrix alone ("leaps and
+bounds", Furnival & Wilson 1974), without touching X again.  Blocks that
+are not safely positive definite fall back to `solve_least_squares`, the
 SVD-based reference.
 """
 
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 
@@ -84,27 +85,36 @@ def write_instance(path, doc):
             fh.write(a.data)
 
 
+_NEWLINE = re.compile(b"\n")
+
+
 def read_instance(data):
     """The document of an instance file's bytes, every top-level array
     object decoded to a float64 array.
 
-    A file `write_instance` wrote is a JSON header line and a tail of raw
-    bytes.  Any other file is one JSON document whose arrays are nested
-    lists, left as they are; an array object in it is an error.  Each
-    array must lie inside the tail, and the arrays must fill the tail
-    back to back in header order, with no byte left over.  Whether
-    an array's shape fits its problem, and finiteness, are for `matrix`
-    and `vector`.
+    `data` is the file's bytes in any buffer.  A file `write_instance`
+    wrote is a JSON header line and a tail of raw bytes.  Any other file
+    is one JSON document whose arrays are nested lists, left as they are;
+    an array object in it is an error.  Each array must lie inside the
+    tail, and the arrays must fill the tail back to back in header order,
+    with no byte left over.  Whether an array's shape fits its problem,
+    and finiteness, are for `matrix` and `vector`.
+
+    An array is a read-only view of `data` where `data` is writable and
+    the array's bytes are 8-byte aligned, so the views keep `data` alive;
+    otherwise (immutable `bytes`, an unaligned tail) it is a copy.
     """
-    end = data.find(b"\n")
+    view = memoryview(data).cast("B")
+    match = _NEWLINE.search(view)
+    end = match.start() if match else -1
     try:
-        doc = json.loads(data[:end]) if end >= 0 else None
+        doc = json.loads(bytes(view[:end])) if end >= 0 else None
     except ValueError:  # a pretty-printed document
         doc = None
     if isinstance(doc, dict) and any(isinstance(v, dict) and "at" in v for v in doc.values()):
-        tail = memoryview(data)[end + 1:]
+        tail = view[end + 1:]
     else:
-        doc, tail = json.loads(data), memoryview(b"")
+        doc, tail = json.loads(bytes(view)), view[:0]
     if not isinstance(doc, dict):
         return doc
     filled, last = 0, None
@@ -125,7 +135,9 @@ def read_instance(data):
 
 
 def _decode_array(doc, tail):
-    """Float64 copy of one array object; C-contiguous, writeable, owning."""
+    """Float64 array of one array object, C-contiguous: a read-only view of
+    `tail` where `tail` is writable and the bytes are aligned native
+    float64, else a writeable copy that owns its data."""
     if "at" not in doc:
         raise ValueError("has no \"at\" offset into a binary tail; regenerate the file "
                          "with `bagel generate` (the same seed gives the same arrays)")
@@ -139,8 +151,11 @@ def _decode_array(doc, tail):
     if at + nbytes > len(tail):
         raise ValueError("bytes [%d, %d) lie past the end of the %d-byte tail"
                          % (at, at + nbytes, len(tail)))
-    raw = tail[at:at + nbytes]
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(float)
+    a = np.frombuffer(tail[at:at + nbytes], dtype="<f8").reshape(shape)
+    if tail.readonly or not (a.flags.aligned and a.dtype.isnative):
+        return a.astype(float)
+    a.flags.writeable = False
+    return a
 
 
 def masked_l0_cost(y, t):
@@ -210,22 +225,33 @@ def solve_least_squares(X, y, mask):
 # with `solve_least_squares` that the tests ask for (1e-8 does not);
 # smaller pivots take the SVD path.
 GRAM_PIVOT_RTOL = 1e-3
+# The squared loss y^T y - b^T theta loses the digits that y^T y and
+# b^T theta share: below this fraction of y^T y (a fit that explains all
+# but 1e-6 of y's energy) the loss is taken from the residual instead.
+GRAM_CANCEL_RTOL = 1e-6
 
 
 class GramLeastSquares:
     """Masked least squares for many masks over one fixed (X, y).
 
-    X^T X and X^T y are formed once; `solve(mask)` then factors only the
-    masked block of the Gram matrix.  It has the contract of
-    `solve_least_squares`: it returns (theta, loss), theta is zero outside
-    the mask and loss is the residual norm ||X theta - y||.  The loss is
-    computed from the residual, not as y^T y - b^T theta, which cancels
-    catastrophically on near-noiseless fits.
+    X^T X, X^T y and y^T y are formed once; `solve(mask)` then works on
+    the masked block G of the Gram matrix and the matching entries b of
+    X^T y only.  It has the contract of `solve_least_squares`: it returns
+    (theta, loss), theta is zero outside the mask and loss is the residual
+    norm ||X theta - y||.
 
-    A block whose Cholesky factorisation fails, or whose smallest pivot is
-    below GRAM_PIVOT_RTOL times the matching diagonal entry of the Gram
-    matrix, is solved by `solve_least_squares` instead, which keeps the
-    minimum-norm answer on rank-deficient and ill-conditioned masks.
+    theta solves G theta = b by one `np.linalg.solve`.  The loss is
+    sqrt(y^T y - b^T theta), the residual norm of the exact solution, in
+    O(|mask|) instead of the O(m |mask|) of forming X theta - y.  The
+    subtraction cancels on near-noiseless fits, so where y^T y - b^T theta
+    is below GRAM_CANCEL_RTOL times y^T y the loss is the explicit
+    residual norm.  An empty mask gives theta = 0 and loss ||y||.
+
+    G is also factored by Cholesky, but only as a test: a block whose
+    factorisation fails, or whose smallest pivot is below GRAM_PIVOT_RTOL
+    times the matching diagonal entry of G, is solved by
+    `solve_least_squares` instead, which keeps the minimum-norm answer on
+    rank-deficient and ill-conditioned masks.
     """
 
     def __init__(self, X, y):
@@ -238,6 +264,7 @@ class GramLeastSquares:
         self.X, self.y = X, y
         self.gram = X.T @ X
         self.xty = X.T @ y
+        self.yty = float(y @ y)
 
     def solve(self, mask):
         mask = np.asarray(mask)
@@ -246,18 +273,27 @@ class GramLeastSquares:
             raise DimensionError("mask length must equal the number of columns of X")
         theta = np.zeros(d)
         cols = np.flatnonzero(mask)
-        if cols.size:
-            # Two takes copy the block with less overhead than np.ix_.
-            block = self.gram.take(cols, 0).take(cols, 1)
-            try:
-                L = np.linalg.cholesky(block)
-            except np.linalg.LinAlgError:  # not positive definite
-                L = None
-            if L is None or (L.diagonal() ** 2 / block.diagonal()).min() < GRAM_PIVOT_RTOL:
-                return solve_least_squares(self.X, self.y, mask)
-            theta[cols] = np.linalg.solve(L.T, np.linalg.solve(L, self.xty[cols]))
-        loss = float(np.linalg.norm(self.X @ theta - self.y))
-        return theta, loss
+        if not cols.size:
+            return theta, float(np.linalg.norm(self.y))
+        # Two takes copy the block with less overhead than np.ix_.
+        block = self.gram.take(cols, 0).take(cols, 1)
+        try:
+            L = np.linalg.cholesky(block)
+        except np.linalg.LinAlgError:  # not positive definite
+            L = None
+        if L is None or (L.diagonal() ** 2 / block.diagonal()).min() < GRAM_PIVOT_RTOL:
+            return solve_least_squares(self.X, self.y, mask)
+        b = self.xty[cols]
+        sol = np.linalg.solve(block, b)
+        theta[cols] = sol
+        squared = self.yty - float(b @ sol)
+        if squared < GRAM_CANCEL_RTOL * self.yty:
+            return theta, self.residual_norm(theta)
+        return theta, math.sqrt(squared)
+
+    def residual_norm(self, theta):
+        """||X theta - y||, formed explicitly in O(m d)."""
+        return float(np.linalg.norm(self.X @ theta - self.y))
 
 
 def frobenius(A):
@@ -267,8 +303,11 @@ def frobenius(A):
 # The stopping rule of `nmf_multiplicative`, a relative-decrease rule as
 # surveyed by Gillis ("Nonnegative Matrix Factorization", SIAM 2020).  It
 # checks the residual ||A - W H||, not the Gram identity
-# ||A||^2 - 2<A H^T, W> + <W^T W, H H^T>, which cancels on near-noiseless
-# fits for the reason given in `GramLeastSquares`.
+# ||A||^2 - 2<A H^T, W> + <W^T W, H H^T>: on a near-noiseless fit the
+# identity subtracts terms that agree in all but their last digits, so
+# its loss is mostly rounding error and the decrease test would stop on
+# noise.  (`GramLeastSquares` uses the least-squares form of the identity
+# only where that cancellation is small, GRAM_CANCEL_RTOL.)
 NMF_STOP_RTOL = 1e-5
 NMF_CHECK_EVERY = 10
 # Floor of the diagonal entry a HALS update divides by, so an all-zero

@@ -1,8 +1,12 @@
 import base64
 import csv
+import dataclasses
+import hashlib
 import json
 import os
 import platform
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -11,7 +15,7 @@ import bagel
 from bagel import cli, numerics
 from bagel.smart_design import load_instance as load_sd, run_methods, sd_generate_instance
 from bagel.engine import StopCondition
-from bagel.prior_nmf import PriorNmfProblem
+from bagel.prior_nmf import PriorNmfProblem, nmf_generate_instance
 from bagel.smart_design import SmartDesignProblem
 
 
@@ -501,6 +505,109 @@ class TestSolve:
         cli.main(["solve", "--instance", sd_instance, "--out", out1, "--folds", "2"])
         cli.main(["solve", "--instance", sd_instance, "--out", out2, "--folds", "2"])
         assert rows_without_wall(out1) == rows_without_wall(out2)
+
+
+class TestLoad:
+    """`cli._load_instance`: one buffer read, arrays as views of it, and the
+    digest hashed beside the search."""
+
+    GENERATE = {
+        "smart-design": (["--n", "10", "--samples", "100", "--cost", "0.6"],
+                         lambda: sd_generate_instance(10, 100, 0.6, seed=3), ("X", "y")),
+        "prior-nmf": (["--n", "20"], lambda: nmf_generate_instance(20, 4, 2, 50, seed=3),
+                      ("A",)),
+    }
+
+    def generate(self, tmp_path, capsys, problem):
+        """(path, digest printed) of a generated instance file."""
+        path = tmp_path / "inst.json"
+        flags, _, _ = self.GENERATE[problem]
+        assert cli.main(["generate", "--problem", problem, *flags, "--seed", "3",
+                         "--out", str(path)]) == 0
+        digest, printed_path = capsys.readouterr().out.split()
+        assert printed_path == str(path)
+        return path, digest
+
+    @pytest.mark.parametrize("problem", list(GENERATE))
+    def test_arrays_are_aligned_read_only_views(self, tmp_path, capsys, problem):
+        path, _ = self.generate(tmp_path, capsys, problem)
+        _, direct, names = self.GENERATE[problem]
+        kind, instance, data = cli._load_instance(str(path))
+        assert kind == problem and bytes(data) == path.read_bytes()
+        buffer = np.frombuffer(data, np.uint8)
+        for name in names:
+            a, expected = getattr(instance, name), getattr(direct(), name)
+            assert a.dtype == np.float64 and a.flags.c_contiguous and a.flags.aligned
+            assert not a.flags.writeable and np.shares_memory(a, buffer)
+            assert np.array_equal(a.view(np.uint64), expected.view(np.uint64))
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+
+    def test_unaligned_or_immutable_buffer_decodes_to_copies(self, tmp_path, capsys):
+        path, _ = self.generate(tmp_path, capsys, "smart-design")
+        raw = path.read_bytes()
+        tail_at = raw.index(b"\n") + 1
+        buffer = np.zeros(len(raw) + 16, np.uint8)
+        # A start that puts the tail 4 bytes past an 8-byte boundary.
+        start = (4 - buffer.__array_interface__["data"][0] - tail_at) % 8
+        buffer[start:start + len(raw)] = np.frombuffer(raw, np.uint8)
+        unaligned = memoryview(buffer)[start:start + len(raw)]
+        for data in (raw, unaligned):
+            X = numerics.read_instance(data)["X"]
+            assert X.flags.owndata and X.flags.writeable and X.flags.aligned
+            assert np.array_equal(X.view(np.uint64),
+                                  sd_generate_instance(10, 100, 0.6, seed=3).X.view(np.uint64))
+
+    def test_unsized_file_is_read_whole(self, tmp_path, capsys, monkeypatch):
+        # A pipe reports size 0, so the buffer holds only the header line.
+        path, _ = self.generate(tmp_path, capsys, "smart-design")
+        real_fstat = os.fstat
+        monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result(
+            real_fstat(fd)[:6] + (0,) + real_fstat(fd)[7:]))
+        _, instance, data = cli._load_instance(str(path))
+        assert bytes(data) == path.read_bytes() and instance.X.flags.owndata
+
+    @pytest.mark.parametrize("form", ["binary", "nested-list"])
+    @pytest.mark.parametrize("problem", list(GENERATE))
+    def test_instance_id_is_the_file_digest(self, tmp_path, capsys, problem, form):
+        path, printed = self.generate(tmp_path, capsys, problem)
+        if form == "nested-list":
+            doc = numerics.read_instance(path.read_bytes())
+            path = tmp_path / "list.json"
+            path.write_text(json.dumps({k: v.tolist() if isinstance(v, np.ndarray) else v
+                                        for k, v in doc.items()}))
+            printed = None
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()[:12]
+        assert printed in (None, digest)
+        out = tmp_path / "res.csv"
+        assert cli.main(["solve", "--instance", str(path), "--out", str(out),
+                         "--folds", "1", "--iters", "20"]) == 0
+        assert {row["instance_id"] for row in read_rows(out)} == {digest}
+        assert json.loads((tmp_path / "res.csv.meta.json").read_text())["instance_id"] == digest
+
+    @pytest.mark.parametrize("failure", ["append-columns", "solve-raises"])
+    def test_failure_after_load_joins_the_digest(self, tmp_path, capsys, monkeypatch,
+                                                 failure):
+        path, _ = self.generate(tmp_path, capsys, "smart-design")
+        out = tmp_path / "res.csv"
+        argv = ["solve", "--instance", str(path), "--out", str(out), "--folds", "1"]
+        if failure == "append-columns":
+            out.write_text("instance_id,best_loss\nabc,1.0\n")
+            argv.append("--append")
+        else:
+            def fail(*args):
+                raise ValueError("no solve")
+            monkeypatch.setitem(cli.PROBLEMS, "smart-design", dataclasses.replace(
+                cli.PROBLEMS["smart-design"], solve=fail))
+        # A slow digest: still running when the error is raised.
+        digest = cli._digest
+        monkeypatch.setattr(cli, "_digest", lambda data: time.sleep(0.2) or digest(data))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        threads = threading.active_count()
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert threading.active_count() == threads
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 class TestBench:

@@ -1,4 +1,5 @@
 import json
+import math
 from unittest import mock
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from bagel import numerics
 from bagel.numerics import (
+    GRAM_CANCEL_RTOL,
     GRAM_PIVOT_RTOL,
     DimensionError,
     DomainError,
@@ -150,8 +152,8 @@ LOSS_RTOL = 1e-9
 def least_squares_cases(draw):
     """(X, y, mask): Gaussian X with optional duplicated or nearly
     duplicated columns, columns scaled over six decades (coefficients scaled
-    inversely, so y keeps its size), m < d allowed, noiseless or noisy y,
-    and empty, full or random masks."""
+    inversely, so y keeps its size), m < d allowed, y noiseless, nearly
+    noiseless or noisy, and empty, full or random masks."""
     m, d = draw(st.integers(1, 25)), draw(st.integers(1, 10))
     rng = make_rng(draw(st.integers(0, 2 ** 32 - 1)))
     X = rng.standard_normal((m, d))
@@ -161,7 +163,7 @@ def least_squares_cases(draw):
         X[:, j] += draw(st.sampled_from([0.0, 1e-6, 1e-2, 1e-1])) * rng.standard_normal(m)
     scale = 10.0 ** np.array(draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d)))
     X *= scale
-    noise = draw(st.sampled_from([0.0, 0.1, 1.0]))
+    noise = draw(st.sampled_from([0.0, 1e-8, 1e-4, 0.1, 1.0]))
     y = X @ (rng.standard_normal(d) / scale) + noise * rng.standard_normal(m)
     kind = draw(st.sampled_from(["empty", "full", "random"]))
     if kind == "random":
@@ -175,11 +177,12 @@ class TestGramLeastSquares:
     """The Gram path against `solve_least_squares`, the reference it replaces."""
 
     @staticmethod
-    def solve_and_spy(X, y, mask):
-        """Gram solve plus whether it fell back to the reference."""
+    def solve_and_spy(X, y, mask, solver=None):
+        """Gram solve (by `solver`, or a new one of X and y) plus whether it
+        fell back to the reference."""
         with mock.patch.object(numerics, "solve_least_squares",
                                wraps=solve_least_squares) as reference:
-            theta, loss = GramLeastSquares(X, y).solve(mask)
+            theta, loss = (solver or GramLeastSquares(X, y)).solve(mask)
         return theta, loss, reference.called
 
     @settings(max_examples=400, deadline=None, derandomize=True)
@@ -223,6 +226,30 @@ class TestGramLeastSquares:
         _, _, fell_back = self.solve_and_spy(X, y, np.ones(6))
         assert not fell_back
 
+    # Noise on y relative to X theta.  The squared relative loss of the fit
+    # is about noise^2, so the loss comes from the residual below about
+    # sqrt(GRAM_CANCEL_RTOL) = 1e-3 and from y^T y - b^T theta above it.
+    @pytest.mark.parametrize("noise, explicit", [
+        (0.0, True), (1e-10, True), (1e-5, True), (1e-2, False), (1.0, False),
+    ], ids=["in-span", "noise-1e-10", "noise-1e-5", "noise-1e-2", "noise-1"])
+    @pytest.mark.parametrize("mask", [[1, 1, 1, 1, 1, 1], [1, 0, 1, 1, 0, 1]],
+                             ids=["full", "partial"])
+    def test_cancellation_guard(self, noise, explicit, mask):
+        rng = make_rng(5)
+        X = rng.standard_normal((40, 6))
+        mask = np.array(mask, dtype=bool)
+        y = X @ (rng.standard_normal(6) * mask) + noise * rng.standard_normal(40)
+        solver = GramLeastSquares(X, y)
+        with mock.patch.object(solver, "residual_norm", wraps=solver.residual_norm) as residual:
+            theta, loss, fell_back = self.solve_and_spy(X, y, mask, solver)
+        assert not fell_back
+        assert residual.called == explicit
+        ref_theta, ref_loss = solve_least_squares(X, y, mask)
+        assert abs(loss - ref_loss) <= LOSS_RTOL * max(1.0, ref_loss)
+        assert np.linalg.norm(theta - ref_theta) <= LOSS_RTOL * max(1.0, np.linalg.norm(ref_theta))
+        if noise:  # well above rounding, so the two branches agree in relative terms too
+            assert abs(loss - ref_loss) <= 1e-6 * ref_loss
+
     def test_dimension_errors(self):
         with pytest.raises(DimensionError):
             GramLeastSquares(np.eye(2), [1.0, 2.0, 3.0])
@@ -231,24 +258,30 @@ class TestGramLeastSquares:
 
 
 def gram_reference(solver, mask):
-    """`GramLeastSquares.solve` as it was written with `np.ix_` and `np.diag`,
-    plus whether it fell back to `solve_least_squares`."""
+    """`GramLeastSquares.solve` written with `np.ix_`, `np.diag` and no
+    shared state, plus whether it fell back to `solve_least_squares`."""
     theta = np.zeros(solver.X.shape[1])
     cols = np.flatnonzero(mask)
-    if cols.size:
-        block = solver.gram[np.ix_(cols, cols)]
-        try:
-            L = np.linalg.cholesky(block)
-        except np.linalg.LinAlgError:
-            L = None
-        if L is None or np.min(np.diag(L) ** 2 / np.diag(block)) < GRAM_PIVOT_RTOL:
-            return (*solve_least_squares(solver.X, solver.y, mask), True)
-        theta[cols] = np.linalg.solve(L.T, np.linalg.solve(L, solver.xty[cols]))
-    return theta, float(np.linalg.norm(solver.X @ theta - solver.y)), False
+    if not cols.size:
+        return theta, float(np.linalg.norm(solver.y)), False
+    block = solver.gram[np.ix_(cols, cols)]
+    try:
+        L = np.linalg.cholesky(block)
+    except np.linalg.LinAlgError:
+        L = None
+    if L is None or np.min(np.diag(L) ** 2 / np.diag(block)) < GRAM_PIVOT_RTOL:
+        return (*solve_least_squares(solver.X, solver.y, mask), True)
+    b = solver.xty[cols]
+    theta[cols] = np.linalg.solve(block, b)
+    yty = float(np.dot(solver.y, solver.y))
+    squared = yty - float(np.dot(b, theta[cols]))
+    if squared < GRAM_CANCEL_RTOL * yty:
+        return theta, float(np.linalg.norm(solver.X @ theta - solver.y)), False
+    return theta, math.sqrt(squared), False
 
 
 class TestGramKernel:
-    """The block gather and pivot test against `gram_reference`."""
+    """The block gather, pivot test and loss rule against `gram_reference`."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(least_squares_cases())
