@@ -25,6 +25,7 @@ import shutil
 import sys
 import threading
 from dataclasses import dataclass
+from types import ModuleType
 from typing import Callable, List, Tuple
 
 import numpy as np
@@ -38,8 +39,8 @@ class ProblemKind:
     """How the CLI generates, stores, solves and sweeps one problem kind."""
 
     generate: Callable           # (seed=, **generate flags) -> instance
-    save_instance: Callable      # (instance, path)
-    instance_from_doc: Callable  # numerics.read_instance document -> instance
+    module: ModuleType           # its save_instance(instance, path) and
+                                 # load_instance(numerics.read_instance doc)
     solve: Callable              # (instance, args, stop, trace) -> result rows, each with
                                  # its search's SearchStats.warnings under "warnings"
     fields: List[str]            # result CSV columns
@@ -180,8 +181,7 @@ def _solve_prior_nmf(instance, args, stop, trace):
 PROBLEMS = {
     "smart-design": ProblemKind(
         generate=_generate_smart_design,
-        save_instance=smart_design.save_instance,
-        instance_from_doc=smart_design.instance_from_doc,
+        module=smart_design,
         solve=_solve_smart_design,
         fields=["instance_id", "method", "fold", "train_loss", "test_loss",
                 "tightness", "nodes", "wall_ms", "completed"],
@@ -192,8 +192,7 @@ PROBLEMS = {
     ),
     "prior-nmf": ProblemKind(
         generate=_generate_prior_nmf,
-        save_instance=prior_nmf.save_instance,
-        instance_from_doc=prior_nmf.instance_from_doc,
+        module=prior_nmf,
         solve=_solve_prior_nmf,
         fields=["instance_id", "best_loss", "planted_loss", "recovery", "assignment",
                 "nodes", "wall_ms", "completed"],
@@ -209,40 +208,21 @@ def cmd_generate(args):
     kind = PROBLEMS[args.problem]
     instance = kind.generate(**vars(args))
     with _staged([args.out]) as staged:
-        kind.save_instance(instance, staged[args.out])
+        kind.module.save_instance(instance, staged[args.out])
     with open(args.out, "rb") as fh:
         print("%s  %s" % (_digest(fh.read()), args.out))
     return 0
 
 
-def _read_aligned(path):
-    """A file's bytes in one writable buffer in which the bytes after the
-    first newline, an instance file's binary tail, start 8-byte aligned:
-    `numerics.read_instance` then decodes the arrays as views of it."""
-    with open(path, "rb") as fh:
-        head = fh.readline()
-        size = max(len(head), os.fstat(fh.fileno()).st_size)
-        buf = np.empty(size + 7, np.uint8)
-        pad = -(buf.__array_interface__["data"][0] + len(head)) % 8
-        data = memoryview(buf)[pad:pad + size]
-        data[:len(head)] = head
-        size = len(head) + fh.readinto(data[len(head):])
-        more = fh.read()
-    if more:  # a pipe, or a file that grew: plain bytes, decoded to copies
-        return bytes(data[:size]) + more
-    return data[:size]
-
-
 def _load_instance(path):
     """(kind, instance, data) of an instance file, read and parsed once;
     data is the file's bytes, which the instance's arrays may view."""
-    data = _read_aligned(path)
-    doc = numerics.read_instance(data)
+    doc, data = numerics.read_instance(path)
     kind = doc.get("problem") if isinstance(doc, dict) else None
     if kind not in PROBLEMS:
         raise ValueError("unrecognised instance kind %r" % kind)
     try:
-        return kind, PROBLEMS[kind].instance_from_doc(doc), data
+        return kind, PROBLEMS[kind].module.load_instance(doc), data
     except TypeError as exc:  # a field of the wrong JSON type
         raise ValueError("malformed %s instance: %s" % (kind, exc)) from exc
 
@@ -325,9 +305,12 @@ def cmd_bench(args):
         meta = {"instance_id": cell, "problem": args.problem, "seed": seed,
                 **_search_flags(args), "versions": versions}
         # Resume a cell only when it was solved with the same search flags
-        # and versions.
+        # and versions.  The sidecar marks a complete cell, so a stale one
+        # goes before the rows change and the new one is written last.
         if _read_meta(cell_path) != meta:
             try:
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(cell_path + ".meta.json")
                 flags = {flag: value for (flag, _, _), value in zip(kind.grid, values)}
                 instance = kind.generate(seed=seed, **flags)
                 rows = kind.solve(instance, args, stop, None)

@@ -3,8 +3,9 @@
 Masked least squares, masked NMF by masked HALS (hierarchical
 alternating least squares; its `iters` is a cap on sweeps), the norm /
 cost primitives that back the constraint layer, and the instance-file
-format (`write_instance` / `read_instance`).  All heavy lifting is numpy;
-inputs are plain float64 arrays.
+format: `write_instance` and `read_instance` are the only code that knows
+it, and `integer` / `number` check the scalar fields read from a file.
+All heavy lifting is numpy; inputs are plain float64 arrays.
 
 Many masked least-squares solves over one (X, y) go through
 `GramLeastSquares`, which forms X^T X, X^T y and y^T y once and solves
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 
 import numpy as np
@@ -61,6 +63,22 @@ def matrix(data):
     return a
 
 
+def integer(value, name):
+    """`value` where it is a JSON integer (not a bool), else a ValueError
+    that names the field."""
+    if type(value) is not int:
+        raise ValueError("%s must be an integer, got %r" % (name, value))
+    return value
+
+
+def number(value, name):
+    """`value` as a float where it is a JSON number (not a bool or a
+    string), else a ValueError that names the field."""
+    if type(value) not in (int, float):
+        raise ValueError("%s must be a number, got %r" % (name, value))
+    return float(value)
+
+
 def write_instance(path, doc):
     """Write `doc` as an instance file.
 
@@ -88,23 +106,38 @@ def write_instance(path, doc):
 _NEWLINE = re.compile(b"\n")
 
 
-def read_instance(data):
-    """The document of an instance file's bytes, every top-level array
-    object decoded to a float64 array.
+def read_instance(path):
+    """(doc, data) of the instance file at `path`, read once.
 
-    `data` is the file's bytes in any buffer.  A file `write_instance`
-    wrote is a JSON header line and a tail of raw bytes.  Any other file
-    is one JSON document whose arrays are nested lists, left as they are;
-    an array object in it is an error.  Each array must lie inside the
-    tail, and the arrays must fill the tail back to back in header order,
-    with no byte left over.  Whether an array's shape fits its problem,
-    and finiteness, are for `matrix` and `vector`.
+    A file `write_instance` wrote is a JSON header line and a tail of raw
+    bytes.  Any other file is one JSON document whose arrays are nested
+    lists, left as they are; an array object in it is an error.  Each
+    array must lie inside the tail, and the arrays must fill the tail back
+    to back in header order, with no byte left over.  Whether an array's
+    shape fits its problem, and finiteness, are for `matrix` and `vector`.
 
-    An array is a read-only view of `data` where `data` is writable and
-    the array's bytes are 8-byte aligned, so the views keep `data` alive;
-    otherwise (immutable `bytes`, an unaligned tail) it is a copy.
+    `data` holds the file's bytes in a writable buffer whose tail starts
+    8-byte aligned, and each array decoded from the tail is a read-only
+    float64 view of it.  A pipe, whose size `fstat` does not tell, or a
+    file that grew while being read gives `bytes` and copies instead.
     """
-    view = memoryview(data).cast("B")
+    with open(path, "rb") as fh:
+        head = fh.readline()
+        size = max(len(head), os.fstat(fh.fileno()).st_size)
+        buf = np.empty(size + 7, np.uint8)
+        pad = -(buf.__array_interface__["data"][0] + len(head)) % 8
+        data = memoryview(buf)[pad:pad + size]
+        data[:len(head)] = head
+        size = len(head) + fh.readinto(data[len(head):])
+        more = fh.read()
+    data = bytes(data[:size]) + more if more else data[:size]
+    return _decode_instance(data), data
+
+
+def _decode_instance(data):
+    """The document of an instance file's bytes, as `read_instance`
+    describes it."""
+    view = memoryview(data)
     match = _NEWLINE.search(view)
     end = match.start() if match else -1
     try:
@@ -136,8 +169,8 @@ def read_instance(data):
 
 def _decode_array(doc, tail):
     """Float64 array of one array object, C-contiguous: a read-only view of
-    `tail` where `tail` is writable and the bytes are aligned native
-    float64, else a writeable copy that owns its data."""
+    `tail` where `tail` is writable and the bytes are native float64, else
+    a writeable copy that owns its data."""
     if "at" not in doc:
         raise ValueError("has no \"at\" offset into a binary tail; regenerate the file "
                          "with `bagel generate` (the same seed gives the same arrays)")
@@ -152,7 +185,7 @@ def _decode_array(doc, tail):
         raise ValueError("bytes [%d, %d) lie past the end of the %d-byte tail"
                          % (at, at + nbytes, len(tail)))
     a = np.frombuffer(tail[at:at + nbytes], dtype="<f8").reshape(shape)
-    if tail.readonly or not (a.flags.aligned and a.dtype.isnative):
+    if tail.readonly or not a.dtype.isnative:
         return a.astype(float)
     a.flags.writeable = False
     return a

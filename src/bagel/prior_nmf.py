@@ -311,24 +311,17 @@ def save_instance(instance, path):
     numerics.write_instance(path, doc)
 
 
-def load_instance(path):
-    """Instance of a file.  The CLI parses files once in `cli._load_instance`,
-    so this stays only because `benchmarks/tracer.py` wraps it by name."""
-    with open(path, "rb") as fh:
-        return instance_from_doc(numerics.read_instance(fh.read()))
-
-
-def instance_from_doc(doc):
+def load_instance(doc):
     """Instance from an instance file's document (`numerics.read_instance`),
     whose arrays are float arrays or nested lists."""
     if doc.get("problem") != "prior-nmf":
         raise ValueError("not a prior-nmf instance file")
-    db = TopicDB(int(doc["n"]), [np.array(t, dtype=float) for t in doc["db"]])
+    db = TopicDB(numerics.integer(doc["n"], "n"), [np.array(t, dtype=float) for t in doc["db"]])
     return NmfInstance(
         A=doc["A"],
-        k=int(doc["k"]),
+        k=numerics.integer(doc["k"], "k"),
         db=db,
         planted_topics=doc.get("planted"),
-        noise_sigma=float(doc.get("noise_sigma", 0.0)),
-        seed=int(doc.get("seed", 0)),
+        noise_sigma=numerics.number(doc.get("noise_sigma", 0.0), "noise_sigma"),
+        seed=numerics.integer(doc.get("seed", 0), "seed"),
     )

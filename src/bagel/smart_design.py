@@ -272,14 +272,7 @@ def save_instance(instance, path):
     numerics.write_instance(path, doc)
 
 
-def load_instance(path):
-    """Instance of a file.  The CLI parses files once in `cli._load_instance`,
-    so this stays only because `benchmarks/tracer.py` wraps it by name."""
-    with open(path, "rb") as fh:
-        return instance_from_doc(numerics.read_instance(fh.read()))
-
-
-def instance_from_doc(doc):
+def load_instance(doc):
     """Instance from an instance file's document (`numerics.read_instance`),
     whose arrays are float arrays or nested lists."""
     if doc.get("problem") != "smart-design":
@@ -287,10 +280,12 @@ def instance_from_doc(doc):
     return SmartDesignInstance(
         X=doc["X"],
         y=doc["y"],
-        components=[Component(int(c["size"]), float(c["weight"])) for c in doc["components"]],
-        bound=float(doc["B"]),
-        noise_sigma=float(doc.get("noise_sigma", 0.0)),
-        seed=int(doc.get("seed", 0)),
+        components=[Component(numerics.integer(c["size"], "size"),
+                              numerics.number(c["weight"], "weight"))
+                    for c in doc["components"]],
+        bound=numerics.number(doc["B"], "B"),
+        noise_sigma=numerics.number(doc.get("noise_sigma", 0.0), "noise_sigma"),
+        seed=numerics.integer(doc.get("seed", 0), "seed"),
     )
 
 

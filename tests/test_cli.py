@@ -13,10 +13,15 @@ import pytest
 
 import bagel
 from bagel import cli, numerics
-from bagel.smart_design import load_instance as load_sd, run_methods, sd_generate_instance
+from bagel.smart_design import run_methods, sd_generate_instance
 from bagel.engine import StopCondition
 from bagel.prior_nmf import PriorNmfProblem, nmf_generate_instance
 from bagel.smart_design import SmartDesignProblem
+
+
+def load_sd(path):
+    """The instance of a smart-design file, loaded as `solve` loads it."""
+    return cli._load_instance(path)[1]
 
 
 def f8_array(values):
@@ -37,6 +42,19 @@ NAMED_FIELD = {
     SD_FIELDS % ("NaN", "1.0"): "weight",
     SD_FIELDS % ("1.0", "NaN"): "bound",
 }
+NMF_DOC, SD_DOC = json.loads(NMF_PLANTED % "null"), json.loads(SD_FIELDS % ("1.0", "1.0"))
+# Integer and number fields given another JSON type, which int() and
+# float() would coerce
+NAMED_FIELD.update({
+    **{json.dumps({**NMF_DOC, field: value}): "error: %s must be" % field
+       for field, value in (("k", 2.7), ("k", True), ("n", 3.9), ("seed", 3.9),
+                            ("noise_sigma", "0.1"), ("noise_sigma", True))},
+    **{json.dumps({**SD_DOC, field: value}): "error: %s must be" % field
+       for field, value in (("seed", 3.9), ("B", "1.5"), ("B", True), ("noise_sigma", "0"))},
+    **{json.dumps({**SD_DOC, "components": [{"size": 1, "weight": 1.0, field: value}]}):
+       "error: %s must be" % field
+       for field, value in (("size", 1.5), ("size", True), ("weight", "2"), ("weight", True))},
+})
 # X = [[1], [2]] and y = [1, 2] in a binary tail
 SD_TAIL = np.array([1.0, 2.0, 1.0, 2.0], dtype="<f8").tobytes()
 
@@ -120,8 +138,7 @@ class TestGenerate:
                        "--true-topics", "4", "--false-topics", "2", "--docs", "50",
                        "--seed", "3", "--out", out])
         assert rc == 0
-        with open(out, "rb") as fh:
-            doc = numerics.read_instance(fh.read())
+        doc, _ = numerics.read_instance(out)
         assert doc["A"].shape == (20, 50)
         assert len(doc["db"]) == 6
 
@@ -138,7 +155,7 @@ class TestGenerate:
         for path in (binary, again):
             assert cli.main(["generate", *generate, "--seed", "3", "--out", str(path)]) == 0
         assert binary.read_bytes() == again.read_bytes()
-        doc = numerics.read_instance(binary.read_bytes())
+        doc, _ = numerics.read_instance(binary)
         arrays = [key for key in ("X", "y", "A") if key in doc]
         listed = {**doc, **{key: doc[key].tolist() for key in arrays}}
         f8 = {**doc, **{key: f8_array(doc[key]) for key in arrays}}
@@ -543,36 +560,26 @@ class TestLoad:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 1.0
 
-    def test_unaligned_or_immutable_buffer_decodes_to_copies(self, tmp_path, capsys):
-        path, _ = self.generate(tmp_path, capsys, "smart-design")
-        raw = path.read_bytes()
-        tail_at = raw.index(b"\n") + 1
-        buffer = np.zeros(len(raw) + 16, np.uint8)
-        # A start that puts the tail 4 bytes past an 8-byte boundary.
-        start = (4 - buffer.__array_interface__["data"][0] - tail_at) % 8
-        buffer[start:start + len(raw)] = np.frombuffer(raw, np.uint8)
-        unaligned = memoryview(buffer)[start:start + len(raw)]
-        for data in (raw, unaligned):
-            X = numerics.read_instance(data)["X"]
-            assert X.flags.owndata and X.flags.writeable and X.flags.aligned
-            assert np.array_equal(X.view(np.uint64),
-                                  sd_generate_instance(10, 100, 0.6, seed=3).X.view(np.uint64))
-
     def test_unsized_file_is_read_whole(self, tmp_path, capsys, monkeypatch):
-        # A pipe reports size 0, so the buffer holds only the header line.
+        # A pipe reports size 0, so the buffer holds only the header line,
+        # and the rest is read as bytes and decoded to copies.
         path, _ = self.generate(tmp_path, capsys, "smart-design")
         real_fstat = os.fstat
         monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result(
             real_fstat(fd)[:6] + (0,) + real_fstat(fd)[7:]))
         _, instance, data = cli._load_instance(str(path))
-        assert bytes(data) == path.read_bytes() and instance.X.flags.owndata
+        assert bytes(data) == path.read_bytes()
+        X = instance.X
+        assert X.flags.owndata and X.flags.writeable and X.flags.aligned
+        assert np.array_equal(X.view(np.uint64),
+                              sd_generate_instance(10, 100, 0.6, seed=3).X.view(np.uint64))
 
     @pytest.mark.parametrize("form", ["binary", "nested-list"])
     @pytest.mark.parametrize("problem", list(GENERATE))
     def test_instance_id_is_the_file_digest(self, tmp_path, capsys, problem, form):
         path, printed = self.generate(tmp_path, capsys, problem)
         if form == "nested-list":
-            doc = numerics.read_instance(path.read_bytes())
+            doc, _ = numerics.read_instance(path)
             path = tmp_path / "list.json"
             path.write_text(json.dumps({k: v.tolist() if isinstance(v, np.ndarray) else v
                                         for k, v in doc.items()}))
@@ -668,6 +675,28 @@ class TestBench:
         assert rows_without_wall(cell) == rows
         with open(cell + ".meta.json") as fh:
             assert json.load(fh)["versions"]["bagel"] == bagel.__version__
+
+    def test_interrupted_cell_is_not_resumed(self, tmp_path, monkeypatch):
+        out_dir = str(tmp_path / "sweep")
+        args = ["bench", "--problem", "prior-nmf", "--out-dir", out_dir,
+                "--grid-n", "20", "--seeds", "1"]
+        cell = os.path.join(out_dir, "nmf_n20_t4_f2_m50_s0.csv")
+        assert cli.main(args + ["--iters", "20"]) == 0
+        rows = rows_without_wall(cell)
+
+        def interrupt(path, config):
+            raise KeyboardInterrupt
+
+        # Interrupted after the --iters 200 rows are written, before their
+        # sidecar: no sidecar is left to mark the cell complete.
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_write_meta", interrupt)
+            with pytest.raises(KeyboardInterrupt):
+                cli.main(args + ["--iters", "200"])
+        assert rows_without_wall(cell) != rows
+        assert not os.path.exists(cell + ".meta.json")
+        assert cli.main(args + ["--iters", "20"]) == 0
+        assert rows_without_wall(cell) == rows
 
     def test_changed_search_flags_recompute_cell(self, tmp_path):
         out_dir = str(tmp_path / "sweep")

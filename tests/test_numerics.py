@@ -532,9 +532,10 @@ class TestValidation:
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308, 1.7976931348623157e308]
 
 
-def parsed(doc):
-    """`read_instance` of a one-document file."""
-    return read_instance(json.dumps(doc).encode())
+def parsed(doc, path):
+    """The document `read_instance` reads from a one-document file at `path`."""
+    path.write_text(json.dumps(doc))
+    return read_instance(path)[0]
 
 
 class TestArrayEncoding:
@@ -553,18 +554,20 @@ class TestArrayEncoding:
         write_instance(first, doc)
         write_instance(second, doc)
         assert first.read_bytes() == second.read_bytes()
-        back = read_instance(first.read_bytes())
+        back, data = read_instance(first)
+        assert bytes(data) == first.read_bytes()
         assert (back["problem"], back["seed"]) == ("p", 3)
         for key in ("a", "b"):
             decoded = back[key]
             assert decoded.dtype == np.float64 and decoded.shape == a.shape
             assert np.array_equal(decoded.view(np.uint64), doc[key].view(np.uint64))
-            assert decoded.flags.c_contiguous and decoded.flags.writeable
-            assert decoded.flags.owndata
+            assert decoded.flags.c_contiguous and decoded.flags.aligned
+            assert not decoded.flags.writeable
+            assert a.size == 0 or np.shares_memory(decoded, np.frombuffer(data, np.uint8))
         # The nested-list form of the same values decodes to the same bits.
         # A list with no rows cannot carry its row length, so only the
         # entries are compared then.
-        listed = parsed({"a": a.tolist()})["a"]
+        listed = parsed({"a": a.tolist()}, tmp / "listed.json")["a"]
         listed = (numerics.matrix if a.ndim == 2 and a.shape[0] else numerics.vector)(listed)
         assert np.array_equal(listed.view(np.uint64).ravel(), a.view(np.uint64).ravel())
         if a.shape[0]:
@@ -573,17 +576,19 @@ class TestArrayEncoding:
     def test_non_contiguous_input(self, tmp_path):
         a = np.arange(12.0).reshape(3, 4).T
         write_instance(tmp_path / "inst.json", {"a": a})
-        assert np.array_equal(read_instance((tmp_path / "inst.json").read_bytes())["a"], a)
+        assert np.array_equal(read_instance(tmp_path / "inst.json")[0]["a"], a)
 
     @pytest.mark.parametrize("shape, values", [
         ([2], 3), ([3, -1], 3), ([1.0], 1), (1, 1), ("1", 1), ("2x1", 2),
     ], ids=["too-short", "negative", "float", "int", "string", "string-2x1"])
-    def test_malformed_rejected(self, shape, values):
+    def test_malformed_rejected(self, tmp_path, shape, values):
         header = json.dumps({"a": {"shape": shape, "at": 0}}).encode()
+        path = tmp_path / "inst.json"
+        path.write_bytes(header + b"\n" + np.ones(values).tobytes())
         with pytest.raises(ValueError, match="array 'a'"):
-            read_instance(header + b"\n" + np.ones(values).tobytes())
+            read_instance(path)
 
-    def test_f8_form_rejected(self):
+    def test_f8_form_rejected(self, tmp_path):
         # The base64 form files had before the binary tail: [1.0]
         with pytest.raises(ValueError, match="array 'a'.*bagel generate"):
-            parsed({"a": {"shape": [1], "f8": "AAAAAAAA8D8="}})
+            parsed({"a": {"shape": [1], "f8": "AAAAAAAA8D8="}}, tmp_path / "f8.json")

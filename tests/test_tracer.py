@@ -39,6 +39,8 @@ def test_tracer_installs_counts_and_restores(tmp_path):
         tracer.restore()
 
     assert tracer.ncalls("smart_design.train") > 0
+    # the CLI builds each instance through its module's load_instance
+    assert tracer.ncalls("cli.load_instance") == 2
     assert tracer.ncalls("prior_nmf.nmf_build_mask") > 0
     # the planted reference loss, trained once after the search
     assert tracer.ncalls("prior_nmf.nmf_generate_and_train", "cli.main") == 1
