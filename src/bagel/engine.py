@@ -57,9 +57,8 @@ class Node:
         self.model = None
         self.status = OPEN
         self.parent_loss = parent_loss
-        # The trained parent if the problem reads it, held only until this
-        # node is trained: a frontier node keeps one ancestor alive, never
-        # a chain of them.
+        # The trained parent, held only until this node is trained: a
+        # frontier node keeps one ancestor alive, never a chain of them.
         self.parent = parent
 
     def trail_labels(self):
@@ -111,15 +110,6 @@ class Problem(ABC):
     decrease down a branch (up to solver noise).
     """
 
-    # True when `train` reads node.parent; only then does the engine link
-    # each child to its trained parent.  A linked parent stays alive until
-    # its last child is trained.  On prior-nmf, whose train does not read
-    # it, linking cost 30-node nmf-large searches a median 3% in an
-    # in-process A/B (30 alternating pairs on a 2-core Xeon: slower in 17,
-    # pair ratios 0.69-1.54, so not told apart from noise) and about 60
-    # more minor page faults per search.
-    reads_parent = False
-
     @abstractmethod
     def root_state(self):
         ...
@@ -136,10 +126,9 @@ class Problem(ABC):
     def train(self, node) -> float:
         """Optimise the generated subproblem; store the model, return loss.
 
-        When the problem sets `reads_parent`, node.parent is the trained
-        parent (its payload, model and trained_loss set), or None at the
-        root; otherwise it is None.  It is read-only here, and the engine
-        drops it once train returns.
+        node.parent is the trained parent (its payload, model and
+        trained_loss set), or None at the root.  It is read-only here, and
+        the engine drops it once train returns.
         """
 
     @abstractmethod
@@ -252,8 +241,7 @@ def bagel_search(problem, stop=None, strategy="dfs", *, prune=True, trace=None,
         for decision in problem.branch(node):
             child = Node(
                 next_id, node.depth + 1, node.trail + (decision,),
-                problem.apply(node.state, decision), parent_loss=loss,
-                parent=node if problem.reads_parent else None,
+                problem.apply(node.state, decision), parent_loss=loss, parent=node,
             )
             next_id += 1
             heapq.heappush(frontier, (key(child), child))

@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import re
 
 import numpy as np
 
@@ -103,9 +102,6 @@ def write_instance(path, doc):
             fh.write(a.data)
 
 
-_NEWLINE = re.compile(b"\n")
-
-
 def read_instance(path):
     """(doc, data) of the instance file at `path`, read once.
 
@@ -131,15 +127,13 @@ def read_instance(path):
         size = len(head) + fh.readinto(data[len(head):])
         more = fh.read()
     data = bytes(data[:size]) + more if more else data[:size]
-    return _decode_instance(data), data
+    return _decode_instance(data, len(head) - 1 if head.endswith(b"\n") else -1), data
 
 
-def _decode_instance(data):
+def _decode_instance(data, end):
     """The document of an instance file's bytes, as `read_instance`
-    describes it."""
+    describes it; `end` is the offset of the first newline, or -1."""
     view = memoryview(data)
-    match = _NEWLINE.search(view)
-    end = match.start() if match else -1
     try:
         doc = json.loads(bytes(view[:end])) if end >= 0 else None
     except ValueError:  # a pretty-printed document

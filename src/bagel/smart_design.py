@@ -56,6 +56,17 @@ class SmartDesignInstance:
             raise ValueError("y length must match the sample axis")
         if not self.bound > 0:  # `not >` also rejects NaN
             raise ValueError("bound must be > 0, got %r" % self.bound)
+        if not self.components:
+            raise ValueError("components must not be empty")
+        # A fold tests on at least one row and every method trains on the rest.
+        if len(self.y) < 2:
+            raise ValueError("samples must be >= 2, got %d" % len(self.y))
+        # No selection totals more, so then no budget test overflows.
+        try:
+            constraints.budget_total(self.weights)
+        except OverflowError:
+            raise ValueError("weights %r: their exact total overflows float64"
+                             % [c.weight for c in self.components]) from None
 
     @property
     def weights(self):
@@ -107,8 +118,6 @@ class SmartDesignProblem(Problem):
     """Search over component activations; training is masked least squares
     by `solver`, a `numerics.GramLeastSquares` of the training data that the
     baselines may share."""
-
-    reads_parent = True
 
     def __init__(self, solver, components, bound):
         self.solver = solver
@@ -223,8 +232,10 @@ def sd_generate_instance(n_features, samples, cost_percent, seed, n_components=N
     """Seeded random instance with a planted budget-feasible support."""
     if not (0 < cost_percent <= 1):
         raise ValueError("cost_percent must be in (0, 1]")
-    if n_features < 1 or samples < 1:
-        raise ValueError("n_features and samples must be >= 1")
+    if n_features < 1:
+        raise ValueError("n_features must be >= 1")
+    if samples < 2:
+        raise ValueError("samples must be >= 2, got %d" % samples)
     if n_features not in FEATURE_GRID:
         warnings.warn("n_features=%d is off the usual grid" % n_features)
     if samples not in SAMPLE_GRID:

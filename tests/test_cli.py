@@ -55,6 +55,15 @@ NAMED_FIELD.update({
        "error: %s must be" % field
        for field, value in (("size", 1.5), ("size", True), ("weight", "2"), ("weight", True))},
 })
+# Smart-design files the solve cannot use: no component, one sample, and
+# weights whose exact total overflows float64 (inf alone does not).
+NAMED_FIELD.update({
+    json.dumps({**SD_DOC, "X": [[], []], "components": []}): "error: components",
+    json.dumps({**SD_DOC, "X": [[1.0]], "y": [1.0]}): "error: samples",
+    **{json.dumps({**SD_DOC, "X": [[1.0] * len(weights)] * 2,
+                   "components": [{"size": 1, "weight": w} for w in weights]}): "error: weights"
+       for weights in ([1e308, 1e308], [float("inf"), 1e308, 1e308])},
+})
 # X = [[1], [2]] and y = [1, 2] in a binary tail
 SD_TAIL = np.array([1.0, 2.0, 1.0, 2.0], dtype="<f8").tobytes()
 
@@ -205,7 +214,8 @@ class TestGenerate:
         # 2 words make 3 distinct non-empty topics, not 4 + 2.
         (["--problem", "prior-nmf", "--n", "2", "--true-topics", "4", "--false-topics", "2"],
          "error: true_topics + false_topics"),
-    ], ids=["cost", "topics"])
+        (["--problem", "smart-design", "--n", "10", "--samples", "1"], "error: samples"),
+    ], ids=["cost", "topics", "samples"])
     def test_invalid_shape_exits_1(self, tmp_path, capsys, flags, error):
         out = tmp_path / "x.json"
         rc = cli.main(["generate", *flags, "--seed", "7", "--out", str(out)])

@@ -102,8 +102,6 @@ class RootLeafProblem(SubsetProblem):
 class ParentSpyProblem(SubsetProblem):
     """Records, at each train, the node and what its parent link showed."""
 
-    reads_parent = True
-
     def __init__(self, penalties):
         super().__init__(penalties)
         self.seen = []
@@ -131,13 +129,6 @@ class TestParentLink:
             assert grandparent is None
         # The engine drops the link once a node is trained.
         assert all(node.parent is None for node, *_ in problem.seen)
-
-    def test_no_link_unless_the_problem_reads_it(self):
-        problem = ParentSpyProblem([1.0, 2.0, 0.5])
-        problem.reads_parent = False
-        bagel_search(problem, prune=False)
-        assert len(problem.seen) == 15
-        assert all(parent is None for _, parent, *_ in problem.seen)
 
 
 class TestBagelSearch:

@@ -529,6 +529,12 @@ class TestBudgetRule:
         assert list(best.model.u) == [1, 1, 1, 0]
         assert abs(best.loss - brute_force(inst)) <= 1e-9 * max(1.0, best.loss)
 
+    def test_infinite_weight_is_legal_and_never_selected(self):
+        inst = one_feature_instance((np.inf, 1.0, 2.0), 5.0, seed=0, theta=(5, 1, 1))
+        for strategy in ("dfs", "best-first"):
+            rows = run_methods(inst, folds=1, strategy=strategy)
+            assert all(row["tightness"] < 1.0 for row in rows)
+
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_one_rule_at_rounding_ties(self, data):
