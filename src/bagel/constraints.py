@@ -2,9 +2,9 @@
 
 A 0/1 variable's domain is one ZERO / ONE / BOTH code, so a node's
 domains are one int8 array.  Extended table constraints whose cost is any
-callable c(y, t), the budget rule and its propagation, pairwise
-alldifferent filtering of plain sets, and the encodings of norm-ball /
-budget-selection constraints as extended tables.
+callable c(y, t), the masked-l0 and p-norm costs, the budget rule and
+its propagation, pairwise alldifferent filtering of plain sets, and the
+encodings of norm-ball / budget-selection constraints as extended tables.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import DimensionError, lp_distance, masked_l0_cost
+from .numerics import DimensionError, DomainError
 
 # Domain codes of a 0/1 variable: fixed to 0, fixed to 1, or free
 ZERO, ONE, BOTH = 0, 1, 2
@@ -29,25 +29,43 @@ class CapacityError(ValueError):
     """Requested enumeration or table would blow past the hard size guards."""
 
 
+def _pair(y, t):
+    """y and t as float arrays of one shape."""
+    y = np.asarray(y, dtype=float)
+    t = np.asarray(t, dtype=float)
+    if y.shape != t.shape:
+        raise DimensionError("y and t must have the same length")
+    return y, t
+
+
+def _lp_norm(d, p):
+    """p-norm of d.  p may be any real >= 1, numpy.inf, or 0, which counts
+    the nonzero entries."""
+    if p == 0:
+        return float(np.count_nonzero(d))
+    if np.isinf(p):
+        return float(np.max(np.abs(d))) if d.size else 0.0
+    if p < 1:
+        raise DomainError("p must be >= 1, inf, or 0")
+    return float(np.sum(np.abs(d) ** p) ** (1.0 / p))
+
+
 def MASKED_L0(y, t):
     """c(y, t) = number of active entries of y outside supp(t)."""
-    return float(masked_l0_cost(y, t))
+    y, t = _pair(y, t)
+    return float(np.count_nonzero((t == 0) & (np.abs(y) > 0)))
 
 
 def lp_cost(p):
     """c(y, t) = ||y - t||_p."""
-    return lambda y, t: lp_distance(y, t, p)
+    return lambda y, t: _lp_norm(np.subtract(*_pair(y, t)), p)
 
 
 def masked_lp_cost(p):
     """c(y, t) = ||y * (1 - t)||_p, for a binary t."""
     def cost(y, t):
-        y = np.asarray(y, dtype=float)
-        t = np.asarray(t, dtype=float)
-        if y.shape != t.shape:
-            raise DimensionError("y and t must have the same length")
-        masked = y * (1.0 - t)
-        return lp_distance(masked, np.zeros_like(masked), p)
+        y, t = _pair(y, t)
+        return _lp_norm(y * (1.0 - t), p)
 
     return cost
 

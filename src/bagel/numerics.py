@@ -1,10 +1,10 @@
 """Dense numeric kernels.
 
 Masked least squares, masked NMF by masked HALS (hierarchical
-alternating least squares; its `iters` is a cap on sweeps), the norm /
-cost primitives that back the constraint layer, and the instance-file
-format: `write_instance` and `read_instance` are the only code that knows
-it, and `integer` / `number` check the scalar fields read from a file.
+alternating least squares; its `iters` is a cap on sweeps), and the
+instance-file format: `write_instance` and `read_instance` are the only
+code that knows it, and `integer` / `number` check the scalar fields
+read from a file.
 All heavy lifting is numpy; inputs are plain float64 arrays.
 
 Many masked least-squares solves over one (X, y) go through
@@ -183,38 +183,6 @@ def _decode_array(doc, tail):
         return a.astype(float)
     a.flags.writeable = False
     return a
-
-
-def masked_l0_cost(y, t):
-    """Count of active entries of y falling outside the support of t.
-
-    t is a 0/1 vector; the cost is the l0 norm of y restricted to the
-    positions where t is 0.
-    """
-    y = np.asarray(y, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if y.shape != t.shape:
-        raise DimensionError("y and t must have the same length")
-    return int(np.count_nonzero((t == 0) & (np.abs(y) > 0)))
-
-
-def lp_distance(y, t, p):
-    """p-norm of y - t.  p may be any real >= 1, numpy.inf, or 0.
-
-    p = 0 counts the number of differing coordinates.
-    """
-    y = np.asarray(y, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if y.shape != t.shape:
-        raise DimensionError("y and t must have the same length")
-    d = y - t
-    if p == 0:
-        return float(np.count_nonzero(d))
-    if np.isinf(p):
-        return float(np.max(np.abs(d))) if d.size else 0.0
-    if p < 1:
-        raise DomainError("p must be >= 1, inf, or 0")
-    return float(np.sum(np.abs(d) ** p) ** (1.0 / p))
 
 
 def solve_least_squares(X, y, mask):

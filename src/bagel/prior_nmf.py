@@ -84,6 +84,8 @@ class NmfInstance:
             raise ValueError("k cannot exceed the database size (alldifferent)")
         if self.A.shape[0] != self.db.n_words:
             raise ValueError("A row count must equal the vocabulary size")
+        if self.A.shape[1] < 1:
+            raise ValueError("docs must be >= 1, got %d" % self.A.shape[1])
         planted = self.planted_topics
         if planted is not None and not (
                 len(planted) == len(set(planted)) == self.k

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -78,7 +78,6 @@ class DesignSolution:
     u: np.ndarray
     theta: np.ndarray
     train_loss: float
-    test_loss: Optional[float] = None
 
 
 def expand_mask(bits, sizes):
@@ -87,13 +86,6 @@ def expand_mask(bits, sizes):
     bits may be 0/1 selections or domain codes: every code but ZERO is on.
     """
     return np.repeat(np.asarray(bits) != ZERO, sizes)
-
-
-def component_starts(sizes):
-    """Offset of each component's first feature: the `reduceat` indices
-    that reduce a feature vector to one value per component."""
-    sizes = np.asarray(sizes)
-    return np.cumsum(sizes) - sizes
 
 
 def sd_tightness(u, weights, bound):
@@ -116,8 +108,8 @@ def sd_evaluate(solution, X_test, y_test):
 
 class SmartDesignProblem(Problem):
     """Search over component activations; training is masked least squares
-    by `solver`, a `numerics.GramLeastSquares` of the training data that the
-    baselines may share."""
+    by `solver`, a `numerics.GramLeastSquares` of the training data.  The
+    repair baselines read the solver and the component layout from here."""
 
     def __init__(self, solver, components, bound):
         self.solver = solver
@@ -125,7 +117,9 @@ class SmartDesignProblem(Problem):
         self.bound = float(bound)
         self.weights = np.array([c.weight for c in self.components])
         self.sizes = np.array([c.input_size for c in self.components])
-        self.starts = component_starts(self.sizes)
+        # Offset of each component's first feature: the `reduceat` indices
+        # that reduce a feature vector to one value per component.
+        self.starts = np.cumsum(self.sizes) - self.sizes
         self.gram_diag = solver.gram.diagonal()
 
     @classmethod
@@ -181,39 +175,36 @@ class SmartDesignProblem(Problem):
         return DesignSolution(u=u, theta=node.model.copy(), train_loss=node.trained_loss)
 
 
-def baseline_l2_br(solver, components, bound):
+def baseline_l2_br(problem):
     """Basic repair: fit once, drop lowest-coefficient components until the
-    budget holds, then refit once on the survivors.  solver is a
-    `numerics.GramLeastSquares` of the training data."""
-    weights = np.array([c.weight for c in components])
-    sizes = [c.input_size for c in components]
-    theta, _ = solver.solve(np.ones(sum(sizes)))
-    scores = np.maximum.reduceat(np.abs(theta), component_starts(sizes))
-    u = np.ones(len(components), dtype=int)
+    budget holds, then refit once on the survivors.  problem is the
+    `SmartDesignProblem` whose solver and component layout it uses."""
+    weights, sizes = problem.weights, problem.sizes
+    theta, _ = problem.solver.solve(np.ones(sizes.sum()))
+    scores = np.maximum.reduceat(np.abs(theta), problem.starts)
+    u = np.ones(len(weights), dtype=int)
     for i in np.argsort(scores, kind="stable"):
-        if constraints.within_budget(weights[u == 1], bound):
+        if constraints.within_budget(weights[u == 1], problem.bound):
             break
         u[i] = 0
-    theta, loss = solver.solve(expand_mask(u, sizes))
+    theta, loss = problem.solver.solve(expand_mask(u, sizes))
     return DesignSolution(u=u, theta=theta, train_loss=loss)
 
 
-def baseline_l2_or(solver, components, bound):
+def baseline_l2_or(problem):
     """Ratio repair: iteratively drop the component with the lowest
-    coefficient-over-weight ratio, refitting after every removal.  solver is
-    a `numerics.GramLeastSquares` of the training data."""
-    weights = np.array([c.weight for c in components])
-    sizes = [c.input_size for c in components]
-    starts = component_starts(sizes)
-    u = np.ones(len(components), dtype=int)
-    theta, loss = solver.solve(expand_mask(u, sizes))
-    while not constraints.within_budget(weights[u == 1], bound):
-        scores = np.maximum.reduceat(np.abs(theta), starts)
+    coefficient-over-weight ratio, refitting after every removal.  problem
+    is the `SmartDesignProblem` whose solver and component layout it uses."""
+    weights, sizes = problem.weights, problem.sizes
+    u = np.ones(len(weights), dtype=int)
+    theta, loss = problem.solver.solve(expand_mask(u, sizes))
+    while not constraints.within_budget(weights[u == 1], problem.bound):
+        scores = np.maximum.reduceat(np.abs(theta), problem.starts)
         ratios = np.where(weights > 0, scores / np.maximum(weights, 1e-300), np.inf)
         active = np.flatnonzero(u)
         drop = active[np.argmin(ratios[active])]
         u[drop] = 0
-        theta, loss = solver.solve(expand_mask(u, sizes))
+        theta, loss = problem.solver.solve(expand_mask(u, sizes))
     return DesignSolution(u=u, theta=theta, train_loss=loss)
 
 
@@ -320,35 +311,29 @@ def run_methods(instance, folds=5, stop=None, strategy="dfs", prune=True, trace=
     if folds < 1:
         raise ValueError("folds must be >= 1")
     rows = []
-    weights = instance.weights
     for fold in range(folds):
         train_idx, test_idx = fold_split(len(instance.y), fold, instance.seed)
         solver = numerics.GramLeastSquares(instance.X[train_idx], instance.y[train_idx])
-        Xte, yte = instance.X[test_idx], instance.y[test_idx]
-        baselines = [
-            baseline(solver, instance.components, instance.bound)
-            for baseline in (baseline_l2_br, baseline_l2_or)
-        ]
-        better = min(baselines, key=lambda sol: sol.train_loss)
         problem = SmartDesignProblem(solver, instance.components, instance.bound)
+        br, orr = baseline_l2_br(problem), baseline_l2_or(problem)
+        better = min((br, orr), key=lambda sol: sol.train_loss)
         best, stats = bagel_search(
             problem, stop=stop, strategy=strategy, prune=prune, trace=trace,
             incumbent=Incumbent(None, better.train_loss, better),
         )
-        results = [(best.model, stats.nodes_opened, stats.wall_time * 1000.0, stats.completed)]
-        results += [(sol, 0, 0.0, True) for sol in baselines]
-        for method, (sol, nodes, wall_ms, completed) in zip(("bagel", "l2_br", "l2_or"), results):
-            sol.test_loss = sd_evaluate(sol, Xte, yte)
+        Xte, yte = instance.X[test_idx], instance.y[test_idx]
+        for method, sol in (("bagel", best.model), ("l2_br", br), ("l2_or", orr)):
+            searched = method == "bagel"
             rows.append({
                 "method": method,
                 "fold": fold,
                 "train_loss": sol.train_loss,
-                "test_loss": sol.test_loss,
-                "tightness": sd_tightness(sol.u, weights, instance.bound),
-                "nodes": nodes,
-                "wall_ms": wall_ms,
-                "completed": completed,
-                "warnings": stats.warnings if method == "bagel" else [],
-                "stop": stats.stop if method == "bagel" else None,
+                "test_loss": sd_evaluate(sol, Xte, yte),
+                "tightness": sd_tightness(sol.u, problem.weights, problem.bound),
+                "nodes": stats.nodes_opened if searched else 0,
+                "wall_ms": stats.wall_time * 1000.0 if searched else 0.0,
+                "completed": stats.completed if searched else True,
+                "warnings": stats.warnings if searched else [],
+                "stop": stats.stop if searched else None,
             })
     return rows

@@ -35,33 +35,11 @@ from bagel.smart_design import (
     run_methods,
     sd_generate_instance,
 )
+from oracles import brute_force_sd
 
 
 def _report(number, description):
     print("[PASS] criterion %d: %s" % (number, description))
-
-
-def brute_force_sd(inst):
-    """Independent oracle: raw enumeration + raw lstsq, engine-free."""
-    d = inst.X.shape[1]
-    w = [c.weight for c in inst.components]
-    sizes = [c.input_size for c in inst.components]
-    best = None
-    for u in itertools.product((0, 1), repeat=len(w)):
-        if math.fsum(itertools.compress(w, u)) < inst.bound:
-            cols = []
-            start = 0
-            for bit, size in zip(u, sizes):
-                if bit:
-                    cols.extend(range(start, start + size))
-                start += size
-            theta = np.zeros(d)
-            if cols:
-                theta[cols] = np.linalg.lstsq(inst.X[:, cols], inst.y, rcond=None)[0]
-            loss = float(np.sqrt(np.sum((inst.X @ theta - inst.y) ** 2)))
-            if best is None or loss < best:
-                best = loss
-    return best
 
 
 def test_criterion_1_brute_force_exactness():

@@ -64,6 +64,9 @@ NAMED_FIELD.update({
                    "components": [{"size": 1, "weight": w} for w in weights]}): "error: weights"
        for weights in ([1e308, 1e308], [float("inf"), 1e308, 1e308])},
 })
+# A prior-nmf file with no document has nothing to factorize.
+NAMED_FIELD['{"problem": "prior-nmf", "n": 2, "k": 1, "db": [[1, 1]], "A": [[], []]}'] = (
+    "error: docs must be >= 1, got 0")
 # X = [[1], [2]] and y = [1, 2] in a binary tail
 SD_TAIL = np.array([1.0, 2.0, 1.0, 2.0], dtype="<f8").tobytes()
 
@@ -107,6 +110,7 @@ BAD_ARRAYS = {
     "A-inf": (nmf_binary([[1.0], [np.inf]]), "error: matrix entries must be finite"),
     "A-negative": (nmf_binary([[1.0], [-1.0]]), "error: A must be non-negative"),
     "A-shape-mismatch": (nmf_binary([1.0, 1.0, 1.0], shape=[2, 1]), "error: array 'A'"),
+    "A-no-docs": (nmf_binary(np.zeros((2, 0))), "error: docs must be >= 1, got 0"),
 }
 
 

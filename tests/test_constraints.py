@@ -22,7 +22,7 @@ from bagel.constraints import (
     masked_lp_cost,
     within_budget,
 )
-from bagel.numerics import DimensionError, make_rng
+from bagel.numerics import DimensionError, DomainError, make_rng
 
 # classic binary table: difference of -2 or +1
 CLASSIC = np.array([(0, 2), (1, 3), (2, 4), (1, 0), (2, 1), (3, 2), (4, 3)], dtype=float)
@@ -33,6 +33,59 @@ TOY_TS = [
     (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, 0, 1, 1), (0, 1, 0, 0),
     (0, 1, 0, 1), (0, 1, 1, 0), (1, 0, 0, 0), (1, 0, 0, 1),
 ]
+
+
+class TestMaskedL0Cost:
+    def test_one_word_outside(self):
+        y = [0.6, 0.3, 0.9, 0, 0]
+        assert MASKED_L0(y, [0, 1, 1, 0, 1]) == 1
+
+    def test_all_ones_mask(self):
+        assert MASKED_L0([3.0, -1.0, 2.0], [1, 1, 1]) == 0
+
+    def test_all_zeros_reduces_to_l0(self):
+        y = [0.6, 0.3, 0.9, 0, 0]
+        assert MASKED_L0(y, [0, 0, 0, 0, 0]) == np.count_nonzero(y)
+
+    def test_length_mismatch(self):
+        with pytest.raises(DimensionError):
+            MASKED_L0([1.0, 2.0], [1])
+
+    def test_support_partition(self):
+        rng = make_rng(11)
+        for _ in range(50):
+            n = int(rng.integers(1, 20))
+            v = rng.standard_normal(n)
+            v[rng.random(n) < 0.3] = 0.0
+            t = (rng.random(n) < 0.5).astype(float)
+            inside = np.count_nonzero(v * t)
+            outside = MASKED_L0(v, t)
+            assert inside + outside == np.count_nonzero(v)
+
+
+class TestLpDistance:
+    def test_identity(self):
+        assert lp_cost(2)([1.0, 2.0], [1.0, 2.0]) == 0.0
+
+    def test_euclidean(self):
+        assert lp_cost(2)([3, 2], [1, 3]) == pytest.approx(np.sqrt(5))
+
+    def test_l1(self):
+        assert lp_cost(1)([0.5, 0.4], [0, 0]) == pytest.approx(0.9)
+
+    def test_linf(self):
+        assert lp_cost(np.inf)([1, 5], [0, 2]) == 3.0
+
+    def test_p_zero_counts_differences(self):
+        assert lp_cost(0)([1, 2, 3], [1, 0, 0]) == 2.0
+
+    def test_invalid_p(self):
+        with pytest.raises(DomainError):
+            lp_cost(0.5)([1.0], [0.0])
+
+    def test_length_mismatch(self):
+        with pytest.raises(DimensionError):
+            lp_cost(2)([1.0], [1.0, 2.0])
 
 
 class TestEtSatisfied:

@@ -18,67 +18,12 @@ from bagel.numerics import (
     NMF_CHECK_EVERY,
     NMF_EPS,
     NMF_STOP_RTOL,
-    lp_distance,
     make_rng,
-    masked_l0_cost,
     nmf_multiplicative,
     read_instance,
     solve_least_squares,
     write_instance,
 )
-
-
-class TestMaskedL0Cost:
-    def test_one_word_outside(self):
-        y = [0.6, 0.3, 0.9, 0, 0]
-        assert masked_l0_cost(y, [0, 1, 1, 0, 1]) == 1
-
-    def test_all_ones_mask(self):
-        assert masked_l0_cost([3.0, -1.0, 2.0], [1, 1, 1]) == 0
-
-    def test_all_zeros_reduces_to_l0(self):
-        y = [0.6, 0.3, 0.9, 0, 0]
-        assert masked_l0_cost(y, [0, 0, 0, 0, 0]) == np.count_nonzero(y)
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            masked_l0_cost([1.0, 2.0], [1])
-
-    def test_support_partition(self):
-        rng = make_rng(11)
-        for _ in range(50):
-            n = int(rng.integers(1, 20))
-            v = rng.standard_normal(n)
-            v[rng.random(n) < 0.3] = 0.0
-            t = (rng.random(n) < 0.5).astype(float)
-            inside = np.count_nonzero(v * t)
-            outside = masked_l0_cost(v, t)
-            assert inside + outside == np.count_nonzero(v)
-
-
-class TestLpDistance:
-    def test_identity(self):
-        assert lp_distance([1.0, 2.0], [1.0, 2.0], 2) == 0.0
-
-    def test_euclidean(self):
-        assert lp_distance([3, 2], [1, 3], 2) == pytest.approx(np.sqrt(5))
-
-    def test_l1(self):
-        assert lp_distance([0.5, 0.4], [0, 0], 1) == pytest.approx(0.9)
-
-    def test_linf(self):
-        assert lp_distance([1, 5], [0, 2], np.inf) == 3.0
-
-    def test_p_zero_counts_differences(self):
-        assert lp_distance([1, 2, 3], [1, 0, 0], 0) == 2.0
-
-    def test_invalid_p(self):
-        with pytest.raises(DomainError):
-            lp_distance([1.0], [0.0], 0.5)
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            lp_distance([1.0], [1.0, 2.0], 2)
 
 
 class TestSolveLeastSquares:

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from bagel import prior_nmf
 from bagel.engine import LEAF, Node, bagel_search
-from bagel.numerics import make_rng, masked_l0_cost, nmf_multiplicative
+from bagel.constraints import MASKED_L0
+from bagel.numerics import make_rng, nmf_multiplicative
 from bagel.prior_nmf import (
     NmfInstance,
     PriorNmfProblem,
@@ -90,7 +91,7 @@ class TestGenerateAndTrain:
         inst = nmf_generate_instance(20, 4, 2, 50, seed=7, noise_sigma=0.0)
         j = inst.planted_topics[0]
         W, _, _ = nmf_generate_and_train(inst, [j], iters=100)
-        assert masked_l0_cost(W[:, 0], inst.db.topics[j]) == 0
+        assert MASKED_L0(W[:, 0], inst.db.topics[j]) == 0
 
     def test_depth_two_seeds_from_the_trail(self):
         inst = nmf_generate_instance(20, 4, 2, 50, seed=5, noise_sigma=0.0)
@@ -206,7 +207,7 @@ class TestProblemContract:
         model = best.model
         assert len(set(model.assignment)) == inst.k
         for i, j in enumerate(model.assignment):
-            assert masked_l0_cost(model.W[:, i], inst.db.topics[j]) == 0
+            assert MASKED_L0(model.W[:, i], inst.db.topics[j]) == 0
             from bagel.constraints import et_satisfied
             assert et_satisfied(model.W[:, i], table)[0]
 
@@ -440,7 +441,7 @@ class TestInstanceGenerator:
     def test_planted_W_supported_on_planted_topics(self):
         inst = nmf_generate_instance(20, 4, 2, 50, seed=5, noise_sigma=0.0)
         for i, j in enumerate(inst.planted_topics):
-            assert masked_l0_cost(inst.planted_W[:, i], inst.db.topics[j]) == 0
+            assert MASKED_L0(inst.planted_W[:, i], inst.db.topics[j]) == 0
 
     def test_infeasible_parameters_rejected(self):
         with pytest.raises(ValueError, match="true_topics"):
@@ -481,3 +482,40 @@ class TestRecovery:
 
     def test_partial(self):
         assert nmf_topic_recovery([0, 1, 2, 9], [0, 1, 2, 3]) == 0.75
+
+
+def superset_instance(seed):
+    """A generated instance whose false topic i is planted topic i % 4
+    plus one word it lacks: look-alikes that hold all of a planted topic."""
+    inst = nmf_generate_instance(20, 4, 2, 50, seed)
+    rng = make_rng([seed, 0x5A])
+    topics = list(inst.db.topics)
+    false = [j for j in range(len(topics)) if j not in inst.planted_topics]
+    for i, j in enumerate(false):
+        t = topics[inst.planted_topics[i % 4]].copy()
+        t[rng.choice(np.flatnonzero(t == 0))] = 1.0
+        topics[j] = t
+    return dataclasses.replace(inst, db=TopicDB(inst.db.n_words, topics))
+
+
+class TestSupersetDatabases:
+    """Records today's known behaviour, not a goal: with superset
+    look-alikes in the database the objective prefers them.  A superset's
+    extra word lets its column fit noise, so the best topic set beats the
+    planted one, and the search finds it whether or not it prunes.
+
+    Seed 5 is left out: its best set beats the planted set by only 1.4e-8
+    relative, a near-tie that another BLAS could flip.  Seed 7 is left
+    out: there bound pruning returns a leaf 4e-5 worse than the exhaustive
+    search's, as the trained loss is only an approximate bound."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 6])
+    def test_supersets_beat_the_planted_topics(self, seed):
+        inst = superset_instance(seed)
+        best, stats = bagel_search(PriorNmfProblem(inst, iters=300))
+        exhaustive, exhaustive_stats = bagel_search(PriorNmfProblem(inst, iters=300),
+                                                    prune=False)
+        assert stats.completed and exhaustive_stats.completed
+        assert nmf_topic_recovery(best.model.assignment, inst.planted_topics) < 1.0
+        assert set(best.model.assignment) == set(exhaustive.model.assignment)
+        assert best.loss < nmf_generate_and_train(inst, inst.planted_topics, 300)[2]

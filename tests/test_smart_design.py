@@ -29,6 +29,7 @@ from bagel.smart_design import (
     sd_generate_instance,
     sd_tightness,
 )
+from oracles import brute_force_sd
 
 TOY_COMPONENTS = [Component(3, 10.0), Component(2, 6.0), Component(2, 5.0), Component(1, 1.0)]
 TOY_BOUND = 12.0
@@ -205,7 +206,7 @@ class TestBaselines:
         loose = SmartDesignInstance(
             X=inst.X, y=inst.y, components=inst.components, bound=1000.0, seed=0
         )
-        sol = baseline_l2_br(GramLeastSquares(loose.X, loose.y), loose.components, loose.bound)
+        sol = baseline_l2_br(SmartDesignProblem.from_instance(loose))
         theta, loss = solve_least_squares(loose.X, loose.y, np.ones(8))
         assert np.allclose(sol.theta, theta)
         assert sol.train_loss == pytest.approx(loss)
@@ -217,7 +218,7 @@ class TestBaselines:
             X=inst.X, y=inst.y, components=inst.components, bound=0.5, seed=0
         )
         for fn in (baseline_l2_br, baseline_l2_or):
-            sol = fn(GramLeastSquares(tight.X, tight.y), tight.components, tight.bound)
+            sol = fn(SmartDesignProblem.from_instance(tight))
             assert np.all(sol.u == 0)
             assert np.all(sol.theta == 0)
             assert sol.train_loss == pytest.approx(np.linalg.norm(tight.y))
@@ -241,7 +242,7 @@ class TestBaselines:
         expect = np.zeros(3)
         if cols:
             expect[cols] = np.linalg.lstsq(X[:, cols], y, rcond=None)[0]
-        sol = baseline_l2_br(GramLeastSquares(X, y), comps, bound)
+        sol = baseline_l2_br(SmartDesignProblem(GramLeastSquares(X, y), comps, bound))
         assert list(sol.u) == u
         assert np.allclose(sol.theta, expect)
 
@@ -262,7 +263,7 @@ class TestBaselines:
             cols = np.flatnonzero(u)
             if cols.size:
                 theta[cols] = np.linalg.lstsq(X[:, cols], y, rcond=None)[0]
-        sol = baseline_l2_or(GramLeastSquares(X, y), comps, bound)
+        sol = baseline_l2_or(SmartDesignProblem(GramLeastSquares(X, y), comps, bound))
         assert np.array_equal(sol.u, u)
         assert np.allclose(sol.theta, theta)
 
@@ -272,7 +273,7 @@ class TestBaselines:
         X, y = np.eye(3), np.array([0.6, 0.6, 1.0])
         comps = [Component(2, 1.0), Component(1, 1.0)]
         for fn in (baseline_l2_br, baseline_l2_or):
-            sol = fn(GramLeastSquares(X, y), comps, 1.5)
+            sol = fn(SmartDesignProblem(GramLeastSquares(X, y), comps, 1.5))
             assert list(sol.u) == [0, 1]
 
     def test_equal_weights_same_first_removal_order(self):
@@ -280,9 +281,9 @@ class TestBaselines:
         X = rng.standard_normal((30, 3))
         y = rng.standard_normal(30)
         comps = [Component(1, 2.0)] * 3
-        solver = GramLeastSquares(X, y)
-        br = baseline_l2_br(solver, comps, 4.5)
-        orr = baseline_l2_or(solver, comps, 4.5)
+        problem = SmartDesignProblem(GramLeastSquares(X, y), comps, 4.5)
+        br = baseline_l2_br(problem)
+        orr = baseline_l2_or(problem)
         assert np.array_equal(br.u, orr.u)
 
 
@@ -349,31 +350,6 @@ class TestMetrics:
         assert sd_evaluate(sol_cls, X, y) == pytest.approx(expect, rel=1e-12)
 
 
-def feature_slices(inst):
-    """Per-component index ranges partitioning the feature axis."""
-    ends = np.cumsum([c.input_size for c in inst.components])
-    return [slice(end - c.input_size, end) for c, end in zip(inst.components, ends)]
-
-
-def brute_force(inst):
-    d = inst.X.shape[1]
-    slices = feature_slices(inst)
-    best = None
-    for u in itertools.product((0, 1), repeat=len(inst.components)):
-        if math.fsum(itertools.compress(inst.weights, u)) < inst.bound:
-            mask = np.zeros(d)
-            for bit, sl in zip(u, slices):
-                if bit:
-                    mask[sl] = 1
-            cols = np.flatnonzero(mask)
-            theta = np.zeros(d)
-            if cols.size:
-                theta[cols] = np.linalg.lstsq(inst.X[:, cols], inst.y, rcond=None)[0]
-            loss = float(np.linalg.norm(inst.X @ theta - inst.y))
-            best = loss if best is None else min(best, loss)
-    return best
-
-
 def small_instance(data, weight_choices=(0.0, 1.0, 2.5, 4.0, 7.0)):
     """A random instance of 2-6 components with at least one of weight 0;
     m < d, which makes some masks rank-deficient, is among the draws."""
@@ -400,7 +376,7 @@ class TestSearchProperties:
             inst = sd_generate_instance(20, 100, 0.6, seed=seed)
             best, stats = bagel_search(SmartDesignProblem.from_instance(inst))
             assert stats.completed
-            oracle = brute_force(inst)
+            oracle = brute_force_sd(inst)
             assert best.loss == pytest.approx(oracle, rel=1e-9)
 
     @pytest.mark.parametrize("prune", [True, False])
@@ -409,16 +385,16 @@ class TestSearchProperties:
             inst = boundary_instance(seed)
             best, stats = bagel_search(SmartDesignProblem.from_instance(inst), prune=prune)
             assert stats.completed
-            assert best.loss == pytest.approx(brute_force(inst), rel=1e-9)
+            assert best.loss == pytest.approx(brute_force_sd(inst), rel=1e-9)
             assert math.fsum(itertools.compress(inst.weights, best.model.u)) < inst.bound
 
     def test_dominance_over_baselines(self):
         inst = sd_generate_instance(10, 100, 0.6, seed=3)
         best, stats = bagel_search(SmartDesignProblem.from_instance(inst))
         assert stats.completed
-        solver = GramLeastSquares(inst.X, inst.y)
-        br = baseline_l2_br(solver, inst.components, inst.bound)
-        orr = baseline_l2_or(solver, inst.components, inst.bound)
+        problem = SmartDesignProblem.from_instance(inst)
+        br = baseline_l2_br(problem)
+        orr = baseline_l2_or(problem)
         assert best.loss <= min(br.train_loss, orr.train_loss) + 1e-9
 
     def test_root_loss_is_lower_bound(self):
@@ -440,9 +416,8 @@ class TestSearchProperties:
         # budget, exactly
         assert math.fsum(itertools.compress(inst.weights, sol.u)) < inst.bound
         # support coupling, exactly
-        for bit, sl in zip(sol.u, feature_slices(inst)):
-            if not bit:
-                assert np.all(sol.theta[sl] == 0.0)
+        sizes = [c.input_size for c in inst.components]
+        assert np.all(sol.theta[np.repeat(sol.u, sizes) == 0] == 0.0)
         # and via the table encoding
         et = encode_smart_design_as_et(
             [(c.input_size, c.weight) for c in inst.components], inst.bound
@@ -461,7 +436,7 @@ class TestSearchProperties:
         best, stats = bagel_search(SmartDesignProblem.from_instance(inst))
         assert stats.completed
         assert stats.warnings == []
-        oracle = brute_force(inst)
+        oracle = brute_force_sd(inst)
         assert abs(best.loss - oracle) <= 1e-9 * max(1.0, oracle)
 
 
@@ -478,9 +453,9 @@ class TestSeededSearch:
     @given(data=st.data())
     def test_seeded_and_unseeded_reach_the_optimum(self, data):
         inst = small_instance(data)
-        oracle = brute_force(inst)
+        oracle = brute_force_sd(inst)
         solver = GramLeastSquares(inst.X, inst.y)
-        seed = min((fn(solver, inst.components, inst.bound)
+        seed = min((fn(SmartDesignProblem(solver, inst.components, inst.bound))
                     for fn in (baseline_l2_br, baseline_l2_or)),
                    key=lambda sol: sol.train_loss)
         for strategy in ("dfs", "best-first"):
@@ -527,7 +502,7 @@ class TestBudgetRule:
         best, stats = bagel_search(SmartDesignProblem.from_instance(inst), strategy=strategy)
         assert stats.completed
         assert list(best.model.u) == [1, 1, 1, 0]
-        assert abs(best.loss - brute_force(inst)) <= 1e-9 * max(1.0, best.loss)
+        assert abs(best.loss - brute_force_sd(inst)) <= 1e-9 * max(1.0, best.loss)
 
     def test_infinite_weight_is_legal_and_never_selected(self):
         inst = one_feature_instance((np.inf, 1.0, 2.0), 5.0, seed=0, theta=(5, 1, 1))
@@ -547,15 +522,15 @@ class TestBudgetRule:
         bound = float(np.nextafter(bound, data.draw(st.sampled_from([0.0, bound, np.inf]))))
         inst = one_feature_instance(weights, bound, data.draw(st.integers(0, 2 ** 32 - 1)),
                                     samples=3 * k)
-        oracle = brute_force(inst)
+        oracle = brute_force_sd(inst)
         for strategy in ("dfs", "best-first"):
             best, stats = bagel_search(SmartDesignProblem.from_instance(inst),
                                        strategy=strategy)
             assert stats.completed
             assert abs(best.loss - oracle) <= 1e-9 * max(1.0, oracle)
-        solver = GramLeastSquares(inst.X, inst.y)
+        problem = SmartDesignProblem.from_instance(inst)
         for baseline in (baseline_l2_br, baseline_l2_or):
-            sol = baseline(solver, inst.components, bound)
+            sol = baseline(problem)
             assert within_budget(inst.weights[sol.u == 1], bound)
         # Propagation never removes a value some feasible completion uses.
         states = data.draw(st.lists(st.sampled_from([ZERO, ONE, BOTH]), min_size=k, max_size=k))
