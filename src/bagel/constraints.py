@@ -38,15 +38,20 @@ def _pair(y, t):
     return y, t
 
 
+def _check_p(p):
+    """A DomainError unless p is 0, a real >= 1 or inf: NaN and reals below
+    1 give no norm."""
+    if not (p == 0 or p >= 1):  # `not >=` also rejects NaN
+        raise DomainError("p must be >= 1, inf, or 0, got %r" % (p,))
+
+
 def _lp_norm(d, p):
-    """p-norm of d.  p may be any real >= 1, numpy.inf, or 0, which counts
-    the nonzero entries."""
+    """p-norm of d, for a p `_check_p` accepts; p = 0 counts the nonzero
+    entries."""
     if p == 0:
         return float(np.count_nonzero(d))
     if np.isinf(p):
         return float(np.max(np.abs(d))) if d.size else 0.0
-    if p < 1:
-        raise DomainError("p must be >= 1, inf, or 0")
     return float(np.sum(np.abs(d) ** p) ** (1.0 / p))
 
 
@@ -57,12 +62,16 @@ def MASKED_L0(y, t):
 
 
 def lp_cost(p):
-    """c(y, t) = ||y - t||_p."""
+    """c(y, t) = ||y - t||_p.  p is checked here, once."""
+    _check_p(p)
     return lambda y, t: _lp_norm(np.subtract(*_pair(y, t)), p)
 
 
 def masked_lp_cost(p):
-    """c(y, t) = ||y * (1 - t)||_p, for a binary t."""
+    """c(y, t) = ||y * (1 - t)||_p, for a binary t.  p is checked here,
+    once."""
+    _check_p(p)
+
     def cost(y, t):
         y, t = _pair(y, t)
         return _lp_norm(y * (1.0 - t), p)

@@ -8,11 +8,15 @@ read from a file.
 All heavy lifting is numpy; inputs are plain float64 arrays.
 
 Many masked least-squares solves over one (X, y) go through
-`GramLeastSquares`, which forms X^T X, X^T y and y^T y once and solves
-each column subset from its block of the Gram matrix alone ("leaps and
-bounds", Furnival & Wilson 1974), without touching X again.  Blocks that
-are not safely positive definite fall back to `solve_least_squares`, the
-SVD-based reference.
+`GramLeastSquares`.  It forms X^T X, X^T y and y^T y once, and solves the
+full column set once, keeping the inverse Gram matrix and the root's
+explicit residual.  Each column subset is then solved relative to that
+root solve ("leaps and bounds", Furnival & Wilson 1974), by one solve the
+size of the dropped columns or of the kept ones, whichever is smaller,
+without touching X again.  Where the Gram matrix is not safely positive
+definite, each subset is solved from its own block, and blocks that are
+not safely positive definite either fall back to `solve_least_squares`,
+the SVD-based reference.
 """
 
 from __future__ import annotations
@@ -212,7 +216,7 @@ def solve_least_squares(X, y, mask):
     return theta, loss
 
 
-# A Cholesky pivot of the Gram block, divided by the matching diagonal
+# A Cholesky pivot of a Gram block, divided by the matching diagonal
 # entry, is the share of that column's squared norm left outside the span
 # of the columns before it.  The normal equations square the condition
 # number, so on a near-noiseless fit the residual error of the Gram solve
@@ -226,27 +230,65 @@ GRAM_PIVOT_RTOL = 1e-3
 GRAM_CANCEL_RTOL = 1e-6
 
 
+def _pivots_pass(block):
+    """Whether the Gram block factors by Cholesky with every pivot at
+    least GRAM_PIVOT_RTOL times the matching diagonal entry."""
+    try:
+        L = np.linalg.cholesky(block)
+    except np.linalg.LinAlgError:  # not positive definite
+        return False
+    return not (L.diagonal() ** 2 / block.diagonal()).min(initial=np.inf) < GRAM_PIVOT_RTOL
+
+
 class GramLeastSquares:
     """Masked least squares for many masks over one fixed (X, y).
 
     X^T X, X^T y and y^T y are formed once; `solve(mask)` then works on
-    the masked block G of the Gram matrix and the matching entries b of
-    X^T y only.  It has the contract of `solve_least_squares`: it returns
-    (theta, loss), theta is zero outside the mask and loss is the residual
-    norm ||X theta - y||.
+    the Gram matrix G, b = X^T y and quantities of the root solve (the
+    full mask) only.  It has the contract of `solve_least_squares`: it
+    returns (theta, loss), theta is zero outside the mask and loss is the
+    residual norm ||X theta - y||.  An empty mask gives theta = 0 and
+    loss ||y||.
 
-    theta solves G theta = b by one `np.linalg.solve`.  The loss is
-    sqrt(y^T y - b^T theta), the residual norm of the exact solution, in
-    O(|mask|) instead of the O(m |mask|) of forming X theta - y.  The
-    subtraction cancels on near-noiseless fits, so where y^T y - b^T theta
-    is below GRAM_CANCEL_RTOL times y^T y the loss is the explicit
-    residual norm.  An empty mask gives theta = 0 and loss ||y||.
+    The root solve is set up once.  Where G passes the pivot test below,
+    the solver keeps G^-1, theta0 = G^-1 b and r0^2 = ||X theta0 - y||^2.
+    A mask that keeps the columns S and drops the columns J is then
+    solved relative to the root (Furnival & Wilson 1974):
 
-    G is also factored by Cholesky, but only as a test: a block whose
-    factorisation fails, or whose smallest pivot is below GRAM_PIVOT_RTOL
-    times the matching diagonal entry of G, is solved by
-    `solve_least_squares` instead, which keeps the minimum-norm answer on
-    rank-deficient and ill-conditioned masks.
+        z = G^-1[J, J]^-1 theta0[J],
+        theta = theta0 - G^-1[:, J] z   (theta[J] = 0),
+        loss^2 = r0^2 + theta0[J]^T z,
+
+    a |J| x |J| solve in place of a |S| x |S| one.  This route is taken
+    where |J| <= |S|; with more columns dropped than kept, theta solves
+    G[S, S] theta[S] = b[S] directly and loss^2 = y^T y - b[S]^T theta[S].
+    r0^2 is formed explicitly, in O(m d) once per fold, because both terms
+    of r0^2 + theta0[J]^T z are then non-negative and nothing cancels.
+    Taken as y^T y - b^T theta0 instead, r0^2 would carry the rounding
+    error of theta0 at first order, and G as a whole is often worse
+    conditioned than any block a mask keeps.
+
+    The pivot test: G is factored by Cholesky, and it passes where the
+    factorisation succeeds and every pivot is at least GRAM_PIVOT_RTOL
+    times the matching diagonal entry.  A kept block then needs no test
+    of its own.  The pivot of a column divided by its diagonal entry is
+    the share of the column's squared norm left outside the span of the
+    columns before it; in a principal block, the columns before it are a
+    subset of those in G, so that share can only grow.  If G passes,
+    every principal block passes.
+
+    Two routes lead to the per-mask path, which is the whole solve where
+    the root fails: the block G[S, S] is tested alone, solved by one
+    `np.linalg.solve` if it passes and by `solve_least_squares` if it does
+    not, which keeps the minimum-norm answer on rank-deficient and
+    ill-conditioned masks.
+    - G fails the pivot test (m < d, a duplicated or zero column, or a
+      small pivot).  The solver then keeps nothing of the root, and every
+      mask takes the per-mask path.
+    - The squared loss of a mask is below GRAM_CANCEL_RTOL times y^T y.
+      On such a near-noiseless fit either formula above loses its digits,
+      so the mask is solved again by the per-mask path, whose loss is the
+      explicit residual norm there.
     """
 
     def __init__(self, X, y):
@@ -260,28 +302,61 @@ class GramLeastSquares:
         self.gram = X.T @ X
         self.xty = X.T @ y
         self.yty = float(y @ y)
+        self.inverse = None
+        if _pivots_pass(self.gram):
+            self.inverse = np.linalg.inv(self.gram)
+            self.theta0 = np.linalg.solve(self.gram, self.xty)
+            r0 = X @ self.theta0 - y
+            self.r0_squared = float(r0 @ r0)
 
     def solve(self, mask):
         mask = np.asarray(mask)
         d = self.X.shape[1]
         if mask.shape != (d,):
             raise DimensionError("mask length must equal the number of columns of X")
-        theta = np.zeros(d)
-        cols = np.flatnonzero(mask)
+        keep = mask != 0
+        cols = np.flatnonzero(keep)
         if not cols.size:
-            return theta, float(np.linalg.norm(self.y))
+            return np.zeros(d), float(np.linalg.norm(self.y))
+        if self.inverse is None:
+            return self._solve_per_mask(mask, cols)
+        drop = np.flatnonzero(~keep)
+        if 2 * drop.size > d:
+            theta, squared = self._solve_kept(cols, self._block(cols))
+        elif drop.size:
+            # The columns of G^-1 first, then their J rows: |J| x d is
+            # copied, not the |S| x d of taking the S rows first.
+            inv_cols = self.inverse.take(drop, 1)
+            t = self.theta0[drop]
+            z = np.linalg.solve(inv_cols.take(drop, 0), t)
+            theta = self.theta0 - inv_cols @ z
+            theta[drop] = 0.0
+            squared = self.r0_squared + float(t @ z)
+        else:
+            theta, squared = self.theta0.copy(), self.r0_squared
+        if squared < GRAM_CANCEL_RTOL * self.yty:
+            return self._solve_per_mask(mask, cols)
+        return theta, math.sqrt(squared)
+
+    def _block(self, cols):
         # Two takes copy the block with less overhead than np.ix_.
-        block = self.gram.take(cols, 0).take(cols, 1)
-        try:
-            L = np.linalg.cholesky(block)
-        except np.linalg.LinAlgError:  # not positive definite
-            L = None
-        if L is None or (L.diagonal() ** 2 / block.diagonal()).min() < GRAM_PIVOT_RTOL:
-            return solve_least_squares(self.X, self.y, mask)
+        return self.gram.take(cols, 0).take(cols, 1)
+
+    def _solve_kept(self, cols, block):
+        """(theta, y^T y - b^T theta) of G[S, S] theta[S] = b[S]."""
+        theta = np.zeros(self.X.shape[1])
         b = self.xty[cols]
         sol = np.linalg.solve(block, b)
         theta[cols] = sol
-        squared = self.yty - float(b @ sol)
+        return theta, self.yty - float(b @ sol)
+
+    def _solve_per_mask(self, mask, cols):
+        """The per-mask path: the pivot test on G[S, S], then one block
+        solve, or `solve_least_squares` where the test fails."""
+        block = self._block(cols)
+        if not _pivots_pass(block):
+            return solve_least_squares(self.X, self.y, mask)
+        theta, squared = self._solve_kept(cols, block)
         if squared < GRAM_CANCEL_RTOL * self.yty:
             return theta, self.residual_norm(theta)
         return theta, math.sqrt(squared)

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from bagel import cli
+from bagel import cli, smart_design
 from bagel.constraints import (
     ExtendedTable,
     BOTH,
@@ -149,6 +149,39 @@ def test_criterion_3_dense_theta_search_beats_both_baselines():
         if seed in DENSE_STRICT_SEEDS:
             assert bagel < baseline, seed
     _report(3, "with a dense theta*, search beats both repair baselines on train loss")
+
+
+# (nodes opened under dfs, under best-first, the incumbent's u) of
+# run_methods(dense_instance(seed), folds=1) for seeds 1-8.  A new solve
+# kernel that rounds differently may not change which nodes the search
+# opens or what it picks.
+DENSE_SEARCHES = {
+    1: (129, 135, "11110111001011001010"),
+    2: (139, 65, "11011111111000100110"),
+    3: (63, 55, "10110101101001110111"),
+    4: (111, 111, "11110110011101101001"),
+    5: (149, 127, "11110111010101100101"),
+    6: (101, 67, "01101110110100111110"),
+    7: (39, 39, "11111111010011010101"),
+    8: (157, 101, "11011101010001100111"),
+}
+
+
+@pytest.mark.parametrize("strategy", ["dfs", "best-first"])
+def test_dense_searches_keep_their_nodes_and_incumbents(monkeypatch, strategy):
+    search, found = smart_design.bagel_search, []
+
+    def spy(*args, **kwargs):
+        best, stats = search(*args, **kwargs)
+        found.append("".join(map(str, best.model.u)))
+        return best, stats
+
+    monkeypatch.setattr(smart_design, "bagel_search", spy)
+    for seed, (dfs_nodes, bf_nodes, u) in DENSE_SEARCHES.items():
+        (bagel,) = [r for r in run_methods(dense_instance(seed), folds=1, strategy=strategy)
+                    if r["method"] == "bagel"]
+        assert bagel["nodes"] == (dfs_nodes if strategy == "dfs" else bf_nodes), seed
+        assert found[-1] == u, seed
 
 
 def test_criterion_4_tightness_ordering(sweep_rows):

@@ -79,9 +79,25 @@ class TestLpDistance:
     def test_p_zero_counts_differences(self):
         assert lp_cost(0)([1, 2, 3], [1, 0, 0]) == 2.0
 
-    def test_invalid_p(self):
+    @pytest.mark.parametrize("p", [0.5, float("nan"), -1.0, -np.inf])
+    @pytest.mark.parametrize("make", [lp_cost, masked_lp_cost])
+    def test_invalid_p(self, make, p):
         with pytest.raises(DomainError):
-            lp_cost(0.5)([1.0], [0.0])
+            make(p)
+
+    @pytest.mark.parametrize("p", [0.5, float("nan")])
+    def test_invalid_p_builds_no_table(self, p):
+        with pytest.raises(DomainError):
+            encode_norm_ball_as_et(p, 1.0, 2)
+
+    @pytest.mark.parametrize("p, norm, masked", [(0, 2.0, 1.0), (1, 7.0, 3.0), (2, 5.0, 3.0),
+                                                 (np.inf, 4.0, 3.0)])
+    def test_valid_p_builds_and_evaluates(self, p, norm, masked):
+        y = [3.0, -4.0, 0.0]
+        assert lp_cost(p)(y, [0.0, 0.0, 0.0]) == norm
+        assert masked_lp_cost(p)(y, [0.0, 1.0, 0.0]) == masked
+        assert et_satisfied(y, encode_norm_ball_as_et(p, norm, 3)) == (True, 0)
+        assert et_satisfied(y, encode_norm_ball_as_et(p, norm - 0.5, 3)) == (False, None)
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):

@@ -1,10 +1,11 @@
+import itertools
 import json
 import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -118,6 +119,42 @@ def least_squares_cases(draw):
     return X, y, mask
 
 
+@st.composite
+def correlated_cases(draw, max_d=12):
+    """(X, y, mask) with m > d: columns of pairwise correlation rho, spread
+    over 0.01-100 in scale, coefficients scaled inversely and, if drawn,
+    summing to zero, so that the columns cancel and y is small next to
+    them.  ||X theta*|| is 300: y^T y is then large next to a loss near the
+    cancellation threshold, where the tolerance is an absolute 1e-9.  The
+    noise is orthogonal to the columns, so the full mask's loss is
+    noise * 300 exactly; at 1.2e-3 its square is just above
+    GRAM_CANCEL_RTOL * y^T y.  Masks drop none of the columns, at most
+    half, more than half, or all of them."""
+    d = draw(st.integers(2, max_d))
+    m = d + draw(st.integers(8, 50))
+    rng = make_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rho = draw(st.sampled_from([0.0, 0.9, 0.99, 0.999]))
+    X = math.sqrt(1 - rho) * rng.standard_normal((m, d))
+    X += math.sqrt(rho) * rng.standard_normal((m, 1))
+    scale = 10.0 ** rng.uniform(-2, 2, d)
+    X *= scale
+    c = rng.standard_normal(d)
+    if draw(st.booleans()):
+        c -= c.mean()
+    signal = X @ (c / scale)
+    signal *= 300.0 / np.linalg.norm(signal)
+    noise = draw(st.sampled_from([0.0, 1e-8, 1e-4, 1.2e-3, 1e-2, 0.1, 1.0]))
+    q, _ = np.linalg.qr(X)
+    e = rng.standard_normal(m)
+    e -= q @ (q.T @ e)
+    y = signal + noise * 300.0 / np.linalg.norm(e) * e
+    dropped = draw(st.one_of(st.just(0), st.integers(1, d // 2), st.integers(d // 2 + 1, d),
+                             st.just(d)))
+    mask = np.ones(d, dtype=bool)
+    mask[rng.choice(d, dropped, replace=False)] = False
+    return X, y, mask
+
+
 class TestGramLeastSquares:
     """The Gram path against `solve_least_squares`, the reference it replaces."""
 
@@ -153,6 +190,36 @@ class TestGramLeastSquares:
             theta_tol = LOSS_RTOL * max(1.0, np.linalg.norm(ref_theta))
             assert np.linalg.norm(theta - ref_theta) <= theta_tol
 
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(correlated_cases())
+    def test_root_relative_solve_matches_reference(self, case):
+        # The drawn mask, the full one and each that drops one column; an
+        # error in the root's own loss shows most where the full mask's loss
+        # is just above GRAM_CANCEL_RTOL.  A Gram solve is checked against
+        # the reference on unit-norm columns, where the SVD's own error does
+        # not grow with the spread of the column scales.  A fallback is the
+        # reference itself.
+        X, y, mask = case
+        solver = GramLeastSquares(X, y)
+        assume(solver.inverse is not None)  # else the per-mask path, as before
+        norms = np.linalg.norm(X, axis=0)
+        for mask in [mask, np.ones_like(mask), *~np.eye(len(mask), dtype=bool)]:
+            theta, loss, fell_back = self.solve_and_spy(X, y, mask, solver)
+            if fell_back:
+                ref_theta, ref_loss = solve_least_squares(X, y, mask)
+                assert np.array_equal(theta, ref_theta) and loss == ref_loss
+                continue
+            ref_theta, ref_loss = solve_least_squares(X / norms, y, mask)
+            ref_theta /= norms
+            tol = LOSS_RTOL * max(1.0, ref_loss)
+            assert np.all(theta[~mask] == 0.0)
+            assert loss <= ref_loss + tol
+            cols = np.flatnonzero(mask)
+            if cols.size == 0 or np.linalg.cond(X[:, cols]) <= 1e4:
+                assert abs(loss - ref_loss) <= tol
+                theta_tol = LOSS_RTOL * max(1.0, np.linalg.norm(ref_theta))
+                assert np.linalg.norm(theta - ref_theta) <= theta_tol
+
     @pytest.mark.parametrize("X, mask", [
         (np.array([[1.0, 1.0], [1.0, 1.0]]), [1, 1]),               # duplicated columns
         (make_rng(2).standard_normal((3, 5)), [1, 1, 1, 1, 0]),     # m < |mask|
@@ -164,6 +231,28 @@ class TestGramLeastSquares:
         ref_theta, ref_loss = solve_least_squares(X, y, mask)
         assert fell_back
         assert np.array_equal(theta, ref_theta) and loss == ref_loss
+
+    @pytest.mark.parametrize("X", [
+        make_rng(2).standard_normal((3, 5)),
+        make_rng(4).standard_normal((6, 4))[:, [0, 1, 2, 1]],
+        np.hstack([make_rng(6).standard_normal((6, 3)), np.zeros((6, 1))]),
+    ], ids=["m<d", "duplicated-column", "zero-column"])
+    def test_failed_root_takes_the_per_mask_path(self, X):
+        y = np.arange(1.0, X.shape[0] + 1)
+        solver = GramLeastSquares(X, y)
+        assert solver.inverse is None
+        routes = set()
+        for mask in itertools.product([False, True], repeat=X.shape[1]):
+            mask = np.array(mask)
+            with mock.patch.object(solver, "_solve_per_mask",
+                                   wraps=solver._solve_per_mask) as per_mask:
+                theta, loss, fell_back = self.solve_and_spy(X, y, mask, solver)
+            assert per_mask.called == mask.any()
+            ref_theta, ref_loss, ref_fell_back = gram_reference(solver, mask)
+            assert fell_back == ref_fell_back
+            assert np.array_equal(theta, ref_theta) and loss == ref_loss
+            routes.add(fell_back)
+        assert routes == {False, True}  # some blocks pass the pivot test alone
 
     def test_well_conditioned_mask_uses_cholesky(self):
         rng = make_rng(3)
@@ -202,19 +291,26 @@ class TestGramLeastSquares:
             GramLeastSquares(np.eye(2), [1.0, 2.0]).solve([1])
 
 
-def gram_reference(solver, mask):
-    """`GramLeastSquares.solve` written with `np.ix_`, `np.diag` and no
-    shared state, plus whether it fell back to `solve_least_squares`."""
-    theta = np.zeros(solver.X.shape[1])
-    cols = np.flatnonzero(mask)
-    if not cols.size:
-        return theta, float(np.linalg.norm(solver.y)), False
-    block = solver.gram[np.ix_(cols, cols)]
+def min_pivot_ratio(block):
+    """Smallest Cholesky pivot of `block` over the matching diagonal entry,
+    or -inf where the factorisation fails."""
     try:
         L = np.linalg.cholesky(block)
     except np.linalg.LinAlgError:
-        L = None
-    if L is None or np.min(np.diag(L) ** 2 / np.diag(block)) < GRAM_PIVOT_RTOL:
+        return -np.inf
+    return float(np.min(np.diag(L) ** 2 / np.diag(block), initial=np.inf))
+
+
+def pivots_pass(block):
+    """The pivot test, written with `np.diag`."""
+    return not min_pivot_ratio(block) < GRAM_PIVOT_RTOL
+
+
+def block_reference(solver, mask, cols):
+    """The per-mask path, plus whether it fell back to `solve_least_squares`."""
+    theta = np.zeros(solver.X.shape[1])
+    block = solver.gram[np.ix_(cols, cols)]
+    if not pivots_pass(block):
         return (*solve_least_squares(solver.X, solver.y, mask), True)
     b = solver.xty[cols]
     theta[cols] = np.linalg.solve(block, b)
@@ -225,8 +321,42 @@ def gram_reference(solver, mask):
     return theta, math.sqrt(squared), False
 
 
+def gram_reference(solver, mask):
+    """`GramLeastSquares.solve` written with `np.ix_`, `np.diag` and no
+    shared state: the root solve is redone from X, y and the Gram matrix
+    on every call.  Returns (theta, loss, fell back to the reference)."""
+    X, y, gram = solver.X, solver.y, solver.gram
+    d = X.shape[1]
+    mask = np.asarray(mask, dtype=bool)
+    cols, drop = np.flatnonzero(mask), np.flatnonzero(~mask)
+    if not cols.size:
+        return np.zeros(d), float(np.linalg.norm(y)), False
+    if not pivots_pass(gram):
+        return block_reference(solver, mask, cols)
+    yty = float(np.dot(y, y))
+    if 2 * drop.size > d:
+        theta = np.zeros(d)
+        b = solver.xty[cols]
+        theta[cols] = np.linalg.solve(gram[np.ix_(cols, cols)], b)
+        squared = yty - float(np.dot(b, theta[cols]))
+    else:
+        inverse = np.linalg.inv(gram)
+        theta0 = np.linalg.solve(gram, solver.xty)
+        r0 = X @ theta0 - y
+        theta, squared = theta0.copy(), float(np.dot(r0, r0))
+        if drop.size:
+            z = np.linalg.solve(inverse[np.ix_(drop, drop)], theta0[drop])
+            theta = theta0 - inverse[:, drop] @ z
+            theta[drop] = 0.0
+            squared += float(np.dot(theta0[drop], z))
+    if squared < GRAM_CANCEL_RTOL * yty:
+        return block_reference(solver, mask, cols)
+    return theta, math.sqrt(squared), False
+
+
 class TestGramKernel:
-    """The block gather, pivot test and loss rule against `gram_reference`."""
+    """The root solve, the routes, the pivot test and the loss rules
+    against `gram_reference`."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(least_squares_cases())
@@ -236,6 +366,20 @@ class TestGramKernel:
         ref_theta, ref_loss, ref_fell_back = gram_reference(GramLeastSquares(X, y), mask)
         assert fell_back == ref_fell_back
         assert np.array_equal(theta, ref_theta) and loss == ref_loss
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(correlated_cases(max_d=8))
+    def test_principal_blocks_keep_the_root_pivots(self, case):
+        # The argument for solving a block without a pivot test of its
+        # own: where the Gram matrix passes, no principal block has a
+        # smaller pivot ratio, so every block passes too.
+        gram = case[0].T @ case[0]
+        assume(pivots_pass(gram))
+        root = min_pivot_ratio(gram)
+        for keep in itertools.product([False, True], repeat=len(gram)):
+            cols = np.flatnonzero(keep)
+            if cols.size:
+                assert min_pivot_ratio(gram[np.ix_(cols, cols)]) >= root - 1e-12
 
 
 class TestNmfMultiplicative:
