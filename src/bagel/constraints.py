@@ -96,7 +96,7 @@ class ExtendedTable:
         t = np.asarray(self.tuples, dtype=float)
         if t.ndim != 2 or t.shape[1] != self.arity:
             raise DimensionError("tuples must be 2-d with row length = arity")
-        if self.threshold < 0:
+        if not self.threshold >= 0:  # `not >=` also rejects NaN
             raise ValueError("threshold must be >= 0")
         object.__setattr__(self, "tuples", t)
 
@@ -140,7 +140,7 @@ def et_rank_tuples(y, et, order_cost):
 
 def encode_norm_ball_as_et(p, lam, dim):
     """||theta||_p <= lam as a single-tuple extended table."""
-    if lam < 0:
+    if not lam >= 0:  # `not >=` also rejects NaN
         raise ValueError("lam must be >= 0")
     if dim < 1:
         raise ValueError("dim must be >= 1")

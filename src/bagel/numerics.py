@@ -14,9 +14,9 @@ explicit residual.  Each column subset is then solved relative to that
 root solve ("leaps and bounds", Furnival & Wilson 1974), by one solve the
 size of the dropped columns or of the kept ones, whichever is smaller,
 without touching X again.  Where the Gram matrix is not safely positive
-definite, each subset is solved from its own block, and blocks that are
-not safely positive definite either fall back to `solve_least_squares`,
-the SVD-based reference.
+definite, each subset is solved from its own kept block and its loss is
+the explicit residual; blocks that are not safely positive definite
+either fall back to `solve_least_squares`, the SVD-based reference.
 """
 
 from __future__ import annotations
@@ -252,21 +252,22 @@ class GramLeastSquares:
 
     The root solve is set up once.  Where G passes the pivot test below,
     the solver keeps G^-1, theta0 = G^-1 b and r0^2 = ||X theta0 - y||^2.
-    A mask that keeps the columns S and drops the columns J is then
-    solved relative to the root (Furnival & Wilson 1974):
+    A mask keeps the columns S and drops the columns J, and takes one of
+    two routes.  Where the root passed and |J| <= |S|, it is solved
+    relative to the root (Furnival & Wilson 1974):
 
         z = G^-1[J, J]^-1 theta0[J],
         theta = theta0 - G^-1[:, J] z   (theta[J] = 0),
         loss^2 = r0^2 + theta0[J]^T z,
 
-    a |J| x |J| solve in place of a |S| x |S| one.  This route is taken
-    where |J| <= |S|; with more columns dropped than kept, theta solves
-    G[S, S] theta[S] = b[S] directly and loss^2 = y^T y - b[S]^T theta[S].
-    r0^2 is formed explicitly, in O(m d) once per fold, because both terms
-    of r0^2 + theta0[J]^T z are then non-negative and nothing cancels.
-    Taken as y^T y - b^T theta0 instead, r0^2 would carry the rounding
-    error of theta0 at first order, and G as a whole is often worse
-    conditioned than any block a mask keeps.
+    a |J| x |J| solve in place of a |S| x |S| one; with J empty it gives
+    theta0 and r0^2.  Otherwise theta solves G[S, S] theta[S] = b[S]
+    directly and loss^2 = y^T y - b[S]^T theta[S].  r0^2 is formed
+    explicitly, in O(m d) once per fold, because both terms of
+    r0^2 + theta0[J]^T z are then non-negative and nothing cancels.  Taken
+    as y^T y - b^T theta0 instead, r0^2 would carry the rounding error of
+    theta0 at first order, and G as a whole is often worse conditioned
+    than any block a mask keeps.
 
     The pivot test: G is factored by Cholesky, and it passes where the
     factorisation succeeds and every pivot is at least GRAM_PIVOT_RTOL
@@ -275,20 +276,18 @@ class GramLeastSquares:
     the share of the column's squared norm left outside the span of the
     columns before it; in a principal block, the columns before it are a
     subset of those in G, so that share can only grow.  If G passes,
-    every principal block passes.
+    every principal block passes.  Where G fails (m < d, a duplicated or
+    zero column, or a small pivot), the solver keeps nothing of the root,
+    every mask takes the kept-block route, and the block G[S, S] is
+    tested alone; a block that fails goes to `solve_least_squares`, which
+    keeps the minimum-norm answer on rank-deficient and ill-conditioned
+    masks.
 
-    Two routes lead to the per-mask path, which is the whole solve where
-    the root fails: the block G[S, S] is tested alone, solved by one
-    `np.linalg.solve` if it passes and by `solve_least_squares` if it does
-    not, which keeps the minimum-norm answer on rank-deficient and
-    ill-conditioned masks.
-    - G fails the pivot test (m < d, a duplicated or zero column, or a
-      small pivot).  The solver then keeps nothing of the root, and every
-      mask takes the per-mask path.
-    - The squared loss of a mask is below GRAM_CANCEL_RTOL times y^T y.
-      On such a near-noiseless fit either formula above loses its digits,
-      so the mask is solved again by the per-mask path, whose loss is the
-      explicit residual norm there.
+    The loss is the explicit residual norm of the theta just computed
+    where the root failed, since loss^2 then carries theta's rounding
+    error at first order, and where loss^2 is below GRAM_CANCEL_RTOL
+    times y^T y, a near-noiseless fit on which either formula above
+    loses its digits.  Elsewhere it is the square root of loss^2.
     """
 
     def __init__(self, X, y):
@@ -318,12 +317,8 @@ class GramLeastSquares:
         cols = np.flatnonzero(keep)
         if not cols.size:
             return np.zeros(d), float(np.linalg.norm(self.y))
-        if self.inverse is None:
-            return self._solve_per_mask(mask, cols)
         drop = np.flatnonzero(~keep)
-        if 2 * drop.size > d:
-            theta, squared = self._solve_kept(cols, self._block(cols))
-        elif drop.size:
+        if self.inverse is not None and 2 * drop.size <= d:
             # The columns of G^-1 first, then their J rows: |J| x d is
             # copied, not the |S| x d of taking the S rows first.
             inv_cols = self.inverse.take(drop, 1)
@@ -333,31 +328,16 @@ class GramLeastSquares:
             theta[drop] = 0.0
             squared = self.r0_squared + float(t @ z)
         else:
-            theta, squared = self.theta0.copy(), self.r0_squared
-        if squared < GRAM_CANCEL_RTOL * self.yty:
-            return self._solve_per_mask(mask, cols)
-        return theta, math.sqrt(squared)
-
-    def _block(self, cols):
-        # Two takes copy the block with less overhead than np.ix_.
-        return self.gram.take(cols, 0).take(cols, 1)
-
-    def _solve_kept(self, cols, block):
-        """(theta, y^T y - b^T theta) of G[S, S] theta[S] = b[S]."""
-        theta = np.zeros(self.X.shape[1])
-        b = self.xty[cols]
-        sol = np.linalg.solve(block, b)
-        theta[cols] = sol
-        return theta, self.yty - float(b @ sol)
-
-    def _solve_per_mask(self, mask, cols):
-        """The per-mask path: the pivot test on G[S, S], then one block
-        solve, or `solve_least_squares` where the test fails."""
-        block = self._block(cols)
-        if not _pivots_pass(block):
-            return solve_least_squares(self.X, self.y, mask)
-        theta, squared = self._solve_kept(cols, block)
-        if squared < GRAM_CANCEL_RTOL * self.yty:
+            # Two takes copy the block with less overhead than np.ix_.
+            block = self.gram.take(cols, 0).take(cols, 1)
+            if self.inverse is None and not _pivots_pass(block):
+                return solve_least_squares(self.X, self.y, mask)
+            b = self.xty[cols]
+            sol = np.linalg.solve(block, b)
+            theta = np.zeros(d)
+            theta[cols] = sol
+            squared = self.yty - float(b @ sol)
+        if self.inverse is None or squared < GRAM_CANCEL_RTOL * self.yty:
             return theta, self.residual_norm(theta)
         return theta, math.sqrt(squared)
 

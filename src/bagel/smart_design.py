@@ -227,6 +227,8 @@ def sd_generate_instance(n_features, samples, cost_percent, seed, n_components=N
         raise ValueError("n_features must be >= 1")
     if samples < 2:
         raise ValueError("samples must be >= 2, got %d" % samples)
+    if n_components is not None and n_components < 1:
+        raise ValueError("n_components must be >= 1, got %d" % n_components)
     if n_features not in FEATURE_GRID:
         warnings.warn("n_features=%d is off the usual grid" % n_features)
     if samples not in SAMPLE_GRID:

@@ -392,5 +392,8 @@ class TestAlldifferentFilter:
 
 class TestDomains:
     def test_threshold_must_be_nonnegative(self):
-        with pytest.raises(ValueError):
-            ExtendedTable(2, CLASSIC, lp_cost(2), -1.0)
+        for threshold in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="threshold"):
+                ExtendedTable(2, CLASSIC, lp_cost(2), threshold)
+            with pytest.raises(ValueError, match="lam"):
+                encode_norm_ball_as_et(2, threshold, 2)

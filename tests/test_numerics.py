@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -119,40 +119,55 @@ def least_squares_cases(draw):
     return X, y, mask
 
 
-@st.composite
-def correlated_cases(draw, max_d=12):
+def correlated_case(d, m, seed, rho, centred, noise, dropped):
     """(X, y, mask) with m > d: columns of pairwise correlation rho, spread
-    over 0.01-100 in scale, coefficients scaled inversely and, if drawn,
-    summing to zero, so that the columns cancel and y is small next to
-    them.  ||X theta*|| is 300: y^T y is then large next to a loss near the
-    cancellation threshold, where the tolerance is an absolute 1e-9.  The
-    noise is orthogonal to the columns, so the full mask's loss is
-    noise * 300 exactly; at 1.2e-3 its square is just above
-    GRAM_CANCEL_RTOL * y^T y.  Masks drop none of the columns, at most
-    half, more than half, or all of them."""
-    d = draw(st.integers(2, max_d))
-    m = d + draw(st.integers(8, 50))
-    rng = make_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    rho = draw(st.sampled_from([0.0, 0.9, 0.99, 0.999]))
+    over 0.01-100 in scale, coefficients scaled inversely and, if
+    `centred`, summing to zero, so that the columns cancel and y is small
+    next to them.  ||X theta*|| is 300: y^T y is then large next to a loss
+    near the cancellation threshold, where the tolerance is an absolute
+    1e-9.  The noise is orthogonal to the columns, so the full mask's loss
+    is noise * 300 exactly; at 1.2e-3 its square is just above
+    GRAM_CANCEL_RTOL * y^T y.  The mask drops `dropped` columns drawn
+    from the seeded stream."""
+    rng = make_rng(seed)
     X = math.sqrt(1 - rho) * rng.standard_normal((m, d))
     X += math.sqrt(rho) * rng.standard_normal((m, 1))
     scale = 10.0 ** rng.uniform(-2, 2, d)
     X *= scale
     c = rng.standard_normal(d)
-    if draw(st.booleans()):
+    if centred:
         c -= c.mean()
     signal = X @ (c / scale)
     signal *= 300.0 / np.linalg.norm(signal)
-    noise = draw(st.sampled_from([0.0, 1e-8, 1e-4, 1.2e-3, 1e-2, 0.1, 1.0]))
     q, _ = np.linalg.qr(X)
     e = rng.standard_normal(m)
     e -= q @ (q.T @ e)
     y = signal + noise * 300.0 / np.linalg.norm(e) * e
-    dropped = draw(st.one_of(st.just(0), st.integers(1, d // 2), st.integers(d // 2 + 1, d),
-                             st.just(d)))
     mask = np.ones(d, dtype=bool)
     mask[rng.choice(d, dropped, replace=False)] = False
     return X, y, mask
+
+
+@st.composite
+def correlated_cases(draw, max_d=12):
+    """`correlated_case` over drawn shapes, seeds, correlations and noise
+    levels.  Masks drop none of the columns, at most half, more than
+    half, or all of them."""
+    d = draw(st.integers(2, max_d))
+    m = d + draw(st.integers(8, 50))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rho = draw(st.sampled_from([0.0, 0.9, 0.99, 0.999]))
+    centred = draw(st.booleans())
+    noise = draw(st.sampled_from([0.0, 1e-8, 1e-4, 1.2e-3, 1e-2, 0.1, 1.0]))
+    dropped = draw(st.one_of(st.just(0), st.integers(1, d // 2), st.integers(d // 2 + 1, d),
+                             st.just(d)))
+    return correlated_case(d, m, seed, rho, centred, noise, dropped)
+
+
+# The full Gram matrix fails the pivot test, while the block that drops
+# column 5 passes it; that block's loss taken as sqrt(y^T y - b^T theta)
+# is 1.3e-8 off the reference, so a failed root's loss is the residual.
+FAILED_ROOT_CASE = correlated_case(6, 14, 126, 0.999, True, 1.2e-3, 1)
 
 
 class TestGramLeastSquares:
@@ -192,16 +207,16 @@ class TestGramLeastSquares:
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(correlated_cases())
+    @example(FAILED_ROOT_CASE)
     def test_root_relative_solve_matches_reference(self, case):
         # The drawn mask, the full one and each that drops one column; an
         # error in the root's own loss shows most where the full mask's loss
         # is just above GRAM_CANCEL_RTOL.  A Gram solve is checked against
         # the reference on unit-norm columns, where the SVD's own error does
         # not grow with the spread of the column scales.  A fallback is the
-        # reference itself.
+        # reference itself.  Failed roots are checked the same way.
         X, y, mask = case
         solver = GramLeastSquares(X, y)
-        assume(solver.inverse is not None)  # else the per-mask path, as before
         norms = np.linalg.norm(X, axis=0)
         for mask in [mask, np.ones_like(mask), *~np.eye(len(mask), dtype=bool)]:
             theta, loss, fell_back = self.solve_and_spy(X, y, mask, solver)
@@ -244,13 +259,12 @@ class TestGramLeastSquares:
         routes = set()
         for mask in itertools.product([False, True], repeat=X.shape[1]):
             mask = np.array(mask)
-            with mock.patch.object(solver, "_solve_per_mask",
-                                   wraps=solver._solve_per_mask) as per_mask:
-                theta, loss, fell_back = self.solve_and_spy(X, y, mask, solver)
-            assert per_mask.called == mask.any()
+            theta, loss, fell_back = self.solve_and_spy(X, y, mask, solver)
             ref_theta, ref_loss, ref_fell_back = gram_reference(solver, mask)
             assert fell_back == ref_fell_back
             assert np.array_equal(theta, ref_theta) and loss == ref_loss
+            # Each kept block is solved alone and its loss is the residual.
+            assert fell_back or loss == np.linalg.norm(X @ theta - y)
             routes.add(fell_back)
         assert routes == {False, True}  # some blocks pass the pivot test alone
 
@@ -306,21 +320,6 @@ def pivots_pass(block):
     return not min_pivot_ratio(block) < GRAM_PIVOT_RTOL
 
 
-def block_reference(solver, mask, cols):
-    """The per-mask path, plus whether it fell back to `solve_least_squares`."""
-    theta = np.zeros(solver.X.shape[1])
-    block = solver.gram[np.ix_(cols, cols)]
-    if not pivots_pass(block):
-        return (*solve_least_squares(solver.X, solver.y, mask), True)
-    b = solver.xty[cols]
-    theta[cols] = np.linalg.solve(block, b)
-    yty = float(np.dot(solver.y, solver.y))
-    squared = yty - float(np.dot(b, theta[cols]))
-    if squared < GRAM_CANCEL_RTOL * yty:
-        return theta, float(np.linalg.norm(solver.X @ theta - solver.y)), False
-    return theta, math.sqrt(squared), False
-
-
 def gram_reference(solver, mask):
     """`GramLeastSquares.solve` written with `np.ix_`, `np.diag` and no
     shared state: the root solve is redone from X, y and the Gram matrix
@@ -331,15 +330,9 @@ def gram_reference(solver, mask):
     cols, drop = np.flatnonzero(mask), np.flatnonzero(~mask)
     if not cols.size:
         return np.zeros(d), float(np.linalg.norm(y)), False
-    if not pivots_pass(gram):
-        return block_reference(solver, mask, cols)
+    root_passes = pivots_pass(gram)
     yty = float(np.dot(y, y))
-    if 2 * drop.size > d:
-        theta = np.zeros(d)
-        b = solver.xty[cols]
-        theta[cols] = np.linalg.solve(gram[np.ix_(cols, cols)], b)
-        squared = yty - float(np.dot(b, theta[cols]))
-    else:
+    if root_passes and 2 * drop.size <= d:
         inverse = np.linalg.inv(gram)
         theta0 = np.linalg.solve(gram, solver.xty)
         r0 = X @ theta0 - y
@@ -349,8 +342,16 @@ def gram_reference(solver, mask):
             theta = theta0 - inverse[:, drop] @ z
             theta[drop] = 0.0
             squared += float(np.dot(theta0[drop], z))
-    if squared < GRAM_CANCEL_RTOL * yty:
-        return block_reference(solver, mask, cols)
+    else:
+        block = gram[np.ix_(cols, cols)]
+        if not root_passes and not pivots_pass(block):
+            return (*solve_least_squares(X, y, mask), True)
+        theta = np.zeros(d)
+        b = solver.xty[cols]
+        theta[cols] = np.linalg.solve(block, b)
+        squared = yty - float(np.dot(b, theta[cols]))
+    if not root_passes or squared < GRAM_CANCEL_RTOL * yty:
+        return theta, float(np.linalg.norm(X @ theta - y)), False
     return theta, math.sqrt(squared), False
 
 

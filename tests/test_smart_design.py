@@ -312,6 +312,9 @@ class TestInstanceGenerator:
     def test_invalid_cost_percent(self):
         with pytest.raises(ValueError):
             sd_generate_instance(10, 100, 1.5, seed=0)
+        for n_components in (0, -1):
+            with pytest.raises(ValueError, match="n_components"):
+                sd_generate_instance(10, 100, 0.6, seed=0, n_components=n_components)
 
     def test_off_grid_warns(self):
         with pytest.warns(UserWarning):
