@@ -42,7 +42,7 @@ class ProblemKind:
     module: ModuleType           # its save_instance(instance, path) and
                                  # load_instance(numerics.read_instance doc)
     solve: Callable              # (instance, args, stop, trace) -> result rows, each with
-                                 # its search's SearchStats.warnings under "warnings"
+                                 # its search's SearchStats under "stats" (None if no search)
     fields: List[str]            # result CSV columns
     grid: Tuple                  # bench axes: (generate flag, --grid-* dest, cast)
     cell: str                    # bench cell name, formatted with the axis values and seed
@@ -173,8 +173,7 @@ def _solve_prior_nmf(instance, args, stop, trace):
         "nodes": stats.nodes_opened,
         "wall_ms": stats.wall_time * 1000.0,
         "completed": stats.completed,
-        "warnings": stats.warnings,
-        "stop": stats.stop,
+        "stats": stats,
     }]
 
 
@@ -277,10 +276,21 @@ def cmd_solve(args):
             "instance": args.instance, "instance_id": instance_id, "problem": kind,
             "node_cap": args.node_cap, "seed": instance.seed, **_search_flags(args),
             "versions": _versions(),
-            "warnings": [w for row in rows for w in row["warnings"]],
-            "stops": [row["stop"] for row in rows if row["stop"] is not None],
+            **_search_record([row["stats"] for row in rows if row["stats"] is not None]),
         })
     return 0
+
+
+def _search_record(searches):
+    """The sidecar's account of a solve's searches (`SearchStats`), each
+    list one entry per search in order, apart from the warnings of all."""
+    return {
+        "warnings": [w for stats in searches for w in stats.warnings],
+        "stops": [stats.stop for stats in searches],
+        "nodes": [{"opened": stats.nodes_opened, "pruned": stats.nodes_pruned,
+                   "failed": stats.nodes_failed, "leaves": stats.leaves}
+                  for stats in searches],
+    }
 
 
 def _parse_grid(text, cast):

@@ -363,9 +363,14 @@ NMF_CHECK_EVERY = 10
 # Floor of the diagonal entry a HALS update divides by, so an all-zero
 # column of W or row of H stays as it is instead of dividing 0 by 0.
 NMF_EPS = 1e-12
+# What a masked entry of W adds to its update, so the entry clamps to 0.
+# It is finite because the update's product multiplies the other
+# columns' rows of the mask block by 0, and 0 * -inf is NaN; any finite
+# sum with -max is at most 0.
+NMF_MASKED = np.finfo(float).max
 
 
-def nmf_multiplicative(A, k, mask, iters, rng, on_iteration=None):
+def nmf_multiplicative(A, k, mask, iters, rng=None, on_iteration=None, *, start=None):
     """Masked NMF by masked HALS for the Frobenius objective.
 
     The name stays because `benchmarks/tracer.py` wraps this function by
@@ -374,21 +379,25 @@ def nmf_multiplicative(A, k, mask, iters, rng, on_iteration=None):
     Cichocki & Phan, IEICE 2009; Gillis & Glineur, Neural Computation
     2012) minimises the objective exactly over one row of H or one column
     of W at a time, in place.  A sweep updates the rows of H in order
-    l = 0..k-1 in scaled form: with d = max(diag(W^T W), NMF_EPS),
-    B = W^T A / d and G = W^T W / d - I (row l divided by d[l]),
+    l = 0..k-1: with B = W^T A, G = W^T W and d = max(diag G, NMF_EPS),
 
-        H[l] = max(0, B[l] - G[l] H).
+        H[l] = max(0, H[l] + (B[l] - G[l] H) / d[l]).
 
-    G[l, l] is 0 unless the floor applies, so this is the update
-    H[l] + (W^T A[l] - W^T W[l] H) / d[l], rounded differently.  The
-    columns of W are then updated the same way against A H^T and H H^T,
-    with B = -inf wherever the binary mask is 0, so those entries come
-    out exactly 0.
+    H is held in the top rows of the stack [H; B], so each update is one
+    product c_l [H; B] and one clamp, with c_l = [e_l - G[l] / d[l],
+    e_l / d[l]] (`_hals_rows`).  The coefficient of H[l] itself,
+    1 - G[l, l] / d[l], is 0 unless the floor applies, so H[l] is never
+    subtracted from itself.  The columns of W are then updated the same
+    way against A H^T and H H^T in the stack [W^T; B; S], with e_l on S:
+    row l of S is -NMF_MASKED wherever column l of the binary mask is 0,
+    so those entries of W clamp to exactly 0.
 
-    W (n x k) and H (k x m) are initialised uniformly in (0, 1] from rng,
-    W first, then W is projected onto the binary mask (W *= mask), so
-    masked positions are exactly 0 throughout.  Returns (W, H, loss) with
-    loss = ||A - W H||_F (unsquared).
+    The start is `start=(W, H)` when given, and rng is not used; else W
+    (n x k) and H (k x m) are drawn uniformly in (0, 1] from rng, W
+    first.  W is then projected onto the mask (W * mask), so masked
+    positions are exactly 0 throughout; the start arrays are not
+    modified.  Returns (W, H, loss) with loss = ||A - W H||_F
+    (unsquared).
 
     iters is a cap on sweeps.  Every NMF_CHECK_EVERY sweeps the loss is
     checked, and the run stops once it fell by at most NMF_STOP_RTOL
@@ -412,20 +421,27 @@ def nmf_multiplicative(A, k, mask, iters, rng, on_iteration=None):
     mask = np.asarray(mask, dtype=float)
     if mask.shape != (n, k):
         raise DimensionError("mask must be n x k")
-    # 1 - random() lands in (0, 1]; draw W first, then H, then project W.
-    W = 1.0 - rng.random((n, k))
-    H = 1.0 - rng.random((k, m))
-    W *= mask
-    # W is held as its transpose, so a column of W is a contiguous row.
-    Wt = W.T.copy()
-    W = Wt.T
-    # Work buffers and their row views, made once per call: a sweep and a
-    # loss check then allocate nothing that grows with n or m.
-    eye = np.eye(k)
-    sentinel = np.where(mask.T == 0, -np.inf, 0.0)
-    B_h, G_h, t_h = np.empty((k, m)), np.empty((k, k)), np.empty(m)
-    B_w, G_w, t_w = np.empty((k, n)), np.empty((k, k)), np.empty(n)
-    rows_h, rows_w = list(zip(G_h, B_h, H)), list(zip(G_w, B_w, Wt))
+    if start is None:
+        if rng is None:
+            raise ValueError("nmf_multiplicative needs rng or start")
+        # 1 - random() lands in (0, 1]; draw W first, then H.
+        start = 1.0 - rng.random((n, k)), 1.0 - rng.random((k, m))
+    W0, H0 = start
+    if np.shape(W0) != (n, k) or np.shape(H0) != (k, m):
+        raise DimensionError("start must be an n x k W and a k x m H")
+    # Each factor is the top rows of its stack, the rows the one product
+    # per row update reads: [H; B] (2k x m) and [W^T; B; S] (3k x n), so
+    # a column of W is a contiguous row.  The stacks, the coefficient
+    # rows, their views and the residual are made once per call: a sweep
+    # and a loss check then allocate nothing.
+    stack_h, stack_w = np.empty((2 * k, m)), np.empty((3 * k, n))
+    H, Wt = stack_h[:k], stack_w[:k]
+    H[...] = H0
+    np.multiply(np.transpose(W0), mask.T, out=Wt)
+    W, Ht, At, B_h, B_w = Wt.T, H.T, A.T, stack_h[k:], stack_w[k:2 * k]
+    stack_w[2 * k:] = np.where(mask.T == 0, -NMF_MASKED, 0.0)
+    G = np.empty((k, k))
+    hals_h, hals_w = _hals_rows(stack_h, G), _hals_rows(stack_w, G)
     R = np.empty((n, m))
 
     def residual():
@@ -436,40 +452,52 @@ def nmf_multiplicative(A, k, mask, iters, rng, on_iteration=None):
     prev = None
     for it in range(iters):
         np.dot(Wt, A, out=B_h)
-        np.dot(Wt, W, out=G_h)
-        _hals_rows(H, B_h, G_h, rows_h, eye, t_h)
-        np.dot(H, A.T, out=B_w)
-        np.dot(H, H.T, out=G_w)
-        _hals_rows(Wt, B_w, G_w, rows_w, eye, t_w, sentinel)
+        np.dot(Wt, W, out=G)
+        hals_h()
+        np.dot(H, At, out=B_w)
+        np.dot(H, Ht, out=G)
+        hals_w()
         if on_iteration is not None:
             on_iteration(it, W, H, residual())
         if (it + 1) % NMF_CHECK_EVERY == 0:
             loss = residual()
             if prev is not None and prev - loss <= NMF_STOP_RTOL * prev:
-                return W, H, loss
+                break
             prev = loss
-    return W, H, residual()
+    else:
+        loss = residual()
+    # Copies, so a kept model does not keep the stacks alive.
+    return Wt.copy().T, H.copy(), loss
 
 
-def _hals_rows(X, B, G, rows, eye, t, sentinel=None):
-    """One HALS pass over the rows of X, in place, overwriting B and G.
-    Row l in turn becomes the non-negative minimiser of
-    1/2 <X, G X> - <B, X> over X[l] with the other rows fixed; entries
-    where `sentinel` is -inf become 0.  rows holds the views
-    (G[l], B[l], X[l]) and t is a scratch row.
+def _hals_rows(stack, G):
+    """One HALS pass, in place, over the top k rows X of `stack`, as a
+    function of no arguments that reads G (k x k) and the next k rows of
+    `stack`, B, as they are when it is called.  Row l in turn becomes
+    max(0, u + S[l]), where u minimises 1/2 <X, G X> - <B, X> over X[l]
+    with the other rows fixed and S is the third block of `stack`, if it
+    has one: the non-negative minimiser wherever S is 0.
 
-    B and G are scaled row-wise by d = max(diag G, NMF_EPS) and G loses
-    the identity, so each row is three in-place calls into t.  The -inf
-    of the sentinel is only ever subtracted from, never multiplied, so it
-    yields no NaN.
+    The coefficient rows c_l are the rows of one buffer: its first block
+    is I - G / d with d = max(diag G, NMF_EPS), the diagonal of its second
+    is 1 / d, written through a strided view of the flat buffer, and the
+    diagonal of a third is 1.  Each row is then one product into a
+    scratch row and one clamp.
     """
-    d = np.maximum(G.diagonal(), NMF_EPS)[:, None]
-    B /= d
-    G /= d
-    G -= eye
-    if sentinel is not None:
-        B += sentinel
-    for g, b, x in rows:
-        np.dot(g, X, out=t)
-        np.subtract(b, t, out=t)
-        np.maximum(t, 0.0, out=x)
+    k, width, length = len(G), len(stack), stack.shape[1]
+    coef = np.zeros((k, width))
+    np.fill_diagonal(coef[:, 2 * k:], 1.0)
+    first, d, diag = coef[:, :k], coef.reshape(-1)[k::width + 1], G.diagonal()
+    d_col, eye, t, zeros = d[:, None], np.eye(k), np.empty(length), np.zeros(length)
+    rows = list(zip(coef, stack))
+
+    def run():
+        np.maximum(diag, NMF_EPS, out=d)
+        np.divide(G, d_col, out=first)
+        np.subtract(eye, first, out=first)
+        np.divide(1.0, d, out=d)
+        for c, x in rows:
+            np.dot(c, stack, out=t)
+            np.maximum(t, zeros, out=x)
+
+    return run

@@ -118,15 +118,13 @@ def nmf_generate_and_train(instance, topics, iters):
     return nmf_train_mask(instance, mask, iters)
 
 
-def nmf_train_mask(instance, mask, iters, trail=()):
-    """(W, H, loss) of one masked NMF seeded from the instance seed and the
-    trail's decisions, so a node's training does not depend on search order."""
-    entropy = [instance.seed & (2 ** 63 - 1)]
-    for d in trail:
-        entropy.extend((d.var, d.value))
+def nmf_train_mask(instance, mask, iters):
+    """(W, H, loss) of one masked NMF started from random factors drawn
+    from the instance seed: the root's training and the planted
+    reference.  Every other node starts from its parent's factors."""
     # The trailing 0 is the index of the one restart there used to be; it
-    # keeps every seed stream, and so every loss, as it was.
-    rng = numerics.make_rng(np.random.SeedSequence(entropy + [0]))
+    # keeps the seed stream, and so every root loss, as it was.
+    rng = numerics.make_rng(np.random.SeedSequence([instance.seed & (2 ** 63 - 1), 0]))
     return numerics.nmf_multiplicative(instance.A, instance.k, mask, iters, rng)
 
 
@@ -159,10 +157,16 @@ class PriorNmfProblem(Problem):
     unchanged.  Removing each chosen topic from the one shared set is all
     that alldifferent propagation leaves to do.
 
-    Training is a masked HALS NMF whose `iters` is a cap on sweeps.  It
-    finds a local optimum only, so the trained loss is only an approximate
-    bound, and bound pruning may cut the best leaf; prune=False in
-    `bagel_search` is the exhaustive search over topic sets."""
+    Training is a masked HALS NMF whose `iters` is a cap on sweeps.  The
+    root starts it from random factors drawn from the instance seed, and
+    every other node from its trained parent's (W * mask, H): the child's
+    mask is a subset of the parent's, so that start is feasible and
+    nearly trained.  A node's start is therefore a function of its trail,
+    and its loss does not depend on the order nodes are processed in.
+    Training finds a local optimum only, so the trained loss is only an
+    approximate bound, and bound pruning may cut the best leaf;
+    prune=False in `bagel_search` is the exhaustive search over topic
+    sets."""
 
     def __init__(self, instance, iters):
         self.instance = instance
@@ -183,7 +187,12 @@ class PriorNmfProblem(Problem):
         node.payload = nmf_build_mask(*node.state, self.instance.db, self.instance.k)
 
     def train(self, node):
-        W, H, loss = nmf_train_mask(self.instance, node.payload, self.iters, trail=node.trail)
+        if node.parent is None:
+            W, H, loss = nmf_train_mask(self.instance, node.payload, self.iters)
+        else:
+            W, H, loss = numerics.nmf_multiplicative(
+                self.instance.A, self.instance.k, node.payload, self.iters,
+                start=node.parent.model)
         node.model = (W, H)
         return loss
 

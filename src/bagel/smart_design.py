@@ -307,8 +307,8 @@ def run_methods(instance, folds=5, stop=None, strategy="dfs", prune=True, trace=
     Both repair baselines run first, and the search starts from the one
     with the lower train loss (l2_br on a tie): a bagel row is therefore
     written even when the search opens no node.  The bagel row of a fold
-    carries its search's `SearchStats.warnings` under "warnings" and its
-    `SearchStats.stop` under "stop"; the baseline rows' "stop" is None.
+    carries its search's `SearchStats` under "stats"; the baseline rows'
+    "stats" is None.
     """
     if folds < 1:
         raise ValueError("folds must be >= 1")
@@ -335,7 +335,6 @@ def run_methods(instance, folds=5, stop=None, strategy="dfs", prune=True, trace=
                 "nodes": stats.nodes_opened if searched else 0,
                 "wall_ms": stats.wall_time * 1000.0 if searched else 0.0,
                 "completed": stats.completed if searched else True,
-                "warnings": stats.warnings if searched else [],
-                "stop": stats.stop if searched else None,
+                "stats": stats if searched else None,
             })
     return rows

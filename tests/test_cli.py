@@ -408,6 +408,27 @@ class TestSolve:
         (warning,) = warnings()
         assert warning.startswith("node 1 loss -1 below parent loss ")
 
+    @pytest.mark.parametrize("generate, search", [
+        (["--problem", "prior-nmf", "--n", "20"], ["--iters", "50", "--node-cap", "7"]),
+        (["--problem", "smart-design", "--n", "10", "--samples", "100", "--cost", "0.6"],
+         ["--folds", "2"]),
+    ])
+    def test_meta_records_node_counts(self, tmp_path, generate, search):
+        inst, out = str(tmp_path / "inst.json"), str(tmp_path / "res.csv")
+        cli.main(["generate", *generate, "--seed", "3", "--out", inst])
+        assert cli.main(["solve", "--instance", inst, "--out", out, *search]) == 0
+        with open(out + ".meta.json") as fh:
+            meta = json.load(fh)
+        # one entry per search, in the order of the searched rows
+        searched = [r for r in read_rows(out) if r.get("method", "bagel") == "bagel"]
+        assert len(meta["nodes"]) == len(meta["stops"]) == len(searched)
+        for counts, row in zip(meta["nodes"], searched):
+            assert set(counts) == {"opened", "pruned", "failed", "leaves"}
+            assert counts["opened"] == int(row["nodes"])
+            assert counts["pruned"] + counts["failed"] + counts["leaves"] <= counts["opened"]
+        if "--node-cap" in search:
+            assert meta["stops"] == ["node_cap"] and meta["nodes"][0]["opened"] == 7
+
     def test_versions_blas_null_without_show_config_modes(self, monkeypatch):
         monkeypatch.setattr(np, "show_config", lambda: None)  # numpy < 1.26
         assert cli._versions()["blas"] is None

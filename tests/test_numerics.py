@@ -508,46 +508,57 @@ class TestNmfEdgeCases:
                 np.testing.assert_allclose(W[:, 0], closed, rtol=1e-12, atol=1e-12)
 
 
-def nmf_reference(A, k, mask, sweeps, rng):
-    """The fixed-sweep masked HALS loop that `nmf_multiplicative` stops
-    early, in the kernel's scaled form: each half-sweep divides row l of
-    the products by d[l] = max(G[l, l], NMF_EPS) and takes the identity
-    off G.  W is held transposed, as in the kernel, so that every product
-    rounds alike."""
+def random_start(A, k, rng):
+    """The kernel's random start: W (n x k), then H (k x m), in (0, 1]."""
     n, m = A.shape
-    W = 1.0 - rng.random((n, k))
-    H = 1.0 - rng.random((k, m))
-    W *= mask
-    Wt = W.T.copy()
+    return 1.0 - rng.random((n, k)), 1.0 - rng.random((k, m))
 
-    def half_sweep(X, B, G, keep):
-        d = np.maximum(np.diag(G), NMF_EPS)[:, None]
-        B, G = B / d, G / d - np.eye(k)
+
+def nmf_reference(A, k, mask, sweeps, start):
+    """The fixed-sweep masked HALS loop that `nmf_multiplicative` stops
+    early, from start = (W, H), in the kernel's stacked form: row l of a factor X becomes
+    max(0, c_l @ [X; B; S]) with c_l = [e_l - G[l] / d[l], e_l / d[l], e_l]
+    and d = max(diag G, NMF_EPS), where S is the W half's mask block and
+    the H half has none.  W is held transposed, as in the kernel, so that
+    every product rounds alike."""
+    W, H = start
+    Wt, H = (W * mask).T.copy(), H.copy()
+    masked = np.where(mask.T == 0, -numerics.NMF_MASKED, 0.0)
+
+    def half_sweep(X, B, G, extra):
+        d = np.maximum(np.diag(G), NMF_EPS)
+        coef = np.hstack([np.eye(k) - G / d[:, None], np.diag(1.0 / d)]
+                         + [np.eye(k)] * len(extra))
+        stack = np.vstack([X, B, *extra])
         for l in range(k):
-            X[l] = np.maximum(0.0, B[l] - G[l] @ X) * keep[l]
+            stack[l] = np.maximum(0.0, coef[l] @ stack)
+        X[:] = stack[:k]
 
     for _ in range(sweeps):
-        half_sweep(H, Wt @ A, Wt @ Wt.T, np.ones((k, m)))
-        half_sweep(Wt, H @ A.T, H @ H.T, mask.T)
+        half_sweep(H, Wt @ A, Wt @ Wt.T, [])
+        half_sweep(Wt, H @ A.T, H @ H.T, [masked])
     return Wt.T, H
 
 
-def nmf_reference_unscaled(A, k, mask, sweeps, rng):
-    """The same loop as `nmf_reference` with each update in its textbook
-    form, H[l] + (B[l] - G[l] H) / d[l]: equal up to rounding."""
-    n, m = A.shape
-    W = 1.0 - rng.random((n, k))
-    H = 1.0 - rng.random((k, m))
-    W *= mask
-    Wt = W.T.copy()
+def nmf_reference_unscaled(A, k, mask, sweeps, start):
+    """The same loop as `nmf_reference`, each row set to its exact
+    minimiser with no scaled products: with d = max(G[l, l], NMF_EPS),
+    H[l] = max(0, H[l] (1 - G[l, l] / d) + (B[l] - sum_{j != l} G[l, j] H[j]) / d),
+    equal up to rounding.  (The other textbook form, H[l] + (B[l] - G[l] H) / d,
+    subtracts H[l] from itself, so where A is far below the start's scale
+    it keeps only H[l]'s rounding error.)"""
+    W, H = start
+    Wt, H = (W * mask).T.copy(), H.copy()
+
+    def half_sweep(X, B, G, keep):
+        for l in range(k):
+            d, others = max(G[l, l], NMF_EPS), np.arange(k) != l
+            X[l] = np.maximum(0.0, X[l] * (1.0 - G[l, l] / d)
+                              + (B[l] - G[l, others] @ X[others]) / d) * keep[l]
+
     for _ in range(sweeps):
-        WtA, WtW = Wt @ A, Wt @ Wt.T
-        for l in range(k):
-            H[l] = np.maximum(0.0, H[l] + (WtA[l] - WtW[l] @ H) / max(WtW[l, l], NMF_EPS))
-        HAt, HHt = H @ A.T, H @ H.T
-        for l in range(k):
-            Wt[l] = np.maximum(0.0, Wt[l] + (HAt[l] - HHt[l] @ Wt) / max(HHt[l, l], NMF_EPS))
-            Wt[l] *= mask[:, l]
+        half_sweep(H, Wt @ A, Wt @ Wt.T, np.ones((k, A.shape[1])))
+        half_sweep(Wt, H @ A.T, H @ H.T, mask.T)
     return Wt.T, H
 
 
@@ -586,11 +597,12 @@ class TestNmfStoppingRule:
         # (a) the run reaches the cap or stops at a check below it
         assert ran == cap or (ran < cap and ran % NMF_CHECK_EVERY == 0)
         # (b) a bit-identical prefix of the fixed-iteration run
-        ref_W, ref_H = nmf_reference(A, k, mask, ran, make_rng(seed))
+        ref_W, ref_H = nmf_reference(A, k, mask, ran, random_start(A, k, make_rng(seed)))
         assert np.array_equal(W, ref_W) and np.array_equal(H, ref_H)
         assert loss == numerics.frobenius(A - W @ H)
         # (b') the textbook update, rounded otherwise, gives the same product
-        un_W, un_H = nmf_reference_unscaled(A, k, mask, ran, make_rng(seed))
+        un_W, un_H = nmf_reference_unscaled(A, k, mask, ran,
+                                            random_start(A, k, make_rng(seed)))
         np.testing.assert_allclose(W @ H, un_W @ un_H, rtol=1e-8, atol=1e-8 * A.max())
         # (c) the rule holds at the stopping check and at no earlier one
         checked = losses[NMF_CHECK_EVERY - 1::NMF_CHECK_EVERY]
@@ -602,6 +614,52 @@ class TestNmfStoppingRule:
         # (d) an exact fit stops at the next check
         if 0.0 in checked:
             assert len(checked) <= checked.index(0.0) + 2
+
+
+@st.composite
+def nmf_scaled_cases(draw):
+    """(A, k, mask, child mask or None, cap, seed): A random at any scale
+    from 1e-100 to 1e140, or all zero; k = 1 among others; masks with
+    all-zero columns.  A child mask, when drawn, is the
+    mask with more entries zeroed, as a child node's is its parent's."""
+    n, m = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    k = draw(st.one_of(st.just(1), st.integers(2, 4)))
+    rng = make_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    A = rng.random((n, m)) * draw(st.one_of(
+        st.just(0.0), st.integers(-100, 140).map(lambda e: 10.0 ** e)))
+    mask = (rng.random((n, k)) < 0.7).astype(float)
+    mask[:, draw(st.lists(st.booleans(), min_size=k, max_size=k))] = 0.0
+    child = mask * (rng.random((n, k)) < 0.7) if draw(st.booleans()) else None
+    return A, k, mask, child, draw(st.integers(0, 100)), draw(st.integers(0, 2 ** 32 - 1))
+
+
+class TestNmfScaleAndStart:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(nmf_scaled_cases())
+    def test_clamped_finite_and_matches_unscaled(self, case):
+        """A random start, then a start from its result under a smaller
+        mask: neither raises a floating-point error (the -NMF_MASKED
+        sentinel is only ever added to or multiplied by 0), and each keeps
+        masked entries at exactly 0 and fits W @ H as the textbook update
+        does."""
+        A, k, mask, child, cap, seed = case
+
+        def run(mask, reference_start, **kwargs):
+            sweeps = []
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                W, H, loss = nmf_multiplicative(
+                    A, k, mask, cap, on_iteration=lambda *_: sweeps.append(None), **kwargs)
+            assert np.all(W[mask == 0] == 0.0)
+            assert np.all(W >= 0) and np.all(H >= 0)
+            assert math.isfinite(loss)
+            un_W, un_H = nmf_reference_unscaled(A, k, mask, len(sweeps), reference_start)
+            np.testing.assert_allclose(W @ H, un_W @ un_H, rtol=1e-8, atol=1e-8 * A.max())
+            return W, H
+
+        W, H = run(mask, random_start(A, k, make_rng(seed)), rng=make_rng(seed))
+        if child is not None:
+            start = W.copy(), H.copy()
+            run(child, start, start=start)
 
 
 class TestValidation:

@@ -93,7 +93,7 @@ class TestGenerateAndTrain:
         W, _, _ = nmf_generate_and_train(inst, [j], iters=100)
         assert MASKED_L0(W[:, 0], inst.db.topics[j]) == 0
 
-    def test_depth_two_seeds_from_the_trail(self):
+    def test_depth_two_starts_from_the_trained_parent(self):
         inst = nmf_generate_instance(20, 4, 2, 50, seed=5, noise_sigma=0.0)
         problem = PriorNmfProblem(inst, iters=50)
         node = Node(0, 0, (), problem.root_state())
@@ -103,17 +103,21 @@ class TestGenerateAndTrain:
             problem.train(node)
             decision = problem.branch(node)[pick]
             node = Node(node.id + 1, node.depth + 1, node.trail + (decision,),
-                        problem.apply(node.state, decision))
+                        problem.apply(node.state, decision), parent=node)
+        parent = node.parent
+        W_parent, H_parent = (x.copy() for x in parent.model)
         assert problem.prune(node)
         problem.generate(node)
         loss = problem.train(node)
-        d1, d2 = node.trail
-        assert d1.excluded
-        seq = np.random.SeedSequence([inst.seed, d1.var, d1.value, d2.var, d2.value, 0])
-        W, H, lv = nmf_multiplicative(inst.A, inst.k, node.payload, 50, make_rng(seq))
+        assert node.trail[0].excluded
+        W, H, lv = nmf_multiplicative(inst.A, inst.k, node.payload, 50,
+                                      start=(W_parent * node.payload, H_parent))
         assert np.array_equal(node.model[0], W)
         assert np.array_equal(node.model[1], H)
         assert loss == lv
+        # the parent's factors are read, not written
+        assert np.array_equal(parent.model[0], W_parent)
+        assert np.array_equal(parent.model[1], H_parent)
 
 
 class TestProblemContract:
@@ -291,12 +295,17 @@ class TestColumnSymmetryBreaking:
         first = next(rec for rec in records if rec["status"] == LEAF)
         assert (first["trail"], first["loss"]) == ([d.label for d in trail], loss)
 
+        # Each node of the replay is trained under its trained parent, as
+        # in the search.
         replay = PriorNmfProblem(inst, iters=4)
         node = Node(0, 0, (), replay.root_state())
         for decision in trail:
+            assert replay.prune(node)
+            replay.generate(node)
+            replay.train(node)
             plain = dataclasses.replace(decision, excluded=frozenset())
             node = Node(node.id + 1, node.depth + 1, node.trail + (plain,),
-                        replay.apply(node.state, plain))
+                        replay.apply(node.state, plain), parent=node)
         assert replay.prune(node)
         replay.generate(node)
         assert replay.is_leaf(node)
@@ -307,8 +316,9 @@ class TestSearchOrder:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(inst=small_instances())
     def test_exhaustive_losses_do_not_depend_on_strategy(self, inst):
-        """Each node's NMF is seeded from its trail, so dfs and best-first
-        train the same loss at every node."""
+        """Each node's NMF start is a function of its trail (the root's is
+        seeded, every other node's is its trained parent's factors), so dfs
+        and best-first train the same loss at every node."""
         losses = {}
         for strategy in ("dfs", "best-first"):
             records = []
