@@ -272,25 +272,19 @@ def cmd_solve(args):
         if args.append and os.path.exists(args.out):
             shutil.copyfile(args.out, staged[args.out])
         _write_rows(staged[args.out], fields, rows, append=args.append)
+        searches = [row["stats"] for row in rows if row["stats"] is not None]
         _write_meta(staged[meta_path], {
             "instance": args.instance, "instance_id": instance_id, "problem": kind,
             "node_cap": args.node_cap, "seed": instance.seed, **_search_flags(args),
             "versions": _versions(),
-            **_search_record([row["stats"] for row in rows if row["stats"] is not None]),
+            # stops and nodes: one entry per search, in order
+            "warnings": [w for stats in searches for w in stats.warnings],
+            "stops": [stats.stop for stats in searches],
+            "nodes": [{"opened": stats.nodes_opened, "pruned": stats.nodes_pruned,
+                       "failed": stats.nodes_failed, "leaves": stats.leaves}
+                      for stats in searches],
         })
     return 0
-
-
-def _search_record(searches):
-    """The sidecar's account of a solve's searches (`SearchStats`), each
-    list one entry per search in order, apart from the warnings of all."""
-    return {
-        "warnings": [w for stats in searches for w in stats.warnings],
-        "stops": [stats.stop for stats in searches],
-        "nodes": [{"opened": stats.nodes_opened, "pruned": stats.nodes_pruned,
-                   "failed": stats.nodes_failed, "leaves": stats.leaves}
-                  for stats in searches],
-    }
 
 
 def _parse_grid(text, cast):

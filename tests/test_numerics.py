@@ -492,8 +492,8 @@ class TestNmfEdgeCases:
             losses.append(loss)
             sweeps.append((W.copy(), H.copy()))
 
-        # Any 0 * inf or 0 / 0 in the kernel (its -inf mask sentinel, its
-        # NMF_EPS floor) raises here instead of leaving a NaN.
+        # Any overflow or 0 / 0 in the kernel (its -NMF_MASKED sentinel,
+        # its NMF_EPS floor) raises here instead of leaving an inf or NaN.
         with np.errstate(all="raise"):
             nmf_multiplicative(A, k, mask, 30, make_rng(seed), on_iteration=check)
         # criterion 6's absolute tolerance, from the initial factors on
@@ -516,11 +516,11 @@ def random_start(A, k, rng):
 
 def nmf_reference(A, k, mask, sweeps, start):
     """The fixed-sweep masked HALS loop that `nmf_multiplicative` stops
-    early, from start = (W, H), in the kernel's stacked form: row l of a factor X becomes
-    max(0, c_l @ [X; B; S]) with c_l = [e_l - G[l] / d[l], e_l / d[l], e_l]
-    and d = max(diag G, NMF_EPS), where S is the W half's mask block and
-    the H half has none.  W is held transposed, as in the kernel, so that
-    every product rounds alike."""
+    early, from start = (W, H), in the kernel's stacked form: row l of a
+    factor X becomes max(0, c_l @ [X; B; S]) with
+    c_l = [e_l - G[l] / d[l], e_l / d[l], e_l] and d = max(diag G, NMF_EPS),
+    where S is the W half's mask block and the H half has none.  W is held
+    transposed, as in the kernel, so that every product rounds alike."""
     W, H = start
     Wt, H = (W * mask).T.copy(), H.copy()
     masked = np.where(mask.T == 0, -numerics.NMF_MASKED, 0.0)
@@ -543,10 +543,13 @@ def nmf_reference(A, k, mask, sweeps, start):
 def nmf_reference_unscaled(A, k, mask, sweeps, start):
     """The same loop as `nmf_reference`, each row set to its exact
     minimiser with no scaled products: with d = max(G[l, l], NMF_EPS),
-    H[l] = max(0, H[l] (1 - G[l, l] / d) + (B[l] - sum_{j != l} G[l, j] H[j]) / d),
-    equal up to rounding.  (The other textbook form, H[l] + (B[l] - G[l] H) / d,
-    subtracts H[l] from itself, so where A is far below the start's scale
-    it keeps only H[l]'s rounding error.)"""
+
+        H[l] = max(0, H[l] (1 - G[l, l] / d)
+                      + (B[l] - sum_{j != l} G[l, j] H[j]) / d),
+
+    equal up to rounding.  (The other textbook form,
+    H[l] + (B[l] - G[l] H) / d, subtracts H[l] from itself, so where A is
+    far below the start's scale it keeps only H[l]'s rounding error.)"""
     W, H = start
     Wt, H = (W * mask).T.copy(), H.copy()
 
@@ -600,7 +603,7 @@ class TestNmfStoppingRule:
         ref_W, ref_H = nmf_reference(A, k, mask, ran, random_start(A, k, make_rng(seed)))
         assert np.array_equal(W, ref_W) and np.array_equal(H, ref_H)
         assert loss == numerics.frobenius(A - W @ H)
-        # (b') the textbook update, rounded otherwise, gives the same product
+        # (b') the exact-minimiser update, rounded otherwise, gives the same product
         un_W, un_H = nmf_reference_unscaled(A, k, mask, ran,
                                             random_start(A, k, make_rng(seed)))
         np.testing.assert_allclose(W @ H, un_W @ un_H, rtol=1e-8, atol=1e-8 * A.max())
@@ -620,8 +623,8 @@ class TestNmfStoppingRule:
 def nmf_scaled_cases(draw):
     """(A, k, mask, child mask or None, cap, seed): A random at any scale
     from 1e-100 to 1e140, or all zero; k = 1 among others; masks with
-    all-zero columns.  A child mask, when drawn, is the
-    mask with more entries zeroed, as a child node's is its parent's."""
+    all-zero columns.  A child mask, when drawn, is the mask with more
+    entries zeroed, as a child node's is its parent's."""
     n, m = draw(st.integers(1, 8)), draw(st.integers(1, 8))
     k = draw(st.one_of(st.just(1), st.integers(2, 4)))
     rng = make_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -640,26 +643,25 @@ class TestNmfScaleAndStart:
         """A random start, then a start from its result under a smaller
         mask: neither raises a floating-point error (the -NMF_MASKED
         sentinel is only ever added to or multiplied by 0), and each keeps
-        masked entries at exactly 0 and fits W @ H as the textbook update
-        does."""
+        masked entries at exactly 0 and fits W @ H as the unscaled
+        reference does."""
         A, k, mask, child, cap, seed = case
 
-        def run(mask, reference_start, **kwargs):
+        def run(keep, reference_start, **kwargs):
             sweeps = []
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 W, H, loss = nmf_multiplicative(
-                    A, k, mask, cap, on_iteration=lambda *_: sweeps.append(None), **kwargs)
-            assert np.all(W[mask == 0] == 0.0)
+                    A, k, keep, cap, on_iteration=lambda *_: sweeps.append(None), **kwargs)
+            assert np.all(W[keep == 0] == 0.0)
             assert np.all(W >= 0) and np.all(H >= 0)
             assert math.isfinite(loss)
-            un_W, un_H = nmf_reference_unscaled(A, k, mask, len(sweeps), reference_start)
+            un_W, un_H = nmf_reference_unscaled(A, k, keep, len(sweeps), reference_start)
             np.testing.assert_allclose(W @ H, un_W @ un_H, rtol=1e-8, atol=1e-8 * A.max())
             return W, H
 
         W, H = run(mask, random_start(A, k, make_rng(seed)), rng=make_rng(seed))
         if child is not None:
-            start = W.copy(), H.copy()
-            run(child, start, start=start)
+            run(child, (W, H), start=(W, H))
 
 
 class TestValidation:
