@@ -156,7 +156,7 @@ def _solve_prior_nmf(instance, args, stop, trace):
     planted_loss = float("nan")
     recovery = float("nan")
     if instance.planted_topics:
-        _, _, planted_loss = prior_nmf.nmf_generate_and_train(
+        _, _, planted_loss, _ = prior_nmf.nmf_generate_and_train(
             instance, instance.planted_topics, args.iters
         )
         if best is not None:
@@ -204,6 +204,8 @@ PROBLEMS = {
 
 
 def cmd_generate(args):
+    if args.seed < 0:  # numpy would reject it too, without naming the flag
+        raise ValueError("seed must be >= 0, got %d" % args.seed)
     kind = PROBLEMS[args.problem]
     instance = kind.generate(**vars(args))
     with _staged([args.out]) as staged:

@@ -360,8 +360,9 @@ def frobenius(A):
 # only where that cancellation is small, GRAM_CANCEL_RTOL.)
 NMF_STOP_RTOL = 1e-5
 NMF_CHECK_EVERY = 10
-# Floor of the diagonal entry a HALS update divides by, so an all-zero
-# column of W or row of H stays as it is instead of dividing 0 by 0.
+# Floor of the diagonal entries a HALS update divides by, relative to the
+# largest (`_hals_rows`): an all-zero column of W or row of H stays as it
+# is, and A scaled by 4^j from a start scaled by 2^j runs scaled exactly.
 NMF_EPS = 1e-12
 # What a masked entry of W adds to its update, so the entry clamps to 0.
 # It is finite because the update's product multiplies the other
@@ -370,16 +371,18 @@ NMF_EPS = 1e-12
 NMF_MASKED = np.finfo(float).max
 
 
-def nmf_multiplicative(A, k, mask, iters, rng=None, on_iteration=None, *, start=None):
-    """Masked NMF by masked HALS for the Frobenius objective.
+def nmf_multiplicative(A, k, mask, iters, start):
+    """Masked NMF by masked HALS for the Frobenius objective, from
+    start = (W0, H0), an n x k W and a k x m H.
 
-    The name stays because `benchmarks/tracer.py` wraps this function by
-    name and reads its `iters` argument; the kernel is no longer the
-    multiplicative update.  HALS (hierarchical alternating least squares;
-    Cichocki & Phan, IEICE 2009; Gillis & Glineur, Neural Computation
-    2012) minimises the objective exactly over one row of H or one column
-    of W at a time, in place.  A sweep updates the rows of H in order
-    l = 0..k-1: with B = W^T A, G = W^T W and d = max(diag G, NMF_EPS),
+    The kernel is no longer the multiplicative update; the name stays
+    because `benchmarks/tracer.py` wraps this function by name and reads
+    its `A`, `k` and `iters` arguments.  HALS (hierarchical alternating
+    least squares; Cichocki & Phan, IEICE 2009; Gillis & Glineur, Neural
+    Computation 2012) minimises the objective exactly over one row of H or
+    one column of W at a time, in place.  A sweep updates the rows of H in
+    order l = 0..k-1: with B = W^T A, G = W^T W and the floored diagonal
+    d = max(diag G, NMF_EPS * max(diag G), the smallest normal float),
 
         H[l] = max(0, H[l] + (B[l] - G[l] H) / d[l]).
 
@@ -392,21 +395,19 @@ def nmf_multiplicative(A, k, mask, iters, rng=None, on_iteration=None, *, start=
     row l of S is -NMF_MASKED wherever column l of the binary mask is 0,
     so those entries of W clamp to exactly 0.
 
-    The start is `start=(W, H)` when given, and rng is not used; else W
-    (n x k) and H (k x m) are drawn uniformly in (0, 1] from rng, W
-    first.  W is then projected onto the mask (W * mask), so masked
-    positions are exactly 0 throughout; the start arrays are not
-    modified.  Returns (W, H, loss) with loss = ||A - W H||_F
-    (unsquared).
+    W0 is projected onto the mask (W0 * mask), so masked positions are
+    exactly 0 throughout; the start arrays are not modified.
 
     iters is a cap on sweeps.  Every NMF_CHECK_EVERY sweeps the loss is
     checked, and the run stops once it fell by at most NMF_STOP_RTOL
     relative since the previous check (prev - loss <= NMF_STOP_RTOL * prev,
     so an exact fit stops too).  A stopped run is a bit-identical prefix of
-    a run of all iters sweeps.
+    a run of all iters sweeps, and a run of n sweeps is bit-identical to n
+    one-sweep runs, each started from the previous one's factors.
 
-    on_iteration, if given, is called as on_iteration(it, W, H, loss) after
-    each sweep that ran (views, do not mutate).
+    Returns (W, H, loss, sweeps): loss = ||A - W H||_F (unsquared), and
+    sweeps the number of sweeps that ran, iters unless the run stopped at
+    a check.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
@@ -421,11 +422,6 @@ def nmf_multiplicative(A, k, mask, iters, rng=None, on_iteration=None, *, start=
     mask = np.asarray(mask, dtype=float)
     if mask.shape != (n, k):
         raise DimensionError("mask must be n x k")
-    if start is None:
-        if rng is None:
-            raise ValueError("nmf_multiplicative needs rng or start")
-        # 1 - random() lands in (0, 1]; draw W first, then H.
-        start = 1.0 - rng.random((n, k)), 1.0 - rng.random((k, m))
     W0, H0 = start
     if np.shape(W0) != (n, k) or np.shape(H0) != (k, m):
         raise DimensionError("start must be an n x k W and a k x m H")
@@ -449,25 +445,23 @@ def nmf_multiplicative(A, k, mask, iters, rng=None, on_iteration=None, *, start=
         np.subtract(A, R, out=R)
         return frobenius(R)
 
-    prev = None
-    for it in range(iters):
+    sweeps, loss = 0, None
+    while sweeps < iters:
         np.dot(Wt, A, out=B_h)
         np.dot(Wt, W, out=G)
         hals_h()
         np.dot(H, At, out=B_w)
         np.dot(H, Ht, out=G)
         hals_w()
-        if on_iteration is not None:
-            on_iteration(it, W, H, residual())
-        if (it + 1) % NMF_CHECK_EVERY == 0:
-            loss = residual()
+        sweeps += 1
+        if sweeps % NMF_CHECK_EVERY == 0:
+            prev, loss = loss, residual()
             if prev is not None and prev - loss <= NMF_STOP_RTOL * prev:
                 break
-            prev = loss
-    else:
+    if loss is None or sweeps % NMF_CHECK_EVERY:
         loss = residual()
     # Copies, so a kept model does not keep the stacks alive.
-    return Wt.copy().T, H.copy(), loss
+    return Wt.copy().T, H.copy(), loss, sweeps
 
 
 def _hals_rows(stack, G):
@@ -479,20 +473,21 @@ def _hals_rows(stack, G):
     has one: the non-negative minimiser wherever S is 0.
 
     The coefficient rows c_l are the rows of one buffer: its first block
-    is I - G / d with d = max(diag G, NMF_EPS), the diagonal of its second
-    is 1 / d, written through a strided view of the flat buffer, and the
-    diagonal of a third is 1.  Each row is then one product into a
-    scratch row and one clamp.
+    is I - G / d with d = max(diag G, NMF_EPS * max(diag G), tiny), tiny
+    the smallest normal float, the diagonal of its second is 1 / d, written
+    through a strided view of the flat buffer, and the diagonal of a third
+    is 1.  Each row is then one product into a scratch row and one clamp.
     """
     k, width, length = len(G), len(stack), stack.shape[1]
     coef = np.zeros((k, width))
     np.fill_diagonal(coef[:, 2 * k:], 1.0)
     first, d, diag = coef[:, :k], coef.reshape(-1)[k::width + 1], G.diagonal()
     d_col, eye, t, zeros = d[:, None], np.eye(k), np.empty(length), np.zeros(length)
-    rows = list(zip(coef, stack))
+    rows, tiny = list(zip(coef, stack)), np.finfo(float).tiny
 
     def run():
-        np.maximum(diag, NMF_EPS, out=d)
+        # A Python max over k floats costs half of a numpy reduction.
+        np.maximum(diag, max(NMF_EPS * max(diag.tolist()), tiny), out=d)
         np.divide(G, d_col, out=first)
         np.subtract(eye, first, out=first)
         np.divide(1.0, d, out=d)

@@ -111,21 +111,24 @@ def nmf_build_mask(chosen, remaining, db, k):
 
 
 def nmf_generate_and_train(instance, topics, iters):
-    """Train the masked factorization whose first columns take `topics`;
-    any later column is free over the other topics."""
+    """(W, H, loss, sweeps) of the masked factorization whose first
+    columns take `topics`, started from `nmf_random_start`; any later
+    column is free over the other topics."""
     free = frozenset(range(len(instance.db))).difference(topics)
     mask = nmf_build_mask(tuple(topics), free, instance.db, instance.k)
-    return nmf_train_mask(instance, mask, iters)
+    return numerics.nmf_multiplicative(instance.A, instance.k, mask, iters,
+                                       nmf_random_start(instance))
 
 
-def nmf_train_mask(instance, mask, iters):
-    """(W, H, loss) of one masked NMF started from random factors drawn
-    from the instance seed: the root's training and the planted
-    reference.  Every other node starts from its parent's factors."""
+def nmf_random_start(instance):
+    """The start of the root's training and of the planted reference: W
+    (n x k), then H (k x m), uniform in (0, 1], drawn from the instance
+    seed.  Every other node starts from its parent's factors."""
     # The trailing 0 is the index of the one restart there used to be; it
     # keeps the seed stream, and so every root loss, as it was.
     rng = numerics.make_rng(np.random.SeedSequence([instance.seed & (2 ** 63 - 1), 0]))
-    return numerics.nmf_multiplicative(instance.A, instance.k, mask, iters, rng)
+    (n, m), k = instance.A.shape, instance.k
+    return 1.0 - rng.random((n, k)), 1.0 - rng.random((k, m))
 
 
 @dataclass
@@ -187,12 +190,9 @@ class PriorNmfProblem(Problem):
         node.payload = nmf_build_mask(*node.state, self.instance.db, self.instance.k)
 
     def train(self, node):
-        if node.parent is None:
-            W, H, loss = nmf_train_mask(self.instance, node.payload, self.iters)
-        else:
-            W, H, loss = numerics.nmf_multiplicative(
-                self.instance.A, self.instance.k, node.payload, self.iters,
-                start=node.parent.model)
+        start = nmf_random_start(self.instance) if node.parent is None else node.parent.model
+        W, H, loss, _ = numerics.nmf_multiplicative(
+            self.instance.A, self.instance.k, node.payload, self.iters, start)
         node.model = (W, H)
         return loss
 

@@ -28,3 +28,10 @@ def brute_force_sd(inst):
             if best is None or loss < best:
                 best = loss
     return best
+
+
+def random_start(A, k, rng):
+    """A random NMF start: W (n x k), then H (k x m), in (0, 1], the order
+    and form in which `prior_nmf.nmf_random_start` draws them."""
+    n, m = np.shape(A)
+    return 1.0 - rng.random((n, k)), 1.0 - rng.random((k, m))

@@ -35,7 +35,7 @@ from bagel.smart_design import (
     run_methods,
     sd_generate_instance,
 )
-from oracles import brute_force_sd
+from oracles import brute_force_sd, random_start
 
 
 def _report(number, description):
@@ -233,15 +233,15 @@ def test_criterion_6_nmf_solver_properties():
         k = int(rng.integers(1, 6))
         A = rng.random((n, m)) * float(rng.uniform(0.5, 3))
         mask = (rng.random((n, k)) < 0.8).astype(float)
+        # One sweep per call, each from the previous call's factors: the
+        # sweeps of one 25-sweep run, bit for bit.
+        W, H = random_start(A, k, make_rng(int(rng.integers(1 << 30))))
         losses = []
-
-        def check(it, W, H, loss):
+        for _ in range(25):
+            W, H, loss, _ = nmf_multiplicative(A, k, mask, 1, (W, H))
             assert np.all(W >= 0) and np.all(H >= 0)
             assert np.all(W[mask == 0] == 0.0)
             losses.append(loss)
-
-        nmf_multiplicative(A, k, mask, 25, make_rng(int(rng.integers(1 << 30))),
-                           on_iteration=check)
         for prev, nxt in zip(losses, losses[1:]):
             assert nxt <= prev + 1e-12
     _report(6, "masked NMF: monotone loss, non-negative factors, exact mask zeros")

@@ -219,10 +219,15 @@ class TestGenerate:
         (["--problem", "prior-nmf", "--n", "2", "--true-topics", "4", "--false-topics", "2"],
          "error: true_topics + false_topics"),
         (["--problem", "smart-design", "--n", "10", "--samples", "1"], "error: samples"),
-    ], ids=["cost", "topics", "samples"])
+        # A later --seed overrides the default 7.
+        (["--problem", "smart-design", "--n", "10", "--seed", "-1"],
+         "error: seed must be >= 0, got -1\n"),
+        (["--problem", "prior-nmf", "--n", "20", "--seed", "-1"],
+         "error: seed must be >= 0, got -1\n"),
+    ], ids=["cost", "topics", "samples", "seed-sd", "seed-nmf"])
     def test_invalid_shape_exits_1(self, tmp_path, capsys, flags, error):
         out = tmp_path / "x.json"
-        rc = cli.main(["generate", *flags, "--seed", "7", "--out", str(out)])
+        rc = cli.main(["generate", "--seed", "7", *flags, "--out", str(out)])
         assert rc == 1
         assert capsys.readouterr().err.startswith(error)
         assert not out.exists()

@@ -25,6 +25,7 @@ from bagel.numerics import (
     solve_least_squares,
     write_instance,
 )
+from oracles import random_start
 
 
 class TestSolveLeastSquares:
@@ -383,13 +384,28 @@ class TestGramKernel:
                 assert min_pivot_ratio(gram[np.ix_(cols, cols)]) >= root - 1e-12
 
 
+def nmf_steps(A, k, mask, count, start):
+    """(W, H, loss) after each of `count` one-sweep kernel calls, each
+    started from the previous call's factors: the sweeps of one
+    `count`-sweep run that does not stop early, bit for bit
+    (`TestNmfSweeps`)."""
+    steps = []
+    for _ in range(count):
+        W, H, loss, sweeps = nmf_multiplicative(A, k, mask, 1, start)
+        assert sweeps == 1
+        steps.append((W, H, loss))
+        start = W, H
+    return steps
+
+
 class TestNmfMultiplicative:
     def test_planted_rank_one(self):
         rng = make_rng(0)
         w = rng.uniform(0.5, 1.5, 8)
         h = rng.uniform(0.5, 1.5, 6)
         A = np.outer(w, h)
-        _, _, loss = nmf_multiplicative(A, 1, np.ones((8, 1)), 500, make_rng(1))
+        _, _, loss, _ = nmf_multiplicative(A, 1, np.ones((8, 1)), 500,
+                                           random_start(A, 1, make_rng(1)))
         assert loss <= 1e-6 * np.linalg.norm(A)
 
     def test_zero_mask_column_stays_zero(self):
@@ -397,21 +413,18 @@ class TestNmfMultiplicative:
         A = rng.random((6, 5))
         mask = np.ones((6, 3))
         mask[:, 1] = 0.0
-        seen = []
-        W, _, _ = nmf_multiplicative(
-            A, 3, mask, 40, make_rng(3),
-            on_iteration=lambda it, W, H, loss: seen.append(W[:, 1].copy()),
-        )
-        assert np.all(W[:, 1] == 0.0)
-        for col in seen:
-            assert np.all(col == 0.0)
+        steps = nmf_steps(A, 3, mask, 40, random_start(A, 3, make_rng(3)))
+        for W, _, _ in steps:
+            assert np.all(W[:, 1] == 0.0)
 
     def test_zero_iterations_returns_masked_init(self):
         rng = make_rng(4)
         A = rng.random((4, 4))
         mask = (rng.random((4, 2)) < 0.5).astype(float)
-        W, H, loss = nmf_multiplicative(A, 2, mask, 0, make_rng(9))
-        assert np.all(W[mask == 0] == 0.0)
+        W0, H0 = random_start(A, 2, make_rng(9))
+        W, H, loss, sweeps = nmf_multiplicative(A, 2, mask, 0, (W0, H0))
+        assert sweeps == 0
+        assert np.array_equal(W, W0 * mask) and np.array_equal(H, H0)
         assert loss == pytest.approx(np.linalg.norm(A - W @ H))
 
     def test_loss_monotone_nonnegative(self):
@@ -420,43 +433,39 @@ class TestNmfMultiplicative:
             n, m, k = int(rng.integers(3, 12)), int(rng.integers(3, 12)), int(rng.integers(1, 4))
             A = rng.random((n, m))
             mask = (rng.random((n, k)) < 0.8).astype(float)
-            losses = []
-
-            def record(it, W, H, loss):
+            steps = nmf_steps(A, k, mask, 30,
+                              random_start(A, k, make_rng(int(rng.integers(1 << 30)))))
+            for W, H, _ in steps:
                 assert np.all(W >= 0) and np.all(H >= 0)
-                losses.append(loss)
-
-            nmf_multiplicative(A, k, mask, 30, make_rng(int(rng.integers(1 << 30))),
-                               on_iteration=record)
-            for prev, nxt in zip(losses, losses[1:]):
+            for (_, _, prev), (_, _, nxt) in zip(steps, steps[1:]):
                 assert nxt <= prev + 1e-12
 
     def test_determinism(self):
         A = make_rng(7).random((5, 5))
         mask = np.ones((5, 2))
-        r1 = nmf_multiplicative(A, 2, mask, 25, make_rng(42))
-        r2 = nmf_multiplicative(A, 2, mask, 25, make_rng(42))
+        r1 = nmf_multiplicative(A, 2, mask, 25, random_start(A, 2, make_rng(42)))
+        r2 = nmf_multiplicative(A, 2, mask, 25, random_start(A, 2, make_rng(42)))
         assert np.array_equal(r1[0], r2[0])
         assert np.array_equal(r1[1], r2[1])
-        assert r1[2] == r2[2]
+        assert r1[2:] == r2[2:]
 
     def test_negative_input_rejected(self):
+        A = np.array([[-1.0]])
         with pytest.raises(DomainError):
-            nmf_multiplicative(np.array([[-1.0]]), 1, np.ones((1, 1)), 1, make_rng(0))
+            nmf_multiplicative(A, 1, np.ones((1, 1)), 1, random_start(A, 1, make_rng(0)))
 
     def test_negative_iterations_rejected(self):
+        A = np.ones((2, 2))
         with pytest.raises(DomainError):
-            nmf_multiplicative(np.ones((2, 2)), 1, np.ones((2, 1)), -5, make_rng(0))
+            nmf_multiplicative(A, 1, np.ones((2, 1)), -5, random_start(A, 1, make_rng(0)))
 
     def test_exact_fit_stops_at_second_check(self):
         # A = 0: the first update zeroes H, so both checked losses are 0.
-        seen = []
-        _, _, loss = nmf_multiplicative(
-            np.zeros((5, 4)), 2, np.ones((5, 2)), 300, make_rng(1),
-            on_iteration=lambda it, W, H, loss: seen.append(it),
-        )
+        A = np.zeros((5, 4))
+        _, _, loss, sweeps = nmf_multiplicative(A, 2, np.ones((5, 2)), 300,
+                                                random_start(A, 2, make_rng(1)))
         assert loss == 0.0
-        assert len(seen) == 2 * NMF_CHECK_EVERY
+        assert sweeps == 2 * NMF_CHECK_EVERY
 
 
 @st.composite
@@ -480,45 +489,40 @@ class TestNmfEdgeCases:
     @given(nmf_edge_cases())
     def test_invariants_hold_every_sweep(self, case):
         A, k, mask, seed = case
-        rng = make_rng(seed)
-        W0 = (1.0 - rng.random(mask.shape)) * mask
-        losses = [numerics.frobenius(A - W0 @ (1.0 - rng.random((k, A.shape[1]))))]
-        sweeps = []
-
-        def check(it, W, H, loss):
+        W0, H0 = random_start(A, k, make_rng(seed))
+        losses = [numerics.frobenius(A - (W0 * mask) @ H0)]
+        # Any overflow or 0 / 0 in the kernel (its -NMF_MASKED sentinel,
+        # its NMF_EPS floor) raises here instead of leaving an inf or NaN.
+        with np.errstate(all="raise"):
+            steps = nmf_steps(A, k, mask, 30, (W0, H0))
+        for W, H, loss in steps:
             assert np.all(np.isfinite(W)) and np.all(np.isfinite(H))
             assert np.all(W >= 0) and np.all(H >= 0)
             assert np.all(W[mask == 0] == 0.0)
             losses.append(loss)
-            sweeps.append((W.copy(), H.copy()))
-
-        # Any overflow or 0 / 0 in the kernel (its -NMF_MASKED sentinel,
-        # its NMF_EPS floor) raises here instead of leaving an inf or NaN.
-        with np.errstate(all="raise"):
-            nmf_multiplicative(A, k, mask, 30, make_rng(seed), on_iteration=check)
         # criterion 6's absolute tolerance, from the initial factors on
         for prev, nxt in zip(losses, losses[1:]):
             assert nxt <= prev + 1e-12
         if k == 1:
             # the W update is exact: the closed-form rank-one fit given h
-            W, H = sweeps[0]
+            W, H, _ = steps[0]
             h = H[0]
             if h @ h >= NMF_EPS:
                 closed = np.maximum(0.0, A @ h / (h @ h)) * mask[:, 0]
                 np.testing.assert_allclose(W[:, 0], closed, rtol=1e-12, atol=1e-12)
 
 
-def random_start(A, k, rng):
-    """The kernel's random start: W (n x k), then H (k x m), in (0, 1]."""
-    n, m = A.shape
-    return 1.0 - rng.random((n, k)), 1.0 - rng.random((k, m))
+def hals_floor(diag):
+    """The diagonal a HALS half-sweep divides by: diag G floored at
+    NMF_EPS times its largest entry, and at the smallest normal float."""
+    return np.maximum(diag, max(NMF_EPS * diag.max(), np.finfo(float).tiny))
 
 
 def nmf_reference(A, k, mask, sweeps, start):
     """The fixed-sweep masked HALS loop that `nmf_multiplicative` stops
     early, from start = (W, H), in the kernel's stacked form: row l of a
     factor X becomes max(0, c_l @ [X; B; S]) with
-    c_l = [e_l - G[l] / d[l], e_l / d[l], e_l] and d = max(diag G, NMF_EPS),
+    c_l = [e_l - G[l] / d[l], e_l / d[l], e_l] and d = hals_floor(diag G),
     where S is the W half's mask block and the H half has none.  W is held
     transposed, as in the kernel, so that every product rounds alike."""
     W, H = start
@@ -526,7 +530,7 @@ def nmf_reference(A, k, mask, sweeps, start):
     masked = np.where(mask.T == 0, -numerics.NMF_MASKED, 0.0)
 
     def half_sweep(X, B, G, extra):
-        d = np.maximum(np.diag(G), NMF_EPS)
+        d = hals_floor(np.diag(G))
         coef = np.hstack([np.eye(k) - G / d[:, None], np.diag(1.0 / d)]
                          + [np.eye(k)] * len(extra))
         stack = np.vstack([X, B, *extra])
@@ -542,7 +546,7 @@ def nmf_reference(A, k, mask, sweeps, start):
 
 def nmf_reference_unscaled(A, k, mask, sweeps, start):
     """The same loop as `nmf_reference`, each row set to its exact
-    minimiser with no scaled products: with d = max(G[l, l], NMF_EPS),
+    minimiser with no scaled products: with d = hals_floor(diag G)[l],
 
         H[l] = max(0, H[l] (1 - G[l, l] / d)
                       + (B[l] - sum_{j != l} G[l, j] H[j]) / d),
@@ -554,8 +558,9 @@ def nmf_reference_unscaled(A, k, mask, sweeps, start):
     Wt, H = (W * mask).T.copy(), H.copy()
 
     def half_sweep(X, B, G, keep):
+        floored = hals_floor(np.diag(G))
         for l in range(k):
-            d, others = max(G[l, l], NMF_EPS), np.arange(k) != l
+            d, others = floored[l], np.arange(k) != l
             X[l] = np.maximum(0.0, X[l] * (1.0 - G[l, l] / d)
                               + (B[l] - G[l, others] @ X[others]) / d) * keep[l]
 
@@ -566,10 +571,10 @@ def nmf_reference_unscaled(A, k, mask, sweeps, start):
 
 
 @st.composite
-def nmf_cases(draw):
+def nmf_cases(draw, max_k=4):
     """(A, k, mask, cap, seed): random, exact low-rank or all-zero A, masks
-    with some all-zero columns, k <= 4 and caps from 0 to 300."""
-    n, m, k = draw(st.integers(1, 8)), draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    with some all-zero columns, k <= max_k and caps from 0 to 300."""
+    n, m, k = draw(st.integers(1, 8)), draw(st.integers(1, 8)), draw(st.integers(1, max_k))
     rng = make_rng(draw(st.integers(0, 2 ** 32 - 1)))
     kind = draw(st.sampled_from(["random", "low-rank", "zero"]))
     if kind == "random":
@@ -591,27 +596,25 @@ class TestNmfStoppingRule:
     @given(nmf_cases())
     def test_matches_reference_prefix(self, case):
         A, k, mask, cap, seed = case
-        losses = []
-        W, H, loss = nmf_multiplicative(
-            A, k, mask, cap, make_rng(seed),
-            on_iteration=lambda it, W, H, loss: losses.append(loss),
-        )
-        ran = len(losses)
+        start = random_start(A, k, make_rng(seed))
+        W, H, loss, ran = nmf_multiplicative(A, k, mask, cap, start)
         # (a) the run reaches the cap or stops at a check below it
         assert ran == cap or (ran < cap and ran % NMF_CHECK_EVERY == 0)
         # (b) a bit-identical prefix of the fixed-iteration run
-        ref_W, ref_H = nmf_reference(A, k, mask, ran, random_start(A, k, make_rng(seed)))
+        ref_W, ref_H = nmf_reference(A, k, mask, ran, start)
         assert np.array_equal(W, ref_W) and np.array_equal(H, ref_H)
         assert loss == numerics.frobenius(A - W @ H)
         # (b') the exact-minimiser update, rounded otherwise, gives the same product
-        un_W, un_H = nmf_reference_unscaled(A, k, mask, ran,
-                                            random_start(A, k, make_rng(seed)))
+        un_W, un_H = nmf_reference_unscaled(A, k, mask, ran, start)
         np.testing.assert_allclose(W @ H, un_W @ un_H, rtol=1e-8, atol=1e-8 * A.max())
-        # (c) the rule holds at the stopping check and at no earlier one
+        # (c) the rule holds at the stopping check and at no earlier one; a
+        # check on the last sweep of the cap may meet it or not
+        losses = [loss for _, _, loss in nmf_steps(A, k, mask, ran, start)]
         checked = losses[NMF_CHECK_EVERY - 1::NMF_CHECK_EVERY]
         met = [prev - cur <= NMF_STOP_RTOL * prev for prev, cur in zip(checked, checked[1:])]
         if ran < cap:
             assert met[-1]
+        if ran % NMF_CHECK_EVERY == 0:
             met = met[:-1]
         assert not any(met)
         # (d) an exact fit stops at the next check
@@ -647,21 +650,63 @@ class TestNmfScaleAndStart:
         reference does."""
         A, k, mask, child, cap, seed = case
 
-        def run(keep, reference_start, **kwargs):
-            sweeps = []
+        def run(keep, start):
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                W, H, loss = nmf_multiplicative(
-                    A, k, keep, cap, on_iteration=lambda *_: sweeps.append(None), **kwargs)
+                W, H, loss, sweeps = nmf_multiplicative(A, k, keep, cap, start)
             assert np.all(W[keep == 0] == 0.0)
             assert np.all(W >= 0) and np.all(H >= 0)
             assert math.isfinite(loss)
-            un_W, un_H = nmf_reference_unscaled(A, k, keep, len(sweeps), reference_start)
+            un_W, un_H = nmf_reference_unscaled(A, k, keep, sweeps, start)
             np.testing.assert_allclose(W @ H, un_W @ un_H, rtol=1e-8, atol=1e-8 * A.max())
             return W, H
 
-        W, H = run(mask, random_start(A, k, make_rng(seed)), rng=make_rng(seed))
+        W, H = run(mask, random_start(A, k, make_rng(seed)))
         if child is not None:
-            run(child, (W, H), start=(W, H))
+            run(child, (W, H))
+
+
+def bits(x):
+    """The bit patterns of a float array or float, to compare exactly."""
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+class TestNmfSweeps:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(nmf_cases())
+    def test_chained_single_sweeps_equal_one_run(self, case):
+        """A run of n sweeps is a 0-sweep call, which projects the start
+        onto the mask, then n one-sweep calls, each started from the
+        previous call's factors, bit for bit.  The tests that watch every
+        sweep (`nmf_steps`) rely on it."""
+        A, k, mask, cap, seed = case
+        start = random_start(A, k, make_rng(seed))
+        W, H, loss, sweeps = nmf_multiplicative(A, k, mask, cap, start)
+        # the cap, or the check below it where the run stopped
+        assert sweeps == cap or (sweeps < cap and sweeps % NMF_CHECK_EVERY == 0)
+        W0, H0, loss0, none = nmf_multiplicative(A, k, mask, 0, start)
+        assert none == 0
+        W1, H1, loss1 = ([(W0, H0, loss0)] + nmf_steps(A, k, mask, sweeps, (W0, H0)))[-1]
+        assert np.array_equal(bits(W), bits(W1)) and np.array_equal(bits(H), bits(H1))
+        assert bits(loss) == bits(loss1)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(nmf_cases(max_k=6), st.sampled_from([40, 80, 120]))
+    def test_power_of_two_scale_scales_the_run(self, case, e):
+        """A scaled by 2^e from a start scaled by 2^(e/2) runs the same
+        sweeps and returns the unscaled run's factors scaled by 2^(e/2) and
+        its loss by 2^e, bit for bit: the HALS floor scales with diag G.
+        k > n is drawn too, where H is not unique and rows whose update is
+        0 come out as rounding noise an absolute floor would treat apart."""
+        A, k, mask, cap, seed = case
+        W0, H0 = random_start(A, k, make_rng(seed))
+        half = 2.0 ** (e // 2)
+        W, H, loss, sweeps = nmf_multiplicative(A, k, mask, cap, (W0, H0))
+        Ws, Hs, loss_s, sweeps_s = nmf_multiplicative(A * 2.0 ** e, k, mask, cap,
+                                                      (W0 * half, H0 * half))
+        assert sweeps_s == sweeps
+        assert np.array_equal(bits(Ws), bits(W * half))
+        assert np.array_equal(bits(Hs), bits(H * half))
+        assert bits(loss_s) == bits(loss * 2.0 ** e)
 
 
 class TestValidation:

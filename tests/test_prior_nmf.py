@@ -20,6 +20,7 @@ from bagel.prior_nmf import (
     nmf_generate_instance,
     nmf_topic_recovery,
 )
+from oracles import random_start
 
 
 def small_db():
@@ -73,24 +74,23 @@ class TestBuildMask:
 class TestGenerateAndTrain:
     def test_root_equals_vanilla_nmf(self):
         inst = nmf_generate_instance(20, 4, 2, 50, seed=5, noise_sigma=0.0)
-        W, H, loss = nmf_generate_and_train(inst, [], iters=50)
+        W, H, loss, sweeps = nmf_generate_and_train(inst, [], iters=50)
         seq = np.random.SeedSequence([inst.seed, 0])
-        Wv, Hv, lv = nmf_multiplicative(
-            inst.A, inst.k, np.ones((20, inst.k)), 50, make_rng(seq)
-        )
+        start = random_start(inst.A, inst.k, make_rng(seq))
+        Wv, Hv, lv, sv = nmf_multiplicative(inst.A, inst.k, np.ones((20, inst.k)), 50, start)
         assert np.array_equal(W, Wv)
         assert np.array_equal(H, Hv)
-        assert loss == lv
+        assert (loss, sweeps) == (lv, sv)
 
     def test_planted_assignment_fits_noiseless_data(self):
         inst = nmf_generate_instance(20, 4, 2, 50, seed=6, noise_sigma=0.0)
-        _, _, loss = nmf_generate_and_train(inst, inst.planted_topics, iters=2000)
+        _, _, loss, _ = nmf_generate_and_train(inst, inst.planted_topics, iters=2000)
         assert loss <= 1e-3 * np.linalg.norm(inst.A)
 
     def test_fixed_column_matches_topic_support_exactly(self):
         inst = nmf_generate_instance(20, 4, 2, 50, seed=7, noise_sigma=0.0)
         j = inst.planted_topics[0]
-        W, _, _ = nmf_generate_and_train(inst, [j], iters=100)
+        W, _, _, _ = nmf_generate_and_train(inst, [j], iters=100)
         assert MASKED_L0(W[:, 0], inst.db.topics[j]) == 0
 
     def test_depth_two_starts_from_the_trained_parent(self):
@@ -110,8 +110,8 @@ class TestGenerateAndTrain:
         problem.generate(node)
         loss = problem.train(node)
         assert node.trail[0].excluded
-        W, H, lv = nmf_multiplicative(inst.A, inst.k, node.payload, 50,
-                                      start=(W_parent * node.payload, H_parent))
+        W, H, lv, _ = nmf_multiplicative(inst.A, inst.k, node.payload, 50,
+                                         (W_parent * node.payload, H_parent))
         assert np.array_equal(node.model[0], W)
         assert np.array_equal(node.model[1], H)
         assert loss == lv
