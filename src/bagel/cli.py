@@ -250,6 +250,13 @@ def _digesting(data):
 
 def cmd_solve(args):
     _check_search_flags(args)
+    meta_path = args.out + ".meta.json"
+    named = {}  # file -> the first flag that names it
+    for flag, path in (("--instance", args.instance), ("--out", args.out),
+                       ("--out's .meta.json", meta_path), ("--trace", args.trace)):
+        if path and named.setdefault(os.path.realpath(path), flag) != flag:
+            raise ValueError("%s and %s name the same file, %s"
+                             % (named[os.path.realpath(path)], flag, path))
     kind, instance, data = _load_instance(args.instance)
     if args.seed is not None:
         instance.seed = args.seed
@@ -261,7 +268,6 @@ def cmd_solve(args):
         if header != fields:  # appended rows would land under other columns
             raise ValueError("cannot append to %s: its columns are %s, not %s"
                              % (args.out, ",".join(header), ",".join(fields)))
-    meta_path = args.out + ".meta.json"
     targets = [args.out, meta_path] + ([args.trace] if args.trace else [])
     with _digesting(data) as digest, _staged(targets) as staged:
         with (open(staged[args.trace], "w") if args.trace

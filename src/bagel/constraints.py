@@ -1,8 +1,10 @@
 """Variable domains and the constraint layer.
 
 A 0/1 variable's domain is one ZERO / ONE / BOTH code, so a node's
-domains are one int8 array.  Extended table constraints whose cost is any
-callable c(y, t), the masked-l0 and p-norm costs, the budget rule and
+domains are one int8 array.  An extended table is its tuple matrix, its
+arity the matrix's width, with a cost c(y, t) and a threshold; the
+masked-l0 and p-norm costs take one tuple or the whole table (tuples on
+the last axis) and return one cost per row.  Also the budget rule and
 its propagation, pairwise alldifferent filtering of plain sets, and the
 encodings of norm-ball / budget-selection constraints as extended tables.
 """
@@ -30,10 +32,11 @@ class CapacityError(ValueError):
 
 
 def _pair(y, t):
-    """y and t as float arrays of one shape."""
+    """y and t as float arrays, t one tuple of y's length or a table of
+    them, one per row."""
     y = np.asarray(y, dtype=float)
     t = np.asarray(t, dtype=float)
-    if y.shape != t.shape:
+    if t.shape[-1:] != y.shape:
         raise DimensionError("y and t must have the same length")
     return y, t
 
@@ -46,30 +49,32 @@ def _check_p(p):
 
 
 def _lp_norm(d, p):
-    """p-norm of d, for a p `_check_p` accepts; p = 0 counts the nonzero
-    entries."""
+    """p-norm of d over its last axis (a float, or one per row), for a p
+    `_check_p` accepts; p = 0 counts the nonzero entries."""
     if p == 0:
-        return float(np.count_nonzero(d))
-    if np.isinf(p):
-        return float(np.max(np.abs(d))) if d.size else 0.0
-    return float(np.sum(np.abs(d) ** p) ** (1.0 / p))
+        norm = np.count_nonzero(d, axis=-1)
+    elif np.isinf(p):
+        norm = np.max(np.abs(d), axis=-1, initial=0.0)
+    else:
+        norm = np.sum(np.abs(d) ** p, axis=-1) ** (1.0 / p)
+    return norm.astype(float) if np.ndim(norm) else float(norm)
 
 
 def MASKED_L0(y, t):
-    """c(y, t) = number of active entries of y outside supp(t)."""
+    """c(y, t) = number of active entries of y outside supp(t), per row of t."""
     y, t = _pair(y, t)
-    return float(np.count_nonzero((t == 0) & (np.abs(y) > 0)))
+    return _lp_norm((t == 0) & (np.abs(y) > 0), 0)
 
 
 def lp_cost(p):
-    """c(y, t) = ||y - t||_p.  p is checked here, once."""
+    """c(y, t) = ||y - t||_p, per row of t.  p is checked here, once."""
     _check_p(p)
     return lambda y, t: _lp_norm(np.subtract(*_pair(y, t)), p)
 
 
 def masked_lp_cost(p):
-    """c(y, t) = ||y * (1 - t)||_p, for a binary t.  p is checked here,
-    once."""
+    """c(y, t) = ||y * (1 - t)||_p, per row of a binary t.  p is checked
+    here, once."""
     _check_p(p)
 
     def cost(y, t):
@@ -81,21 +86,23 @@ def masked_lp_cost(p):
 
 @dataclass(frozen=True)
 class ExtendedTable:
-    """Table of candidate tuples with a cost function and slack threshold.
+    """A matrix of candidate tuples, one per row, with a cost function
+    and a slack threshold.
 
     A vector y satisfies the constraint iff some tuple t in the table has
-    cost(y, t) <= threshold.
+    cost(y, t) <= threshold.  The cost is evaluated on the whole matrix:
+    like the costs above, it checks y's length and returns one cost per row.
     """
 
-    arity: int
     tuples: np.ndarray  # (n_tuples, arity)
-    cost: Callable  # (y, t) -> float
+    cost: Callable  # (y, tuple or table) -> one cost per row
     threshold: float
+    arity = property(lambda self: self.tuples.shape[1])
 
     def __post_init__(self):
         t = np.asarray(self.tuples, dtype=float)
-        if t.ndim != 2 or t.shape[1] != self.arity:
-            raise DimensionError("tuples must be 2-d with row length = arity")
+        if t.ndim != 2:
+            raise DimensionError("tuples must be 2-d, one tuple per row")
         if not self.threshold >= 0:  # `not >=` also rejects NaN
             raise ValueError("threshold must be >= 0")
         object.__setattr__(self, "tuples", t)
@@ -119,23 +126,16 @@ def et_satisfied(y, et):
     Returns (satisfied, witness) where witness is the lowest-index tuple
     achieving cost <= threshold, or None.
     """
-    y = np.asarray(y, dtype=float)
-    if y.shape != (et.arity,):
-        raise DimensionError("y length must equal the table arity")
-    for idx, t in enumerate(et.tuples):
-        if et.cost(y, t) <= et.threshold:
-            return True, idx
-    return False, None
+    hits = np.flatnonzero(et.cost(y, et.tuples) <= et.threshold)
+    return (True, int(hits[0])) if hits.size else (False, None)
 
 
 def et_rank_tuples(y, et, order_cost):
-    """All tuple indices with their order_cost, ascending, ties by index."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (et.arity,):
-        raise DimensionError("y length must equal the table arity")
-    ranked = [(idx, order_cost(y, t)) for idx, t in enumerate(et.tuples)]
-    ranked.sort(key=lambda pair: (pair[1], pair[0]))
-    return ranked
+    """All tuple indices with their order_cost, ascending, ties by index.
+    order_cost is evaluated on the whole table, like a table's cost."""
+    costs = order_cost(y, et.tuples)
+    order = np.argsort(costs, kind="stable")
+    return list(zip(order.tolist(), costs[order].tolist()))
 
 
 def encode_norm_ball_as_et(p, lam, dim):
@@ -144,7 +144,7 @@ def encode_norm_ball_as_et(p, lam, dim):
         raise ValueError("lam must be >= 0")
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    return ExtendedTable(dim, np.zeros((1, dim)), lp_cost(p), lam)
+    return ExtendedTable(np.zeros((1, dim)), lp_cost(p), lam)
 
 
 def enumerate_budget_feasible(weights, bound):
@@ -169,20 +169,14 @@ def encode_smart_design_as_et(components, bound):
     covered by some feasible selection.  components are (size, weight)
     pairs.
     """
-    sizes_weights = [(int(size), float(weight)) for size, weight in components]
-    if len(sizes_weights) > MAX_COMPONENTS:
+    sizes = [int(size) for size, _ in components]
+    if len(sizes) > MAX_COMPONENTS:
         raise CapacityError("too many components")
-    arity = sum(s for s, _ in sizes_weights)
-    if arity > MAX_ET_ARITY:
+    if sum(sizes) > MAX_ET_ARITY:
         raise CapacityError("expanded table arity exceeds %d" % MAX_ET_ARITY)
-    weights = np.array([w for _, w in sizes_weights])
-    feasible = enumerate_budget_feasible(weights, bound)
-    rows = np.empty((len(feasible), arity))
-    for r, u in enumerate(feasible):
-        rows[r] = np.concatenate(
-            [np.full(size, bit, dtype=float) for (size, _), bit in zip(sizes_weights, u)]
-        )
-    return ExtendedTable(arity, rows, MASKED_L0, 0.0)
+    feasible = enumerate_budget_feasible([weight for _, weight in components], bound)
+    bits = np.array(feasible, dtype=float).reshape(len(feasible), len(sizes))
+    return ExtendedTable(np.repeat(bits, sizes, axis=1), MASKED_L0, 0.0)
 
 
 def budget_propagate(state, weights, bound):

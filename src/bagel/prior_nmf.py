@@ -34,25 +34,24 @@ SPARSITY = 0.8
 @dataclass
 class TopicDB:
     n_words: int
-    topics: List[np.ndarray]  # binary vectors of length n_words
+    topics: np.ndarray  # (|db|, n_words) 0/1 rows, or a list of rows: the table
 
     def __post_init__(self):
-        cleaned = []
-        seen = set()
-        for t in self.topics:
-            t = np.asarray(t, dtype=float)
-            if t.shape != (self.n_words,):
-                raise ValueError("topic length must equal n_words")
-            if not np.all((t == 0) | (t == 1)):
-                raise ValueError("topics must be binary")
-            if not np.any(t):
-                raise ValueError("every topic needs at least one word")
-            key = tuple(t.astype(int))
-            if key in seen:
-                raise ValueError("topics must be pairwise distinct")
-            seen.add(key)
-            cleaned.append(t)
-        self.topics = cleaned
+        try:  # an empty list comes out as shape (0,), which reshape widens
+            topics = np.asarray(self.topics)
+        except ValueError:  # rows of different lengths
+            topics = None
+        if topics is None or (topics.shape[1:] != (self.n_words,) and topics.shape != (0,)):
+            raise ValueError("topic length must equal n_words")
+        topics = topics.reshape(len(topics), self.n_words).astype(float)
+        if not np.all((topics == 0) | (topics == 1)):
+            raise ValueError("topics must be binary")
+        if not np.all(topics.any(axis=1)):
+            raise ValueError("every topic needs at least one word")
+        # Byte keys of the 0/1 rows, so -0.0 and 0.0 are one word state.
+        if len(set(map(bytes, topics.astype(np.uint8)))) < len(topics):
+            raise ValueError("topics must be pairwise distinct")
+        self.topics = topics
 
     def __len__(self):
         return len(self.topics)
@@ -60,7 +59,7 @@ class TopicDB:
     def as_table(self):
         """The topics as an extended table: a column satisfies it iff its
         support lies inside some topic."""
-        return ExtendedTable(self.n_words, np.stack(self.topics), constraints.MASKED_L0, 0.0)
+        return ExtendedTable(self.topics, constraints.MASKED_L0, 0.0)
 
 
 @dataclass
@@ -101,12 +100,11 @@ def nmf_build_mask(chosen, remaining, db, k):
     At the root, where every topic remains, the free columns stay all-ones.
     """
     mask = np.ones((db.n_words, k))
-    for i, j in enumerate(chosen):
-        mask[:, i] = db.topics[j]
+    mask[:, :len(chosen)] = db.topics[list(chosen)].T
     if len(chosen) < k and len(remaining) < len(db):
         if not remaining:
             raise ValueError("no topic left for column %d" % len(chosen))
-        mask[:, len(chosen):] = np.max([db.topics[j] for j in remaining], axis=0)[:, None]
+        mask[:, len(chosen):] = db.topics[list(remaining)].max(axis=0)[:, None]
     return mask
 
 
@@ -240,10 +238,9 @@ def _random_distinct_topics(rng, count, n_words, density, taken):
         if not np.any(t):
             t[int(rng.integers(n_words))] = 1.0
         key = tuple(t.astype(int))
-        if key in taken:
-            continue
-        taken.add(key)
-        topics.append(t)
+        if key not in taken:
+            taken.add(key)
+            topics.append(t)
     return topics
 
 
@@ -299,8 +296,10 @@ def nmf_generate_instance(n_words, true_topics, false_topics, docs, seed=0,
     db_topics = true + false
     order = rng.permutation(len(db_topics))
     db = TopicDB(n_words, [db_topics[i] for i in order])
-    keys = {tuple(t.astype(int)): i for i, t in enumerate(db.topics)}
-    planted = [keys[tuple(t.astype(int))] for t in true]
+    # Planted topic i, db_topics[i], sits where the permutation put i.
+    where = np.empty_like(order)
+    where[order] = np.arange(len(order))
+    planted = where[:true_topics].tolist()
     return NmfInstance(
         A=A, k=k, db=db, planted_topics=planted,
         planted_W=W_star, planted_H=H_star, noise_sigma=sigma, seed=seed,
@@ -315,7 +314,7 @@ def save_instance(instance, path):
         "k": instance.k,
         "m": instance.A.shape[1],
         "noise_sigma": instance.noise_sigma,
-        "db": [t.astype(int).tolist() for t in instance.db.topics],
+        "db": instance.db.topics.astype(int).tolist(),
         "A": instance.A,
         "planted": instance.planted_topics,
     }
@@ -327,7 +326,7 @@ def load_instance(doc):
     whose arrays are float arrays or nested lists."""
     if doc.get("problem") != "prior-nmf":
         raise ValueError("not a prior-nmf instance file")
-    db = TopicDB(numerics.integer(doc["n"], "n"), [np.array(t, dtype=float) for t in doc["db"]])
+    db = TopicDB(numerics.integer(doc["n"], "n"), doc["db"])
     return NmfInstance(
         A=doc["A"],
         k=numerics.integer(doc["k"], "k"),

@@ -1,6 +1,7 @@
 """Acceptance suite: one test per release criterion, each printing a
 pass/fail line (run with -s to see them on success)."""
 
+import contextlib
 import csv
 import dataclasses
 import itertools
@@ -48,7 +49,9 @@ def test_criterion_1_brute_force_exactness():
         n = int(rng.choice([10, 20, 40]))
         samples = int(rng.choice([100, 200]))
         cost = float(rng.choice([0.30, 0.60, 0.80, 0.90]))
-        inst = sd_generate_instance(n, samples, cost, seed=seed)
+        with (pytest.warns(UserWarning, match="samples=200") if samples == 200
+              else contextlib.nullcontext()):  # 200 is off the grid
+            inst = sd_generate_instance(n, samples, cost, seed=seed)
         best, stats = bagel_search(SmartDesignProblem.from_instance(inst))
         assert stats.completed
         oracle = brute_force_sd(inst)
@@ -294,7 +297,7 @@ def test_criterion_8_extended_table_suite():
     for _ in range(100):
         arity = int(rng.integers(1, 5))
         tuples = rng.integers(0, 4, size=(int(rng.integers(1, 8)), arity)).astype(float)
-        et = ExtendedTable(arity, tuples, lp_cost(2), 0.0)
+        et = ExtendedTable(tuples, lp_cost(2), 0.0)
         y = tuples[int(rng.integers(len(tuples)))] if rng.random() < 0.5 \
             else rng.integers(0, 4, size=arity).astype(float)
         assert et_satisfied(y, et)[0] == any(np.array_equal(y, t) for t in tuples)

@@ -67,6 +67,11 @@ NAMED_FIELD.update({
 # A prior-nmf file with no document has nothing to factorize.
 NAMED_FIELD['{"problem": "prior-nmf", "n": 2, "k": 1, "db": [[1, 1]], "A": [[], []]}'] = (
     "error: docs must be >= 1, got 0")
+# A prior-nmf database of rows of two lengths, and an empty one
+NAMED_FIELD['{"problem": "prior-nmf", "n": 2, "k": 1, "db": [[1, 1], [1]], "A": [[1.0], [1.0]]}'] = (
+    "error: topic length must equal n_words")
+NAMED_FIELD['{"problem": "prior-nmf", "n": 2, "k": 1, "db": [], "A": [[1.0], [1.0]]}'] = (
+    "error: k cannot exceed the database size")
 # X = [[1], [2]] and y = [1, 2] in a binary tail
 SD_TAIL = np.array([1.0, 2.0, 1.0, 2.0], dtype="<f8").tobytes()
 
@@ -345,6 +350,24 @@ class TestSolve:
         assert named in capsys.readouterr().err
         assert not out.exists() and not trace.exists()
         assert not (tmp_path / "res.csv.meta.json").exists()
+
+    @pytest.mark.parametrize("flags, first, second", [
+        (["--out", "r.csv", "--trace", "r.csv"], "--out", "--trace"),
+        (["--out", "r.csv", "--trace", "r.csv.meta.json"], "--out's .meta.json", "--trace"),
+        (["--out", "inst.json"], "--instance", "--out"),
+        (["--out", "r.csv", "--trace", "./r.csv"], "--out", "--trace"),
+    ])
+    def test_colliding_paths_exit_1(self, sd_instance, tmp_path, monkeypatch, capsys,
+                                    flags, first, second):
+        # Staged outputs that share a target would merge, and an --out on
+        # the instance would replace it: the solve writes nothing instead.
+        monkeypatch.chdir(tmp_path)
+        data = (tmp_path / "inst.json").read_bytes()
+        rc = cli.main(["solve", "--instance", "inst.json", "--folds", "1", *flags])
+        assert rc == 1
+        assert "error: %s and %s name the same file" % (first, second) in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["inst.json"]
+        assert (tmp_path / "inst.json").read_bytes() == data
 
     def test_meta_records_search_flags(self, tmp_path):
         inst, out = str(tmp_path / "nmf.json"), str(tmp_path / "res.csv")

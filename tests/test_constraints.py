@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bagel.constraints import (
     BOTH,
@@ -106,12 +109,12 @@ class TestLpDistance:
 
 class TestEtSatisfied:
     def test_classic_member(self):
-        et = ExtendedTable(2, CLASSIC, lp_cost(2), 0.0)
+        et = ExtendedTable(CLASSIC, lp_cost(2), 0.0)
         ok, witness = et_satisfied([3, 2], et)
         assert ok and witness == 5
 
     def test_classic_non_member(self):
-        et = ExtendedTable(2, CLASSIC, lp_cost(2), 0.0)
+        et = ExtendedTable(CLASSIC, lp_cost(2), 0.0)
         # derived: the minimum distance from (0,0) to the 7 tuples is 1
         dists = [np.linalg.norm(np.array(t)) for t in CLASSIC]
         assert min(dists) > 0
@@ -120,12 +123,12 @@ class TestEtSatisfied:
 
     def test_self_tuple(self):
         y = [1.5, -0.3, 2.0]
-        et = ExtendedTable(3, np.array([[9, 9, 9], y]), lp_cost(2), 0.0)
+        et = ExtendedTable(np.array([[9, 9, 9], y]), lp_cost(2), 0.0)
         ok, witness = et_satisfied(y, et)
         assert ok and witness == 1
 
     def test_arity_mismatch(self):
-        et = ExtendedTable(2, CLASSIC, lp_cost(2), 0.0)
+        et = ExtendedTable(CLASSIC, lp_cost(2), 0.0)
         with pytest.raises(DimensionError):
             et_satisfied([1, 2, 3], et)
 
@@ -134,7 +137,7 @@ class TestEtSatisfied:
         for _ in range(100):
             arity = int(rng.integers(1, 5))
             tuples = rng.integers(0, 4, size=(int(rng.integers(1, 8)), arity)).astype(float)
-            et = ExtendedTable(arity, tuples, lp_cost(2), 0.0)
+            et = ExtendedTable(tuples, lp_cost(2), 0.0)
             y = tuples[int(rng.integers(len(tuples)))] if rng.random() < 0.5 \
                 else rng.integers(0, 4, size=arity).astype(float)
             member = any(np.array_equal(y, t) for t in tuples)
@@ -147,19 +150,71 @@ class TestEtRankTuples:
         y = np.array([0.6, 0.3, 0.9, 0, 0])
         t_f = [0, 1, 1, 0, 1]
         t_g = [1, 1, 1, 0, 0]
-        et = ExtendedTable(5, np.array([t_f, t_g], dtype=float), MASKED_L0, 0.0)
+        et = ExtendedTable(np.array([t_f, t_g], dtype=float), MASKED_L0, 0.0)
         ranked = et_rank_tuples(y, et, masked_lp_cost(2))
         assert ranked == [(1, pytest.approx(0.0)), (0, pytest.approx(0.6))]
 
     def test_single_tuple(self):
-        et = ExtendedTable(2, np.array([[1.0, 1.0]]), MASKED_L0, 0.0)
+        et = ExtendedTable(np.array([[1.0, 1.0]]), MASKED_L0, 0.0)
         assert et_rank_tuples([5.0, 5.0], et, masked_lp_cost(2))[0][0] == 0
 
     def test_zero_vector_tie_break(self):
-        et = ExtendedTable(2, np.array([[1, 0], [0, 1], [1, 1]], dtype=float), MASKED_L0, 0.0)
+        et = ExtendedTable(np.array([[1, 0], [0, 1], [1, 1]], dtype=float), MASKED_L0, 0.0)
         ranked = et_rank_tuples([0.0, 0.0], et, masked_lp_cost(2))
         assert [idx for idx, _ in ranked] == [0, 1, 2]
         assert all(cost == 0.0 for _, cost in ranked)
+
+
+# Each table cost beside whether its tuples are binary
+TABLE_COSTS = {"masked_l0": (MASKED_L0, True),
+               **{"lp_%g" % p: (lp_cost(p), False) for p in (0, 1, 2, 3.5, np.inf)},
+               **{"masked_lp_%g" % p: (masked_lp_cost(p), True) for p in (0, 1, 2, 3.5, np.inf)}}
+ULPS = 4
+
+
+def _close(a, b):
+    """a and b lie within ULPS units in the last place of the larger."""
+    return abs(a - b) <= ULPS * np.spacing(max(abs(a), abs(b)))
+
+
+class TestTableCosts:
+    """A cost over the whole table against the same cost one tuple at a
+    time: the sums may round in another order, so each row's cost may
+    differ by a few ulp, and ranking and membership may differ only where
+    such a difference decides them."""
+
+    @pytest.mark.parametrize("name", sorted(TABLE_COSTS))
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_rows_match_single_tuples(self, name, data):
+        cost, binary = TABLE_COSTS[name]
+        n = data.draw(st.integers(1, 12), label="n")
+        rows = data.draw(st.integers(1, 8), label="rows")
+        values = st.floats(-100, 100, allow_nan=False)
+        y = data.draw(arrays(float, n, elements=st.just(0.0) | values), label="y")
+        tuples = data.draw(arrays(float, (rows, n), elements=st.sampled_from([0.0, 1.0])
+                                  if binary else st.just(0.0) | values), label="tuples")
+        singles = [cost(y, t) for t in tuples]
+        threshold = data.draw(st.sampled_from([0.0, *singles]) | st.floats(0, 1e3),
+                              label="threshold")
+        et = ExtendedTable(tuples, cost, threshold)
+        ranked = et_rank_tuples(y, et, cost)
+        table = dict(ranked)
+        assert sorted(table) == list(range(rows))
+        for i, single in enumerate(singles):
+            assert _close(table[i], single)
+        # Rows whose table cost is their single cost compare exactly;
+        # elsewhere only pairs that no 4-ulp rounding can swap.
+        exact = [table[i] == single for i, single in enumerate(singles)]
+        place = {idx: r for r, (idx, _) in enumerate(ranked)}
+        for i, j in itertools.combinations(range(rows), 2):
+            if (exact[i] and exact[j]) or not (_close(singles[i], singles[j])
+                                               or _close(table[i], table[j])):
+                assert (place[i] < place[j]) == ((singles[i], i) < (singles[j], j))
+        if all(exact[i] or not (_close(single, threshold) or _close(table[i], threshold))
+               for i, single in enumerate(singles)):
+            witness = next((i for i, single in enumerate(singles) if single <= threshold), None)
+            assert et_satisfied(y, et) == (witness is not None, witness)
 
 
 class TestNormBallEncoding:
@@ -394,6 +449,6 @@ class TestDomains:
     def test_threshold_must_be_nonnegative(self):
         for threshold in (-1.0, math.nan):
             with pytest.raises(ValueError, match="threshold"):
-                ExtendedTable(2, CLASSIC, lp_cost(2), threshold)
+                ExtendedTable(CLASSIC, lp_cost(2), threshold)
             with pytest.raises(ValueError, match="lam"):
                 encode_norm_ball_as_et(2, threshold, 2)

@@ -40,6 +40,31 @@ class TestTopicDB:
         with pytest.raises(ValueError):
             TopicDB(2, [np.array([0.5, 1.0])])
 
+    def test_arrays_nested_lists_and_matrix_agree(self):
+        rows = [[1, 0, 1], [0, 1, 1], [1, 1, 0]]
+        for db in (TopicDB(3, [np.array(r, dtype=float) for r in rows]), TopicDB(3, rows),
+                   TopicDB(3, np.array(rows, dtype=float))):
+            assert len(db) == 3
+            assert np.array_equal(np.asarray(db.topics), rows)
+            assert np.array_equal(db.as_table().tuples, rows)
+
+    @pytest.mark.parametrize("topics, message", [
+        ([[1, 0], [1]], "topic length must equal n_words"),
+        ([[1, 0], [1, 1, 0]], "topic length must equal n_words"),
+        (np.ones((2, 3)), "topic length must equal n_words"),
+        ([[1, 0], [0, 0]], "every topic needs at least one word"),
+        ([[1.0, 0.0], [1.0, -0.0]], "topics must be pairwise distinct"),
+    ])
+    def test_bad_rows_keep_their_messages(self, topics, message):
+        with pytest.raises(ValueError, match=message):
+            TopicDB(2, topics)
+
+    def test_empty_database_fits_no_column(self):
+        db = TopicDB(2, [])
+        assert len(db) == 0
+        with pytest.raises(ValueError, match="k cannot exceed the database size"):
+            NmfInstance(A=np.ones((2, 1)), k=1, db=db)
+
 
 class TestBuildMask:
     def test_chosen_column_gets_its_topic(self):
