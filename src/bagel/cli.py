@@ -4,9 +4,10 @@ Subcommands: generate, solve, bench.  Results are flat CSV rows plus a
 JSON metadata sidecar; the optional trace is newline-delimited JSON, one
 record per search node.  Exit codes: 0 success, 1 validation, 2 I/O or
 an argparse usage error.
-`generate` and `solve` write their outputs to temporary files beside them
-and move each into place only once the command succeeded, so a failed or
-interrupted one leaves no output and leaves an `--append` target as it was.
+Every file `generate`, `solve` and `bench` write goes to a temporary file
+beside it, moved into place only when complete.  A failed or interrupted
+`generate` or `solve` leaves no new output and an `--append` target byte
+for byte as it was; `bench` keeps the cells it finished.
 Each problem kind is one `ProblemKind` entry of `PROBLEMS`, and every
 subcommand runs a kind only through its entry.
 """
@@ -94,11 +95,12 @@ def _staged(targets):
 
 
 def _read_meta(out_path):
-    """The sidecar of a result file, or None when either file is missing."""
-    if not (os.path.exists(out_path) and os.path.exists(out_path + ".meta.json")):
+    """A result file's sidecar, or None if either is missing or the sidecar is not JSON."""
+    try:
+        with open(out_path + ".meta.json") as fh:
+            return json.load(fh) if os.path.exists(out_path) else None
+    except (FileNotFoundError, ValueError):
         return None
-    with open(out_path + ".meta.json") as fh:
-        return json.load(fh)
 
 
 def _search_flags(args):
@@ -316,23 +318,20 @@ def cmd_bench(args):
         cell_path = os.path.join(args.out_dir, cell + ".csv")
         meta = {"instance_id": cell, "problem": args.problem, "seed": seed,
                 **_search_flags(args), "versions": versions}
-        # Resume a cell only when it was solved with the same search flags
-        # and versions.  The sidecar marks a complete cell, so a stale one
-        # goes before the rows change and the new one is written last.
+        # Resume a cell only when it was solved with the same search flags and versions.
         if _read_meta(cell_path) != meta:
             try:
-                with contextlib.suppress(FileNotFoundError):
-                    os.remove(cell_path + ".meta.json")
                 flags = {flag: value for (flag, _, _), value in zip(kind.grid, values)}
                 instance = kind.generate(seed=seed, **flags)
                 rows = kind.solve(instance, args, stop, None)
-                _write_rows(cell_path, kind.fields,
-                            [dict(row, instance_id=cell) for row in rows])
-                _write_meta(cell_path + ".meta.json", meta)
             except Exception as exc:  # sweep continues past bad cells
                 aggregate.append({"cell": cell, "method": "error", "note": str(exc),
                                   **dict.fromkeys(means, float("nan"))})
                 continue
+            with _staged([cell_path, cell_path + ".meta.json"]) as staged:
+                _write_rows(staged[cell_path], kind.fields,
+                            [dict(row, instance_id=cell) for row in rows])
+                _write_meta(staged[cell_path + ".meta.json"], meta)
         with open(cell_path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         # Rows without a method column average as one group.
@@ -343,7 +342,8 @@ def cmd_bench(args):
                 for mean, column in zip(means, kind.averages)
             }})
     out_path = os.path.join(args.out_dir, "aggregate.csv")
-    _write_rows(out_path, fields, aggregate)
+    with _staged([out_path]) as staged:
+        _write_rows(staged[out_path], fields, aggregate)
     print(out_path)
     return 0
 

@@ -5,8 +5,10 @@ domains are one int8 array.  An extended table is its tuple matrix, its
 arity the matrix's width, with a cost c(y, t) and a threshold; the
 masked-l0 and p-norm costs take one tuple or the whole table (tuples on
 the last axis) and return one cost per row.  Also the budget rule and
-its propagation, pairwise alldifferent filtering of plain sets, and the
-encodings of norm-ball / budget-selection constraints as extended tables.
+its propagation, and the encodings of norm-ball / budget-selection
+constraints as extended tables.  No search calls the pairwise
+alldifferent filter of plain sets; it stays only because
+`benchmarks/tracer.py` wraps it by name.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ def masked_lp_cost(p):
     return cost
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExtendedTable:
     """A matrix of candidate tuples, one per row, with a cost function
     and a slack threshold.

@@ -31,7 +31,7 @@ MIN_TOPICS_PER_DOC = 2
 SPARSITY = 0.8
 
 
-@dataclass
+@dataclass(eq=False)
 class TopicDB:
     n_words: int
     topics: np.ndarray  # (|db|, n_words) 0/1 rows, or a list of rows: the table
@@ -62,7 +62,7 @@ class TopicDB:
         return ExtendedTable(self.topics, constraints.MASKED_L0, 0.0)
 
 
-@dataclass
+@dataclass(eq=False)
 class NmfInstance:
     A: np.ndarray
     k: int
@@ -129,7 +129,7 @@ def nmf_random_start(instance):
     return 1.0 - rng.random((n, k)), 1.0 - rng.random((k, m))
 
 
-@dataclass
+@dataclass(eq=False)
 class NmfModel:
     assignment: List[int]
     W: np.ndarray

@@ -37,7 +37,7 @@ class Component:
             raise ValueError("weight must be >= 0, got %r" % self.weight)
 
 
-@dataclass
+@dataclass(eq=False)
 class SmartDesignInstance:
     X: np.ndarray
     y: np.ndarray
@@ -73,7 +73,7 @@ class SmartDesignInstance:
         return np.array([c.weight for c in self.components])
 
 
-@dataclass
+@dataclass(eq=False)
 class DesignSolution:
     u: np.ndarray
     theta: np.ndarray

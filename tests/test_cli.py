@@ -64,6 +64,14 @@ NAMED_FIELD.update({
                    "components": [{"size": 1, "weight": w} for w in weights]}): "error: weights"
        for weights in ([1e308, 1e308], [float("inf"), 1e308, 1e308])},
 })
+# An empty component, component sizes that miss X's width, and no topic
+NAMED_FIELD.update({
+    json.dumps({**SD_DOC, "components": [{"size": 0, "weight": 1.0}]}):
+        "error: input_size must be >= 1",
+    json.dumps({**SD_DOC, "components": [{"size": 2, "weight": 1.0}]}):
+        "error: component sizes must partition the feature axis",
+    json.dumps({**NMF_DOC, "k": 0}): "error: k must be >= 1",
+})
 # A prior-nmf file with no document has nothing to factorize.
 NAMED_FIELD['{"problem": "prior-nmf", "n": 2, "k": 1, "db": [[1, 1]], "A": [[], []]}'] = (
     "error: docs must be >= 1, got 0")
@@ -126,6 +134,11 @@ def read_rows(path):
 
 def rows_without_wall(path):
     return [{k: v for k, v in row.items() if k != "wall_ms"} for row in read_rows(path)]
+
+
+def files(directory):
+    """{name: bytes} of every file in a directory."""
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
 
 
 class TestGenerate:
@@ -740,26 +753,78 @@ class TestBench:
             assert json.load(fh)["versions"]["bagel"] == bagel.__version__
 
     def test_interrupted_cell_is_not_resumed(self, tmp_path, monkeypatch):
-        out_dir = str(tmp_path / "sweep")
-        args = ["bench", "--problem", "prior-nmf", "--out-dir", out_dir,
+        out_dir = tmp_path / "sweep"
+        args = ["bench", "--problem", "prior-nmf", "--out-dir", str(out_dir),
                 "--grid-n", "20", "--seeds", "1"]
-        cell = os.path.join(out_dir, "nmf_n20_t4_f2_m50_s0.csv")
+        cell = str(out_dir / "nmf_n20_t4_f2_m50_s0.csv")
         assert cli.main(args + ["--iters", "20"]) == 0
-        rows = rows_without_wall(cell)
+        before = files(out_dir)
 
         def interrupt(path, config):
             raise KeyboardInterrupt
 
-        # Interrupted after the --iters 200 rows are written, before their
-        # sidecar: no sidecar is left to mark the cell complete.
+        # Interrupted after the --iters 200 rows are staged, before their
+        # sidecar: the cell keeps its --iters 20 rows and sidecar.
         with monkeypatch.context() as patch:
             patch.setattr(cli, "_write_meta", interrupt)
             with pytest.raises(KeyboardInterrupt):
                 cli.main(args + ["--iters", "200"])
-        assert rows_without_wall(cell) != rows
-        assert not os.path.exists(cell + ".meta.json")
+        assert files(out_dir) == before  # and no *.tmp
+        stamp = os.path.getmtime(cell)
         assert cli.main(args + ["--iters", "20"]) == 0
+        assert os.path.getmtime(cell) == stamp
+        assert cli.main(args + ["--iters", "200"]) == 0
+        with open(cell + ".meta.json") as fh:
+            assert json.load(fh)["iters"] == 200
+
+    def test_truncated_sidecar_is_solved_again(self, tmp_path):
+        out_dir = tmp_path / "sweep"
+        args = ["bench", "--problem", "prior-nmf", "--out-dir", str(out_dir),
+                "--grid-n", "20", "--seeds", "1", "--iters", "20"]
+        cell = str(out_dir / "nmf_n20_t4_f2_m50_s0.csv")
+        assert cli.main(args) == 0
+        rows = rows_without_wall(cell)
+        with open(cell + ".meta.json", "rb") as fh:
+            meta = fh.read()
+        with open(cell + ".meta.json", "wb") as fh:
+            fh.write(meta[:40])
+        assert cli.main(args) == 0
+        with open(cell + ".meta.json", "rb") as fh:
+            assert fh.read() == meta
         assert rows_without_wall(cell) == rows
+
+    def test_interrupted_aggregate_keeps_its_old_file(self, tmp_path, monkeypatch):
+        out_dir = tmp_path / "sweep"
+        args = ["bench", "--problem", "prior-nmf", "--out-dir", str(out_dir),
+                "--grid-n", "20", "--seeds", "1", "--iters", "20"]
+        assert cli.main(args) == 0
+        before = files(out_dir)
+        write_rows = cli._write_rows
+
+        def interrupt(path, fields, rows, append=False):
+            # The header alone reaches the file before the interrupt.
+            write_rows(path, fields, rows[:0], append)
+            raise KeyboardInterrupt
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_write_rows", interrupt)
+            with pytest.raises(KeyboardInterrupt):
+                cli.main(args)
+        assert files(out_dir) == before  # and no *.tmp
+
+    def test_sweep_continues_past_bad_cells(self, tmp_path):
+        out_dir = tmp_path / "sweep"
+        assert cli.main(["bench", "--problem", "prior-nmf", "--out-dir", str(out_dir),
+                         "--grid-n", "20", "--grid-true", "1,4", "--seeds", "1",
+                         "--iters", "20"]) == 0
+        bad, good = read_rows(str(out_dir / "aggregate.csv"))
+        assert bad["cell"] == "nmf_n20_t1_f2_m50_s0"
+        assert bad["note"] == "true_topics must be >= 2, got 1"
+        assert bad["mean_best_loss"] == bad["mean_recovery"] == "nan"
+        assert good["cell"] == "nmf_n20_t4_f2_m50_s0" and good["note"] == ""
+        assert np.isfinite(float(good["mean_best_loss"]))
+        assert sorted(os.listdir(out_dir)) == [
+            "aggregate.csv", "nmf_n20_t4_f2_m50_s0.csv", "nmf_n20_t4_f2_m50_s0.csv.meta.json"]
 
     def test_changed_search_flags_recompute_cell(self, tmp_path):
         out_dir = str(tmp_path / "sweep")

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from bagel import prior_nmf
 from bagel.engine import LEAF, Node, bagel_search
-from bagel.constraints import MASKED_L0
+from bagel.constraints import MASKED_L0, ExtendedTable
 from bagel.numerics import make_rng, nmf_multiplicative
 from bagel.prior_nmf import (
     NmfInstance,
+    NmfModel,
     PriorNmfProblem,
     TopicDB,
     TopicDecision,
@@ -20,6 +21,7 @@ from bagel.prior_nmf import (
     nmf_generate_instance,
     nmf_topic_recovery,
 )
+from bagel.smart_design import DesignSolution, sd_generate_instance
 from oracles import random_start
 
 
@@ -64,6 +66,22 @@ class TestTopicDB:
         assert len(db) == 0
         with pytest.raises(ValueError, match="k cannot exceed the database size"):
             NmfInstance(A=np.ones((2, 1)), k=1, db=db)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: TopicDB(2, [[1, 0], [0, 1]]),
+    lambda: ExtendedTable(np.eye(2), MASKED_L0, 0.0),
+    lambda: sd_generate_instance(10, 100, 0.6, 1),
+    lambda: nmf_generate_instance(20, 4, 2, 50, seed=1),
+    lambda: DesignSolution(np.ones(2), np.ones(2), 0.5),
+    lambda: NmfModel([0, 1], np.ones((2, 2)), np.ones((2, 2)), 0.5),
+], ids=["TopicDB", "ExtendedTable", "SmartDesignInstance", "NmfInstance", "DesignSolution",
+        "NmfModel"])
+def test_array_records_compare_by_identity(make):
+    # Field-wise == would compare arrays elementwise and raise.
+    a, b = make(), make()
+    assert a == a and not a == b and a != b
+    assert len({a, b, a}) == 2
 
 
 class TestBuildMask:
