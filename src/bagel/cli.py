@@ -8,8 +8,8 @@ Every file `generate`, `solve` and `bench` write goes to a temporary file
 beside it, moved into place only when complete.  A failed or interrupted
 `generate` or `solve` leaves no new output and an `--append` target byte
 for byte as it was; `bench` keeps the cells it finished.
-Each problem kind is one `ProblemKind` entry of `PROBLEMS`, and every
-subcommand runs a kind only through its entry.
+Each problem kind is one `ProblemKind` entry of `PROBLEMS` plus its generate
+and `--grid-*` flags in `build_parser`; subcommands run a kind only through its entry.
 """
 
 from __future__ import annotations
@@ -80,42 +80,54 @@ def _write_meta(path, config):
 @contextlib.contextmanager
 def _staged(targets):
     """{target: temporary path beside it}; each temporary file is moved
-    onto its target when the block succeeds and removed when it fails or
-    is interrupted."""
+    onto its target when the block succeeds, and any not yet moved is
+    removed, however the block or the moves end."""
     staged = {path: "%s.%d.tmp" % (path, os.getpid()) for path in targets}
     try:
         yield staged
-    except BaseException:
+        for path in targets:
+            os.replace(staged[path], path)
+    finally:
         for path in staged.values():
             if os.path.exists(path):
                 os.remove(path)
-        raise
-    for path in targets:
-        os.replace(staged[path], path)
 
 
 def _read_meta(out_path):
-    """A result file's sidecar, or None if either is missing or the sidecar is not JSON."""
+    """A result file's sidecar, or {} if either is missing or the sidecar is not a JSON object."""
     try:
         with open(out_path + ".meta.json") as fh:
-            return json.load(fh) if os.path.exists(out_path) else None
+            meta = json.load(fh)
     except (FileNotFoundError, ValueError):
-        return None
-
-
-def _search_flags(args):
-    """The flags that shape a search, as both sidecars record them."""
-    return {"strategy": args.strategy, "pruning": args.pruning, "timeout_s": args.timeout_s,
-            "folds": args.folds, "iters": args.iters}
+        return {}
+    return meta if isinstance(meta, dict) and os.path.exists(out_path) else {}
 
 
 def _check_search_flags(args):
-    """Reject a bad --folds or --iters before any output, whether or not
-    the problem kind uses it."""
+    """The StopCondition of the search flags, each checked before any read
+    or write, whether or not the problem kind uses it."""
     if args.folds < 1:
         raise ValueError("folds must be >= 1, got %d" % args.folds)
     if args.iters < 0:
         raise ValueError("iters must be >= 0, got %d" % args.iters)
+    return StopCondition(wall_seconds=args.timeout_s, node_budget=args.node_cap)
+
+
+def _sidecar(args, problem, instance_id, seed, rows=None):
+    """A result file's sidecar: the keys that identify its solve and, given its
+    rows, what their searches recorded (stops and nodes: one per search, in order)."""
+    meta = {"instance_id": instance_id, "problem": problem, "seed": seed,
+            "node_cap": args.node_cap, "strategy": args.strategy, "pruning": args.pruning,
+            "timeout_s": args.timeout_s, "folds": args.folds, "iters": args.iters,
+            "versions": _versions()}
+    if rows is not None:
+        searches = [row["stats"] for row in rows if row["stats"] is not None]
+        meta.update(warnings=[w for stats in searches for w in stats.warnings],
+                    stops=[stats.stop for stats in searches],
+                    nodes=[{"opened": stats.nodes_opened, "pruned": stats.nodes_pruned,
+                            "failed": stats.nodes_failed, "leaves": stats.leaves}
+                           for stats in searches])
+    return meta
 
 
 def _versions():
@@ -251,7 +263,9 @@ def _digesting(data):
 
 
 def cmd_solve(args):
-    _check_search_flags(args)
+    stop = _check_search_flags(args)
+    if args.seed is not None and args.seed < 0:
+        raise ValueError("seed must be >= 0, got %d" % args.seed)
     meta_path = args.out + ".meta.json"
     named = {}  # file -> the first flag that names it
     for flag, path in (("--instance", args.instance), ("--out", args.out),
@@ -262,7 +276,6 @@ def cmd_solve(args):
     kind, instance, data = _load_instance(args.instance)
     if args.seed is not None:
         instance.seed = args.seed
-    stop = StopCondition(wall_seconds=args.timeout_s, node_budget=args.node_cap)
     fields = PROBLEMS[kind].fields
     if args.append and os.path.exists(args.out):
         with open(args.out, newline="") as fh:
@@ -282,18 +295,8 @@ def cmd_solve(args):
         if args.append and os.path.exists(args.out):
             shutil.copyfile(args.out, staged[args.out])
         _write_rows(staged[args.out], fields, rows, append=args.append)
-        searches = [row["stats"] for row in rows if row["stats"] is not None]
-        _write_meta(staged[meta_path], {
-            "instance": args.instance, "instance_id": instance_id, "problem": kind,
-            "node_cap": args.node_cap, "seed": instance.seed, **_search_flags(args),
-            "versions": _versions(),
-            # stops and nodes: one entry per search, in order
-            "warnings": [w for stats in searches for w in stats.warnings],
-            "stops": [stats.stop for stats in searches],
-            "nodes": [{"opened": stats.nodes_opened, "pruned": stats.nodes_pruned,
-                       "failed": stats.nodes_failed, "leaves": stats.leaves}
-                      for stats in searches],
-        })
+        meta = _sidecar(args, kind, instance_id, instance.seed, rows)
+        _write_meta(staged[meta_path], dict(meta, instance=args.instance))
     return 0
 
 
@@ -302,24 +305,22 @@ def _parse_grid(text, cast):
 
 
 def cmd_bench(args):
-    _check_search_flags(args)
+    stop = _check_search_flags(args)
     if args.seeds < 1:
         raise ValueError("seeds must be >= 1, got %d" % args.seeds)
     kind = PROBLEMS[args.problem]
     means = ["mean_" + column for column in kind.averages]
     fields = ["cell"] + (["method"] if "method" in kind.fields else []) + means + ["note"]
-    stop = StopCondition(wall_seconds=args.timeout_s)
     axes = [_parse_grid(getattr(args, dest), cast) for _, dest, cast in kind.grid]
-    versions = _versions()
     os.makedirs(args.out_dir, exist_ok=True)
     aggregate = []
     for *values, seed in itertools.product(*axes, range(args.seeds)):
         cell = kind.cell % (*values, seed)
         cell_path = os.path.join(args.out_dir, cell + ".csv")
-        meta = {"instance_id": cell, "problem": args.problem, "seed": seed,
-                **_search_flags(args), "versions": versions}
-        # Resume a cell only when it was solved with the same search flags and versions.
-        if _read_meta(cell_path) != meta:
+        stored = _read_meta(cell_path)
+        # Resume a cell solved with the same identity keys; older sweeps lack node_cap (None).
+        if any(stored.get(key) != value
+               for key, value in _sidecar(args, args.problem, cell, seed).items()):
             try:
                 flags = {flag: value for (flag, _, _), value in zip(kind.grid, values)}
                 instance = kind.generate(seed=seed, **flags)
@@ -331,7 +332,8 @@ def cmd_bench(args):
             with _staged([cell_path, cell_path + ".meta.json"]) as staged:
                 _write_rows(staged[cell_path], kind.fields,
                             [dict(row, instance_id=cell) for row in rows])
-                _write_meta(staged[cell_path + ".meta.json"], meta)
+                _write_meta(staged[cell_path + ".meta.json"],
+                            _sidecar(args, args.problem, cell, seed, rows))
         with open(cell_path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         # Rows without a method column average as one group.
@@ -392,7 +394,7 @@ def build_parser():
     bench.add_argument("--grid-true", default="4")
     bench.add_argument("--grid-false", default="2")
     bench.add_argument("--grid-docs", default="50")
-    bench.set_defaults(func=cmd_bench)
+    bench.set_defaults(func=cmd_bench, node_cap=None)
     return parser
 
 

@@ -85,6 +85,8 @@ class NmfInstance:
             raise ValueError("A row count must equal the vocabulary size")
         if self.A.shape[1] < 1:
             raise ValueError("docs must be >= 1, got %d" % self.A.shape[1])
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0, got %d" % self.seed)
         planted = self.planted_topics
         if planted is not None and not (
                 len(planted) == len(set(planted)) == self.k
@@ -124,7 +126,7 @@ def nmf_random_start(instance):
     seed.  Every other node starts from its parent's factors."""
     # The trailing 0 is the index of the one restart there used to be; it
     # keeps the seed stream, and so every root loss, as it was.
-    rng = numerics.make_rng(np.random.SeedSequence([instance.seed & (2 ** 63 - 1), 0]))
+    rng = numerics.make_rng([instance.seed, 0])
     (n, m), k = instance.A.shape, instance.k
     return 1.0 - rng.random((n, k)), 1.0 - rng.random((k, m))
 

@@ -61,6 +61,8 @@ class SmartDesignInstance:
         # A fold tests on at least one row and every method trains on the rest.
         if len(self.y) < 2:
             raise ValueError("samples must be >= 2, got %d" % len(self.y))
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0, got %d" % self.seed)
         # No selection totals more, so then no budget test overflows.
         try:
             constraints.budget_total(self.weights)
@@ -295,7 +297,7 @@ def load_instance(doc):
 
 def fold_split(n_samples, fold, seed):
     """Deterministic 80/20 split for the given fold index."""
-    rng = numerics.make_rng(np.random.SeedSequence([seed & (2 ** 63 - 1), fold, 0x5D]))
+    rng = numerics.make_rng([seed, fold, 0x5D])
     perm = rng.permutation(n_samples)
     n_test = max(1, int(round(TEST_FRACTION * n_samples)))
     return np.sort(perm[n_test:]), np.sort(perm[:n_test])

@@ -72,6 +72,9 @@ NAMED_FIELD.update({
         "error: component sizes must partition the feature axis",
     json.dumps({**NMF_DOC, "k": 0}): "error: k must be >= 1",
 })
+# A negative seed, which fold splits and NMF starts cannot use
+NAMED_FIELD.update({json.dumps({**doc, "seed": -1}): "error: seed must be >= 0, got -1"
+                    for doc in (SD_DOC, NMF_DOC)})
 # A prior-nmf file with no document has nothing to factorize.
 NAMED_FIELD['{"problem": "prior-nmf", "n": 2, "k": 1, "db": [[1, 1]], "A": [[], []]}'] = (
     "error: docs must be >= 1, got 0")
@@ -488,6 +491,7 @@ class TestSolve:
         (["--problem", "smart-design", "--n", "10", "--samples", "100", "--cost", "0.6"],
          ["--iters", "-5"]),
         (["--problem", "prior-nmf", "--n", "20"], ["--folds", "0"]),
+        (["--problem", "prior-nmf", "--n", "20"], ["--seed", "-1"]),
     ])
     def test_negative_count_exits_1(self, tmp_path, capsys, generate, search):
         inst, out, trace = str(tmp_path / "inst.json"), tmp_path / "res.csv", tmp_path / "t.ndjson"
@@ -517,6 +521,15 @@ class TestSolve:
         rc = cli.main(["solve", "--instance", str(tmp_path / "nope.json"),
                        "--out", str(tmp_path / "res.csv")])
         assert rc == 2
+
+    @pytest.mark.parametrize("flag", [["--timeout-s", "-1"], ["--node-cap", "-1"]],
+                             ids=["timeout-s", "node-cap"])
+    def test_bad_stop_flag_fails_before_the_read(self, tmp_path, capsys, flag):
+        rc = cli.main(["solve", "--instance", str(tmp_path / "nope.json"),
+                       "--out", str(tmp_path / "res.csv"), *flag])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not os.listdir(tmp_path)
 
     def test_prior_nmf_solve(self, tmp_path):
         inst = str(tmp_path / "nmf.json")
@@ -777,6 +790,46 @@ class TestBench:
         with open(cell + ".meta.json") as fh:
             assert json.load(fh)["iters"] == 200
 
+    def test_interrupted_move_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        out_dir = tmp_path / "sweep"
+        args = ["bench", "--problem", "prior-nmf", "--out-dir", str(out_dir),
+                "--grid-n", "20", "--seeds", "1"]
+        assert cli.main(args + ["--iters", "20"]) == 0
+        replace, calls = os.replace, []
+
+        def interrupt_second(src, dst):
+            calls.append(dst)
+            if len(calls) == 2:  # the CSV is in place, its sidecar not yet
+                raise KeyboardInterrupt
+            replace(src, dst)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", interrupt_second)
+            with pytest.raises(KeyboardInterrupt):
+                cli.main(args + ["--iters", "200"])
+        assert calls[1].endswith(".meta.json")
+        assert not [name for name in os.listdir(out_dir) if name.endswith(".tmp")]
+
+    def test_sidecar_of_an_older_sweep_is_resumed(self, tmp_path):
+        # A sidecar written before it recorded node_cap, warnings, stops
+        # and nodes still identifies its cell.
+        out_dir = tmp_path / "sweep"
+        args = ["bench", "--problem", "prior-nmf", "--out-dir", str(out_dir),
+                "--grid-n", "20", "--seeds", "1", "--iters", "20"]
+        cell = str(out_dir / "nmf_n20_t4_f2_m50_s0.csv")
+        assert cli.main(args) == 0
+        with open(cell + ".meta.json") as fh:
+            meta = json.load(fh)
+        old = {key: meta[key] for key in ("instance_id", "problem", "seed", "strategy",
+                                          "pruning", "timeout_s", "folds", "iters", "versions")}
+        with open(cell + ".meta.json", "w") as fh:
+            json.dump(old, fh)
+        before = files(out_dir)
+        stamps = [os.path.getmtime(path) for path in (cell, cell + ".meta.json")]
+        assert cli.main(args) == 0
+        assert [os.path.getmtime(path) for path in (cell, cell + ".meta.json")] == stamps
+        assert files(out_dir) == before
+
     def test_truncated_sidecar_is_solved_again(self, tmp_path):
         out_dir = tmp_path / "sweep"
         args = ["bench", "--problem", "prior-nmf", "--out-dir", str(out_dir),
@@ -863,6 +916,14 @@ class TestBench:
 
         solved = comparable(out)
         assert comparable(os.path.join(out_dir, cell)) == solved
+        # The cell's sidecar is solve's, but for the instance path and id.
+        sidecars = []
+        for path in (out, os.path.join(out_dir, cell)):
+            with open(path + ".meta.json") as fh:
+                sidecars.append({k: v for k, v in json.load(fh).items()
+                                 if k not in ("instance", "instance_id")})
+        assert sidecars[0] == sidecars[1]
+        assert sidecars[1]["stops"] and sidecars[1]["node_cap"] is None
         for row in solved:
             assert np.isfinite(float(row.get("planted_loss", 0.0)))
         if "prior-nmf" in grid:

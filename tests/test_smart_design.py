@@ -651,6 +651,10 @@ class TestFolds:
         assert len(tr1) + len(te1) == 100
         assert len(te1) == 20
 
+    def test_split_uses_the_whole_seed(self):
+        # Seeds that agree on their low 63 bits draw different splits.
+        assert not np.array_equal(fold_split(100, 0, 0)[1], fold_split(100, 0, 2 ** 63)[1])
+
     def test_run_methods_rows(self):
         inst = sd_generate_instance(10, 100, 0.6, seed=7)
         rows = run_methods(inst, folds=2, stop=StopCondition(wall_seconds=60))
