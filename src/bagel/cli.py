@@ -334,6 +334,10 @@ def cmd_bench(args):
                             [dict(row, instance_id=cell) for row in rows])
                 _write_meta(staged[cell_path + ".meta.json"],
                             _sidecar(args, args.problem, cell, seed, rows))
+                # The CSV moves first; until the sidecar follows, none marks
+                # the cell, so an interrupted move means "solve again".
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(cell_path + ".meta.json")
         with open(cell_path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         # Rows without a method column average as one group.

@@ -27,6 +27,10 @@ ZERO, ONE, BOTH = 0, 1, 2
 
 MAX_COMPONENTS = 25
 MAX_ET_ARITY = 10 ** 6
+# `budget_propagate` tests a weight by the exact rule where total + w lies
+# within this many times |total| + |bound| of the bound: 8 ulps, where
+# the roundings that can part it from the exact sum's rounding take one.
+BUDGET_NEAR_RTOL = 8 * math.ulp(1.0)
 
 
 class CapacityError(ValueError):
@@ -191,14 +195,27 @@ def budget_propagate(state, weights, bound):
     failed); failed means the committed weights alone fail the rule.  One
     pass reaches the fixpoint, as a fixing to ZERO leaves the committed
     set as it was.
+
+    The committed weights are totalled once, exactly rounded.  A free
+    weight w is then tested as total + w >= bound in floats.  That can
+    differ from the rule only where the bound lies between total + w and
+    the rounding of the exact sum, at most one ulp of |total| + |bound|
+    apart; the weights whose total + w lies within BUDGET_NEAR_RTOL times
+    that of the bound, if any, take `within_budget(committed + [w],
+    bound)` itself.
     """
     codes = state.tolist()
     weights = np.asarray(weights, dtype=float).tolist()
     committed = [w for w, code in zip(weights, codes) if code == ONE]
-    if not within_budget(committed, bound):
+    total = budget_total(committed)
+    if not total < bound:
         return [], True
-    drop = [i for i, (w, code) in enumerate(zip(weights, codes))
-            if code == BOTH and not within_budget(committed + [w], bound)]
+    near = BUDGET_NEAR_RTOL * (abs(total) + abs(bound))
+    # `not >` sends a NaN sum to the rule.  At 20 components this loop
+    # takes less time than a numpy test of the free weights.
+    drop = [i for i, (w, code) in enumerate(zip(weights, codes)) if code == BOTH and (
+        total + w >= bound if abs(total + w - bound) > near
+        else not within_budget(committed + [w], bound))]
     if drop:
         state[drop] = ZERO
     return [(i, ZERO) for i in drop], False

@@ -192,16 +192,6 @@ def bagel_search(problem, stop=None, strategy="dfs", *, prune=True, trace=None,
     root = Node(0, 0, (), problem.root_state())
     frontier = [(key(root), root)]
 
-    def emit(node):
-        if trace is not None:
-            trace({
-                "id": node.id,
-                "depth": node.depth,
-                "trail": node.trail_labels(),
-                "loss": node.trained_loss,
-                "status": node.status,
-            })
-
     while frontier:
         stats.wall_time = time.perf_counter() - t0
         stats.stop = should_stop(stats, stop)
@@ -213,39 +203,41 @@ def bagel_search(problem, stop=None, strategy="dfs", *, prune=True, trace=None,
         if not problem.prune(node):
             node.status = FAILED
             stats.nodes_failed += 1
-            emit(node)
-            continue
-        problem.generate(node)
-        loss = problem.train(node)
-        node.parent = None
-        node.trained_loss = loss
-        node.status = TRAINED
-        if node.parent_loss is not None and loss < node.parent_loss - CHILD_LOSS_TOL * max(
-            1.0, abs(node.parent_loss)
-        ):
-            stats.warnings.append(
-                "node %d loss %.12g below parent loss %.12g" % (node.id, loss, node.parent_loss)
-            )
-        if prune and bound_prune(loss, incumbent.loss if incumbent else None):
-            node.status = PRUNED
-            stats.nodes_pruned += 1
-            emit(node)
-            continue
-        if problem.is_leaf(node):
-            node.status = LEAF
-            stats.leaves += 1
-            if incumbent is None or loss < incumbent.loss:
-                incumbent = Incumbent(node.id, loss, problem.extract(node))
-            emit(node)
-            continue
-        for decision in problem.branch(node):
-            child = Node(
-                next_id, node.depth + 1, node.trail + (decision,),
-                problem.apply(node.state, decision), parent_loss=loss, parent=node,
-            )
-            next_id += 1
-            heapq.heappush(frontier, (key(child), child))
-        emit(node)
+        else:
+            problem.generate(node)
+            loss = problem.train(node)
+            node.parent = None
+            node.trained_loss = loss
+            node.status = TRAINED
+            if node.parent_loss is not None and loss < node.parent_loss - CHILD_LOSS_TOL * max(
+                1.0, abs(node.parent_loss)
+            ):
+                stats.warnings.append("node %d loss %.12g below parent loss %.12g"
+                                      % (node.id, loss, node.parent_loss))
+            if prune and bound_prune(loss, incumbent.loss if incumbent else None):
+                node.status = PRUNED
+                stats.nodes_pruned += 1
+            elif problem.is_leaf(node):
+                node.status = LEAF
+                stats.leaves += 1
+                if incumbent is None or loss < incumbent.loss:
+                    incumbent = Incumbent(node.id, loss, problem.extract(node))
+            else:
+                for decision in problem.branch(node):
+                    child = Node(
+                        next_id, node.depth + 1, node.trail + (decision,),
+                        problem.apply(node.state, decision), parent_loss=loss, parent=node,
+                    )
+                    next_id += 1
+                    heapq.heappush(frontier, (key(child), child))
+        if trace is not None:
+            trace({
+                "id": node.id,
+                "depth": node.depth,
+                "trail": node.trail_labels(),
+                "loss": node.trained_loss,
+                "status": node.status,
+            })
 
     stats.wall_time = time.perf_counter() - t0
     if stats.stop is None:

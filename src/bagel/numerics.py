@@ -314,10 +314,10 @@ class GramLeastSquares:
         if mask.shape != (d,):
             raise DimensionError("mask length must equal the number of columns of X")
         keep = mask != 0
-        cols = np.flatnonzero(keep)
+        (cols,) = keep.nonzero()
         if not cols.size:
             return np.zeros(d), float(np.linalg.norm(self.y))
-        drop = np.flatnonzero(~keep)
+        (drop,) = (~keep).nonzero()
         if self.inverse is not None and 2 * drop.size <= d:
             # The columns of G^-1 first, then their J rows: |J| x d is
             # copied, not the |S| x d of taking the S rows first.
@@ -441,17 +441,17 @@ def nmf_multiplicative(A, k, mask, iters, start):
     R = np.empty((n, m))
 
     def residual():
-        np.dot(W, H, out=R)
+        W.dot(H, R)
         np.subtract(A, R, out=R)
         return frobenius(R)
 
     sweeps, loss = 0, None
     while sweeps < iters:
-        np.dot(Wt, A, out=B_h)
-        np.dot(Wt, W, out=G)
+        Wt.dot(A, B_h)
+        Wt.dot(W, G)
         hals_h()
-        np.dot(H, At, out=B_w)
-        np.dot(H, Ht, out=G)
+        H.dot(At, B_w)
+        H.dot(Ht, G)
         hals_w()
         sweeps += 1
         if sweeps % NMF_CHECK_EVERY == 0:
@@ -483,7 +483,9 @@ def _hals_rows(stack, G):
     np.fill_diagonal(coef[:, 2 * k:], 1.0)
     first, d, diag = coef[:, :k], coef.reshape(-1)[k::width + 1], G.diagonal()
     d_col, eye, t, zeros = d[:, None], np.eye(k), np.empty(length), np.zeros(length)
-    rows, tiny = list(zip(coef, stack)), np.finfo(float).tiny
+    # Each row's product is a bound `ndarray.dot` with a positional out,
+    # which skips the argument handling of `np.dot(..., out=)`.
+    rows, tiny = [(c.dot, x) for c, x in zip(coef, stack)], np.finfo(float).tiny
 
     def run():
         # A Python max over k floats costs half of a numpy reduction.
@@ -491,8 +493,8 @@ def _hals_rows(stack, G):
         np.divide(G, d_col, out=first)
         np.subtract(eye, first, out=first)
         np.divide(1.0, d, out=d)
-        for c, x in rows:
-            np.dot(c, stack, out=t)
+        for dot, x in rows:
+            dot(stack, t)
             np.maximum(t, zeros, out=x)
 
     return run

@@ -123,6 +123,11 @@ class SmartDesignProblem(Problem):
         # that reduce a feature vector to one value per component.
         self.starts = np.cumsum(self.sizes) - self.sizes
         self.gram_diag = solver.gram.diagonal()
+        # The two child decisions of each component, in the order `branch`
+        # returns them.
+        self.decisions = [[Decision(i, ZERO, "u%d=0" % (i + 1)),
+                           Decision(i, ONE, "u%d=1" % (i + 1))]
+                          for i in range(len(self.components))]
 
     @classmethod
     def from_instance(cls, instance):
@@ -133,17 +138,30 @@ class SmartDesignProblem(Problem):
         return np.full(len(self.components), BOTH, np.int8)
 
     def prune(self, node):
-        _, failed = constraints.budget_propagate(node.state, self.weights, self.bound)
-        return not failed
+        # A child's parent state is at the propagation fixpoint.  A u=0
+        # child commits no new weight, so propagation would fix nothing and
+        # cannot fail.  A u=1 child that fixes nothing has its parent's ZERO
+        # set, so its parent's mask: `generate` builds none and `train`
+        # reuses the parent's answer.
+        parent = node.parent
+        if parent is not None and node.trail[-1].value == ZERO:
+            return True
+        fixings, failed = constraints.budget_propagate(node.state, self.weights, self.bound)
+        if failed:
+            return False
+        if parent is not None and not fixings:
+            node.payload = parent.payload
+        return True
 
     def generate(self, node):
-        node.payload = expand_mask(node.state, self.sizes)
+        if node.payload is None:
+            node.payload = expand_mask(node.state, self.sizes)
 
     def train(self, node):
-        # A child with its parent's mask has its parent's hypothesis space,
-        # and the solve is deterministic: reuse the parent's answer.
+        # The mask is the parent's object exactly when it is the parent's
+        # mask (`prune`), and the solve is deterministic.
         parent = node.parent
-        if parent is not None and np.array_equal(node.payload, parent.payload):
+        if parent is not None and node.payload is parent.payload:
             node.model = parent.model
             return parent.trained_loss
         theta, loss = self.solver.solve(node.payload)
@@ -164,8 +182,7 @@ class SmartDesignProblem(Problem):
         if not free.size:
             raise RuntimeError("branch() called on a node with no free variable")
         signal = np.add.reduceat(node.model ** 2 * self.gram_diag, self.starts)
-        i = int(free[np.argmax(signal[free])])
-        return [Decision(i, ZERO, "u%d=0" % (i + 1)), Decision(i, ONE, "u%d=1" % (i + 1))]
+        return self.decisions[free[np.argmax(signal[free])]]
 
     def apply(self, state, decision):
         child = state.copy()

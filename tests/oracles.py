@@ -1,9 +1,13 @@
-"""Engine-free oracles that the test files share."""
+"""Engine-free oracles and instances that the test files share."""
 
+import dataclasses
 import itertools
 import math
 
 import numpy as np
+
+from bagel.numerics import make_rng
+from bagel.smart_design import NOISE_SCALE, sd_generate_instance
 
 
 def brute_force_sd(inst):
@@ -35,3 +39,14 @@ def random_start(A, k, rng):
     and form in which `prior_nmf.nmf_random_start` draws them."""
     n, m = np.shape(A)
     return 1.0 - rng.random((n, k)), 1.0 - rng.random((k, m))
+
+
+def dense_instance(seed):
+    """The generator's (40, 400, 0.6) instance with 20 components, its y
+    redrawn from a dense theta* ~ N(0, 1) on every feature, so no
+    budget-feasible support holds the whole signal."""
+    inst = sd_generate_instance(40, 400, 0.6, seed, n_components=20)
+    rng = make_rng([seed, 0xD])
+    clean = inst.X @ rng.standard_normal(inst.X.shape[1])
+    y = clean + NOISE_SCALE * float(np.std(clean)) * rng.standard_normal(len(clean))
+    return dataclasses.replace(inst, y=y)

@@ -3,7 +3,6 @@ pass/fail line (run with -s to see them on success)."""
 
 import contextlib
 import csv
-import dataclasses
 import itertools
 import math
 
@@ -30,13 +29,12 @@ from bagel.prior_nmf import (
     nmf_topic_recovery,
 )
 from bagel.smart_design import (
-    NOISE_SCALE,
     Component,
     SmartDesignProblem,
     run_methods,
     sd_generate_instance,
 )
-from oracles import brute_force_sd, random_start
+from oracles import brute_force_sd, dense_instance, random_start
 
 
 def _report(number, description):
@@ -126,20 +124,9 @@ def test_criterion_3_baseline_dominance(sweep_rows):
     _report(3, "search dominates both repair baselines on train loss, and on mean test loss")
 
 
-# Seeds of the dense instances below on which bagel's train loss is
+# Seeds of the dense instances (`oracles.dense_instance`) on which bagel's train loss is
 # strictly below both baselines'; on 4 and 7 it equals the better one.
 DENSE_STRICT_SEEDS = (1, 2, 3, 5, 6, 8)
-
-
-def dense_instance(seed):
-    """The generator's (40, 400, 0.6) instance with 20 components, its y
-    redrawn from a dense theta* ~ N(0, 1) on every feature, so no
-    budget-feasible support holds the whole signal."""
-    inst = sd_generate_instance(40, 400, 0.6, seed, n_components=20)
-    rng = make_rng([seed, 0xD])
-    clean = inst.X @ rng.standard_normal(inst.X.shape[1])
-    y = clean + NOISE_SCALE * float(np.std(clean)) * rng.standard_normal(len(clean))
-    return dataclasses.replace(inst, y=y)
 
 
 def test_criterion_3_dense_theta_search_beats_both_baselines():

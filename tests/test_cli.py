@@ -790,11 +790,13 @@ class TestBench:
         with open(cell + ".meta.json") as fh:
             assert json.load(fh)["iters"] == 200
 
-    def test_interrupted_move_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+    def test_interrupted_move_leaves_nothing_to_resume(self, tmp_path, monkeypatch):
         out_dir = tmp_path / "sweep"
         args = ["bench", "--problem", "prior-nmf", "--out-dir", str(out_dir),
                 "--grid-n", "20", "--seeds", "1"]
+        cell = str(out_dir / "nmf_n20_t4_f2_m50_s0.csv")
         assert cli.main(args + ["--iters", "20"]) == 0
+        rows = rows_without_wall(cell)
         replace, calls = os.replace, []
 
         def interrupt_second(src, dst):
@@ -809,6 +811,14 @@ class TestBench:
                 cli.main(args + ["--iters", "200"])
         assert calls[1].endswith(".meta.json")
         assert not [name for name in os.listdir(out_dir) if name.endswith(".tmp")]
+        # The --iters 200 rows have no sidecar, so an --iters 20 rerun
+        # solves the cell again rather than resuming them.
+        assert rows_without_wall(cell) != rows
+        assert not os.path.exists(cell + ".meta.json")
+        assert cli.main(args + ["--iters", "20"]) == 0
+        assert rows_without_wall(cell) == rows
+        with open(cell + ".meta.json") as fh:
+            assert json.load(fh)["iters"] == 20
 
     def test_sidecar_of_an_older_sweep_is_resumed(self, tmp_path):
         # A sidecar written before it recorded node_cap, warnings, stops

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -392,6 +392,90 @@ class TestBudgetPropagate:
                 assert before == after
                 for i, _ in fixings:
                     assert all(u[i] == 0 for u in before)
+
+
+def propagate_by_rule(states, weights, bound):
+    """(fixings, failed) of `budget_propagate`'s definition, one
+    `within_budget` of the committed weights plus each free weight."""
+    committed = [w for w, code in zip(weights, states) if code == ONE]
+    if not within_budget(committed, bound):
+        return [], True
+    return [(i, ZERO) for i, (w, code) in enumerate(zip(weights, states))
+            if code == BOTH and not within_budget(committed + [w], bound)], False
+
+
+# Zero weights, decimals whose float sums round (0.1 + 0.2 > 0.3), and
+# magnitudes from 1e-8 to 1e8.
+PROPAGATION_WEIGHTS = st.one_of(
+    st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7, 1.0, 3.0, 1e-8, 1e8]),
+    st.floats(1e-8, 1e8),
+    st.integers(-8, 8).map(lambda e: 10.0 ** e),
+)
+
+
+@st.composite
+def propagation_cases(draw):
+    """(states, weights, bound): a bound, half of the time, at the exact
+    total of the committed weights and one free weight, or one float step
+    from it."""
+    k = draw(st.integers(1, 12))
+    # Drawn from a pool, so selections repeat values.  The pool holds 1-3
+    # ulps of its largest weight over 2, on which total + w rounds twice
+    # where the exact total rounds once.
+    pool = draw(st.lists(PROPAGATION_WEIGHTS, min_size=1, max_size=3))
+    pool += [math.ulp(max(pool)) / 2 * j for j in (1, 2, 3)]
+    weights = draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k))
+    states = draw(st.lists(st.sampled_from([ZERO, ONE, BOTH]), min_size=k, max_size=k))
+    committed = [w for w, code in zip(weights, states) if code == ONE]
+    free = [w for w, code in zip(weights, states) if code == BOTH]
+    tie = math.fsum(committed + [draw(st.sampled_from(free))] if free else committed)
+    ties = [tie, math.nextafter(tie, math.inf), math.nextafter(tie, 0.0)]
+    bound = draw(st.one_of(st.sampled_from(ties), st.sampled_from(ties),
+                           st.sampled_from([0.3, 0.6, 1.0]), st.floats(1e-8, 1e9)))
+    return states, weights, bound
+
+
+class TestBudgetPropagateFastPath:
+    @pytest.mark.parametrize("states, weights, bound", [
+        ([ONE, BOTH], [0.1, 0.2], 0.3),  # 0.1 + 0.2 rounds above 0.3
+        ([ONE, BOTH], [0.1, 0.2], 0.30000000000000004),
+        ([ONE, ONE, BOTH], [0.1, 0.2, 0.0], 0.30000000000000004),  # fails
+        ([ONE, ONE, BOTH], [0.1, 0.7, 0.2], 1.0),
+        # The committed total rounds to 1 and 1 + 2^-53 rounds to 1 again,
+        # but the exact total 1 + 2^-52 is the bound: fixed.
+        ([ONE, ONE, BOTH], [1.0, 2.0 ** -53, 2.0 ** -53], 1.0 + 2.0 ** -52),
+        # total + w rounds to 1e8 + 2 ulps, the exact 1e8 + 2e-8 to 1e8 + 1 ulp.
+        ([ONE, ONE, BOTH], [1e8, 1e-8, 1e-8], 1e8 + 2 * math.ulp(1e8)),
+        ([BOTH, BOTH], [0.0, 5.0], 5.0),  # exactly at the bound: fixed
+    ])
+    def test_rounding_ties(self, states, weights, bound):
+        doms = _domains(states)
+        expected = propagate_by_rule(states, weights, bound)
+        assert budget_propagate(doms, weights, bound) == expected
+        fixed = {i for i, _ in expected[0]}
+        assert list(doms) == [ZERO if i in fixed else code for i, code in enumerate(states)]
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(case=propagation_cases())
+    def test_matches_the_rule_weight_by_weight(self, case):
+        states, weights, bound = case
+        doms = _domains(states)
+        fixings, failed = budget_propagate(doms, np.array(weights), bound)
+        assert (fixings, failed) == propagate_by_rule(states, weights, bound)
+        fixed = {i for i, _ in fixings}
+        assert list(doms) == [ZERO if i in fixed else code for i, code in enumerate(states)]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=propagation_cases())
+    def test_a_zero_child_of_a_fixpoint_fixes_nothing(self, case):
+        states, weights, bound = case
+        parent = _domains(states)
+        _, failed = budget_propagate(parent, weights, bound)
+        assume(not failed)
+        for i in np.flatnonzero(parent == BOTH):
+            child = parent.copy()
+            child[i] = ZERO
+            assert budget_propagate(child, weights, bound) == ([], False)
 
 
 class TestAlldifferentFilter:

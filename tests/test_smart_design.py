@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bagel import constraints
 from bagel.constraints import (
     BOTH,
     ONE,
@@ -23,13 +24,14 @@ from bagel.smart_design import (
     SmartDesignProblem,
     baseline_l2_br,
     baseline_l2_or,
+    expand_mask,
     fold_split,
     run_methods,
     sd_evaluate,
     sd_generate_instance,
     sd_tightness,
 )
-from oracles import brute_force_sd
+from oracles import brute_force_sd, dense_instance
 
 TOY_COMPONENTS = [Component(3, 10.0), Component(2, 6.0), Component(2, 5.0), Component(1, 1.0)]
 TOY_BOUND = 12.0
@@ -640,6 +642,93 @@ class TestParentReuse:
         assert stats.completed
         assert problem.same_mask > 0
         assert len(calls) == problem.trained - problem.same_mask
+
+
+class FullPropagationProblem(SmartDesignProblem):
+    """Every node propagates and builds its own mask, and a child reuses
+    its parent's answer where the two masks compare equal."""
+
+    def prune(self, node):
+        _, failed = budget_propagate(node.state, self.weights, self.bound)
+        return not failed
+
+    def generate(self, node):
+        node.payload = expand_mask(node.state, self.sizes)
+
+    def train(self, node):
+        parent = node.parent
+        if parent is not None and np.array_equal(node.payload, parent.payload):
+            node.model = parent.model
+            return parent.trained_loss
+        theta, loss = self.solver.solve(node.payload)
+        node.model = theta
+        return loss
+
+
+class TestChildBookkeeping:
+    @staticmethod
+    def trace(cls, inst, strategy):
+        """Trace records and incumbent of a search seeded with the better
+        repair baseline, as `run_methods` seeds it."""
+        problem = cls(GramLeastSquares(inst.X, inst.y), inst.components, inst.bound)
+        better = min(baseline_l2_br(problem), baseline_l2_or(problem),
+                     key=lambda sol: sol.train_loss)
+        records = []
+        best, _ = bagel_search(problem, strategy=strategy, trace=records.append,
+                               incumbent=Incumbent(None, better.train_loss, better))
+        return records, best
+
+    @pytest.mark.parametrize("strategy", ["dfs", "best-first"])
+    @pytest.mark.parametrize("inst", [
+        # The sd-many benchmark shape at its library seed, then the dense
+        # instances of criterion 3.
+        sd_generate_instance(40, 400, 0.6, seed=1, n_components=20),
+        *(dense_instance(seed) for seed in range(1, 9)),
+    ], ids=["sd-many"] + ["dense%d" % seed for seed in range(1, 9)])
+    def test_same_trace_as_full_propagation(self, inst, strategy):
+        (records, best), (ref_records, ref_best) = [
+            self.trace(cls, inst, strategy)
+            for cls in (SmartDesignProblem, FullPropagationProblem)]
+        # ids, depths, trails, statuses, and losses bit for bit
+        assert records == ref_records
+        assert best.loss == ref_best.loss
+        assert np.array_equal(best.model.u, ref_best.model.u)
+
+    def test_u1_child_that_fixes_nothing_reuses_its_parent(self, monkeypatch):
+        # Three components of weight 1 under a bound of 2.5: the root is no
+        # leaf, and a u=1 child commits 1, next to which every other fits.
+        rng = make_rng(3)
+        X = rng.standard_normal((20, 5))
+        y = X @ rng.standard_normal(5)
+        components = [Component(2, 1.0), Component(1, 1.0), Component(2, 1.0)]
+        problem = SmartDesignProblem(GramLeastSquares(X, y), components, 2.5)
+        solve, propagate, solves, propagations = (
+            problem.solver.solve, constraints.budget_propagate, [], [])
+        problem.solver.solve = lambda mask: solves.append(mask) or solve(mask)
+        monkeypatch.setattr(constraints, "budget_propagate",
+                            lambda *args: propagations.append(args) or propagate(*args))
+        root = Node(0, 0, (), problem.root_state())
+        assert problem.prune(root)
+        problem.generate(root)
+        root.trained_loss = problem.train(root)
+        zero, one = (Node(i + 1, 1, (d,), problem.apply(root.state, d), root.trained_loss, root)
+                     for i, d in enumerate(problem.branch(root)))
+        assert (len(solves), len(propagations)) == (1, 1)
+
+        assert problem.prune(one)
+        assert ZERO not in one.state
+        problem.generate(one)
+        assert one.payload is root.payload
+        assert problem.train(one) == root.trained_loss
+        assert one.model is root.model
+        assert (len(solves), len(propagations)) == (1, 2)
+
+        # The u=0 child propagates nothing and trains its own mask.
+        assert problem.prune(zero)
+        problem.generate(zero)
+        problem.train(zero)
+        assert zero.payload is not root.payload
+        assert (len(solves), len(propagations)) == (2, 2)
 
 
 class TestFolds:
