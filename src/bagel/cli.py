@@ -63,10 +63,9 @@ def _fmt(value):
 
 
 def _write_rows(path, fields, rows, append=False):
-    mode = "a" if append and os.path.exists(path) else "w"
-    with open(path, mode, newline="") as fh:
+    with open(path, "a" if append else "w", newline="") as fh:
         writer = csv.writer(fh)
-        if mode == "w":
+        if not append:
             writer.writerow(fields)
         for row in rows:
             writer.writerow([_fmt(row[f]) for f in fields])
@@ -277,7 +276,10 @@ def cmd_solve(args):
     if args.seed is not None:
         instance.seed = args.seed
     fields = PROBLEMS[kind].fields
-    if args.append and os.path.exists(args.out):
+    # Decided once, before the solve: the header check, the copy and the
+    # write act on the same answer, even if --out appears meanwhile.
+    append = args.append and os.path.exists(args.out)
+    if append:
         with open(args.out, newline="") as fh:
             header = next(csv.reader(fh), [])
         if header != fields:  # appended rows would land under other columns
@@ -292,9 +294,9 @@ def cmd_solve(args):
             rows = PROBLEMS[kind].solve(instance, args, stop, emit)
         instance_id = digest()
         rows = [dict(row, instance_id=instance_id) for row in rows]
-        if args.append and os.path.exists(args.out):
+        if append:
             shutil.copyfile(args.out, staged[args.out])
-        _write_rows(staged[args.out], fields, rows, append=args.append)
+        _write_rows(staged[args.out], fields, rows, append=append)
         meta = _sidecar(args, kind, instance_id, instance.seed, rows)
         _write_meta(staged[meta_path], dict(meta, instance=args.instance))
     return 0

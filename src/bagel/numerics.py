@@ -4,7 +4,9 @@ Masked least squares, masked NMF by masked HALS (hierarchical
 alternating least squares; its `iters` is a cap on sweeps), and the
 instance-file format: `write_instance` and `read_instance` are the only
 code that knows it, and `integer` / `number` check the scalar fields
-read from a file.
+read from a file.  The writer pads the header line to a multiple of 8
+bytes, so the reader takes a file or a pipe in one read and its arrays
+are views of the bytes read.
 All heavy lifting is numpy; inputs are plain float64 arrays.
 
 Many masked least-squares solves over one (X, y) go through
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 
 import numpy as np
 
@@ -85,9 +86,10 @@ def number(value, name):
 def write_instance(path, doc):
     """Write `doc` as an instance file.
 
-    The file is one line of compact JSON, a newline, then the raw
-    little-endian float64 bytes in C order of every top-level ndarray of
-    `doc`, back to back.  In the header line each such array is
+    The file is one line of compact JSON, padded with spaces so that the
+    line, its newline included, is a multiple of 8 bytes long, then the
+    raw little-endian float64 bytes in C order of every top-level ndarray
+    of `doc`, back to back.  In the header line each such array is
     {"shape": [...], "at": its byte offset into the bytes after the
     newline}.  The same `doc` always gives the same bytes.
     """
@@ -100,14 +102,16 @@ def write_instance(path, doc):
             at += value.nbytes
         else:
             header[key] = value
+    line = json.dumps(header, separators=(",", ":")).encode("ascii")
     with open(path, "wb") as fh:
-        fh.write(json.dumps(header, separators=(",", ":")).encode("ascii") + b"\n")
+        fh.write(line + b" " * (-(len(line) + 1) % 8) + b"\n")
         for a in arrays:
             fh.write(a.data)
 
 
 def read_instance(path):
-    """(doc, data) of the instance file at `path`, read once.
+    """(doc, data) of the instance file at `path`: `data` is its bytes,
+    read in one call, from a regular file or a pipe alike.
 
     A file `write_instance` wrote is a JSON header line and a tail of raw
     bytes.  Any other file is one JSON document whose arrays are nested
@@ -115,37 +119,25 @@ def read_instance(path):
     array must lie inside the tail, and the arrays must fill the tail back
     to back in header order, with no byte left over.  Whether an array's
     shape fits its problem, and finiteness, are for `matrix` and `vector`.
-
-    `data` holds the file's bytes in a writable buffer whose tail starts
-    8-byte aligned, and each array decoded from the tail is a read-only
-    float64 view of it.  A pipe, whose size `fstat` does not tell, or a
-    file that grew while being read gives `bytes` and copies instead.
+    Each array decoded from the tail is as `_decode_array` describes.
     """
     with open(path, "rb") as fh:
-        head = fh.readline()
-        size = max(len(head), os.fstat(fh.fileno()).st_size)
-        buf = np.empty(size + 7, np.uint8)
-        pad = -(buf.__array_interface__["data"][0] + len(head)) % 8
-        data = memoryview(buf)[pad:pad + size]
-        data[:len(head)] = head
-        size = len(head) + fh.readinto(data[len(head):])
-        more = fh.read()
-    data = bytes(data[:size]) + more if more else data[:size]
-    return _decode_instance(data, len(head) - 1 if head.endswith(b"\n") else -1), data
+        data = fh.read()
+    return _decode_instance(data), data
 
 
-def _decode_instance(data, end):
+def _decode_instance(data):
     """The document of an instance file's bytes, as `read_instance`
-    describes it; `end` is the offset of the first newline, or -1."""
-    view = memoryview(data)
+    describes it."""
+    end = data.find(b"\n")
     try:
-        doc = json.loads(bytes(view[:end])) if end >= 0 else None
+        doc = json.loads(data[:end]) if end >= 0 else None
     except ValueError:  # a pretty-printed document
         doc = None
     if isinstance(doc, dict) and any(isinstance(v, dict) and "at" in v for v in doc.values()):
-        tail = view[end + 1:]
+        tail = memoryview(data)[end + 1:]
     else:
-        doc, tail = json.loads(bytes(view)), view[:0]
+        doc, tail = json.loads(data), b""
     if not isinstance(doc, dict):
         return doc
     filled, last = 0, None
@@ -167,8 +159,12 @@ def _decode_instance(data, end):
 
 def _decode_array(doc, tail):
     """Float64 array of one array object, C-contiguous: a read-only view of
-    `tail` where `tail` is writable and the bytes are native float64, else
-    a writeable copy that owns its data."""
+    the immutable `tail` where its bytes are 8-byte aligned and native
+    float64, else a writeable copy that owns its data.  The tail of a
+    file `write_instance` wrote starts 8-byte aligned in the `bytes` it is
+    read into, as CPython puts a `bytes` payload on a 16-byte boundary; a
+    file with an unpadded header, or a big-endian host, gets copies of the
+    same bits."""
     if "at" not in doc:
         raise ValueError("has no \"at\" offset into a binary tail; regenerate the file "
                          "with `bagel generate` (the same seed gives the same arrays)")
@@ -183,10 +179,7 @@ def _decode_array(doc, tail):
         raise ValueError("bytes [%d, %d) lie past the end of the %d-byte tail"
                          % (at, at + nbytes, len(tail)))
     a = np.frombuffer(tail[at:at + nbytes], dtype="<f8").reshape(shape)
-    if tail.readonly or not a.dtype.isnative:
-        return a.astype(float)
-    a.flags.writeable = False
-    return a
+    return a if a.flags.aligned and a.dtype.isnative else a.astype(float)
 
 
 def solve_least_squares(X, y, mask):

@@ -585,6 +585,25 @@ class TestSolve:
         assert out.read_text() == "instance_id,best_loss\nabc,1.0\n"
         assert not trace.exists() and not (tmp_path / "res.csv.meta.json").exists()
 
+    def test_append_decides_before_the_solve(self, sd_instance, tmp_path, monkeypatch):
+        # --out is missing when the solve starts and appears, with other
+        # columns, while it runs: the rows replace it under their own header.
+        out = tmp_path / "res.csv"
+        solve = cli.PROBLEMS["smart-design"].solve
+
+        def solve_then_create(*args):
+            rows = solve(*args)
+            out.write_text("instance_id,best_loss\nabc,1.0\n")
+            return rows
+        monkeypatch.setitem(cli.PROBLEMS, "smart-design", dataclasses.replace(
+            cli.PROBLEMS["smart-design"], solve=solve_then_create))
+        assert cli.main(["solve", "--instance", sd_instance, "--out", str(out),
+                         "--folds", "1", "--append"]) == 0
+        with open(out, newline="") as fh:
+            lines = list(csv.reader(fh))
+        assert lines[0] == cli.PROBLEMS["smart-design"].fields
+        assert len(lines) == 4 and ["abc", "1.0"] not in lines
+
     @pytest.mark.parametrize("append", [False, True], ids=["fresh", "append"])
     def test_failed_sidecar_write_leaves_no_output(self, sd_instance, tmp_path, monkeypatch,
                                                    append):
@@ -649,19 +668,62 @@ class TestLoad:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 1.0
 
-    def test_unsized_file_is_read_whole(self, tmp_path, capsys, monkeypatch):
-        # A pipe reports size 0, so the buffer holds only the header line,
-        # and the rest is read as bytes and decoded to copies.
+    def test_unsized_file_is_read_whole(self, tmp_path, capsys):
+        # A pipe's size is not known before it is read; the one read takes
+        # all of it, and its arrays are aligned read-only views as a
+        # regular file's are.
         path, _ = self.generate(tmp_path, capsys, "smart-design")
-        real_fstat = os.fstat
-        monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result(
-            real_fstat(fd)[:6] + (0,) + real_fstat(fd)[7:]))
-        _, instance, data = cli._load_instance(str(path))
-        assert bytes(data) == path.read_bytes()
-        X = instance.X
-        assert X.flags.owndata and X.flags.writeable and X.flags.aligned
-        assert np.array_equal(X.view(np.uint64),
-                              sd_generate_instance(10, 100, 0.6, seed=3).X.view(np.uint64))
+        raw = path.read_bytes()
+        read_fd, write_fd = os.pipe()
+
+        def feed():
+            with open(write_fd, "wb") as fh:
+                for at in range(0, len(raw), 1000):  # in pieces, as a pipe may be
+                    fh.write(raw[at:at + 1000])
+                    fh.flush()
+        feeder = threading.Thread(target=feed)
+        feeder.start()
+        try:
+            _, instance, data = cli._load_instance("/dev/fd/%d" % read_fd)
+        finally:
+            os.close(read_fd)
+            feeder.join(timeout=10)
+        assert not feeder.is_alive() and bytes(data) == raw
+        _, direct, _ = cli._load_instance(str(path))
+        buffer = np.frombuffer(data, np.uint8)
+        for name in ("X", "y"):
+            a = getattr(instance, name)
+            assert a.dtype == np.float64 and a.flags.c_contiguous and a.flags.aligned
+            assert not a.flags.writeable and np.shares_memory(a, buffer)
+            assert np.array_equal(a.view(np.uint64), getattr(direct, name).view(np.uint64))
+
+    @pytest.mark.parametrize("problem", list(GENERATE))
+    def test_unpadded_header_loads_as_copies(self, tmp_path, capsys, problem):
+        # Files written before the header was padded: the tail starts off
+        # the 8-byte grid, so each array is an aligned copy of the same bits,
+        # and the file solves to the same rows.
+        path, _ = self.generate(tmp_path, capsys, problem)
+        raw = path.read_bytes()
+        head, tail = raw.split(b"\n", 1)
+        assert len(head) != len(head.rstrip(b" ")) and (len(head.rstrip(b" ")) + 1) % 8
+        unpadded = tmp_path / "unpadded.json"
+        unpadded.write_bytes(head.rstrip(b" ") + b"\n" + tail)
+        _, padded_instance, _ = cli._load_instance(str(path))
+        _, instance, data = cli._load_instance(str(unpadded))
+        for name in self.GENERATE[problem][2]:
+            a = getattr(instance, name)
+            assert a.flags.owndata and a.flags.aligned and a.flags.c_contiguous
+            assert not np.shares_memory(a, np.frombuffer(data, np.uint8))
+            assert np.array_equal(a.view(np.uint64),
+                                  getattr(padded_instance, name).view(np.uint64))
+        rows = []
+        for instance_path in (path, unpadded):
+            out = tmp_path / ("%s.csv" % instance_path.stem)
+            assert cli.main(["solve", "--instance", str(instance_path), "--out", str(out),
+                             "--folds", "2", "--iters", "20"]) == 0
+            rows.append([{k: v for k, v in row.items() if k not in ("wall_ms", "instance_id")}
+                         for row in read_rows(out)])
+        assert rows[0] and rows[0] == rows[1]
 
     @pytest.mark.parametrize("form", ["binary", "nested-list"])
     @pytest.mark.parametrize("problem", list(GENERATE))

@@ -749,6 +749,8 @@ class TestArrayEncoding:
         write_instance(first, doc)
         write_instance(second, doc)
         assert first.read_bytes() == second.read_bytes()
+        head = first.read_bytes().split(b"\n", 1)[0] + b"\n"
+        assert len(head) % 8 == 0 and json.loads(head)["seed"] == 3
         back, data = read_instance(first)
         assert bytes(data) == first.read_bytes()
         assert (back["problem"], back["seed"]) == ("p", 3)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bagel import constraints
@@ -693,6 +693,36 @@ class TestChildBookkeeping:
         assert records == ref_records
         assert best.loss == ref_best.loss
         assert np.array_equal(best.model.u, ref_best.model.u)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data(), strategy=st.sampled_from(["dfs", "best-first"]), prune=st.booleans())
+    def test_no_node_fails_and_every_trained_node_is_at_the_fixpoint(self, data, strategy,
+                                                                    prune):
+        # What the u=0 propagation skip and the parent-mask reuse of
+        # `prune` rest on.  The bound is the exact total of some of the
+        # weights or one float step from it, where the float test and the
+        # budget rule can disagree.
+        k = data.draw(st.integers(1, 6))
+        weights = data.draw(st.lists(st.one_of(
+            st.sampled_from([0.0, 0.1, 0.2, 0.3, 1.0, 2.5]),
+            st.floats(1e-3, 10.0)), min_size=k, max_size=k))
+        chosen = data.draw(st.lists(st.booleans(), min_size=k, max_size=k))
+        total = constraints.budget_total(itertools.compress(weights, chosen))
+        bound = data.draw(st.sampled_from(
+            [math.nextafter(total, -math.inf), total, math.nextafter(total, math.inf)]))
+        assume(bound > 0)
+        sizes = data.draw(st.lists(st.integers(1, 2), min_size=k, max_size=k))
+        rng = make_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        X = rng.standard_normal((2 * sum(sizes), sum(sizes)))
+        y = X @ rng.standard_normal(sum(sizes))
+        problem = SmartDesignProblem(GramLeastSquares(X, y),
+                                     [Component(*c) for c in zip(sizes, weights)], bound)
+        trained, train = [], problem.train
+        problem.train = lambda node: trained.append(node.state.copy()) or train(node)
+        _, stats = bagel_search(problem, strategy=strategy, prune=prune)
+        assert stats.completed and stats.nodes_failed == 0
+        assert trained and all(budget_propagate(state, problem.weights, bound) == ([], False)
+                               for state in trained)
 
     def test_u1_child_that_fixes_nothing_reuses_its_parent(self, monkeypatch):
         # Three components of weight 1 under a bound of 2.5: the root is no
