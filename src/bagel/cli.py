@@ -123,7 +123,8 @@ def _sidecar(args, problem, instance_id, seed, rows=None):
         searches = [row["stats"] for row in rows if row["stats"] is not None]
         meta.update(warnings=[w for stats in searches for w in stats.warnings],
                     stops=[stats.stop for stats in searches],
-                    nodes=[{"opened": stats.nodes_opened, "pruned": stats.nodes_pruned,
+                    nodes=[{"opened": stats.nodes_opened, "trained": stats.nodes_trained,
+                            "pruned": stats.nodes_pruned,
                             "failed": stats.nodes_failed, "leaves": stats.leaves}
                            for stats in searches])
     return meta

@@ -2,14 +2,17 @@
 
 Each node carries a domain snapshot owned by the problem.  Processing a
 node runs, in order: problem filtering (prune), subproblem generation,
-training, bound pruning against the incumbent, the leaf test, and finally
-branching.  The frontier is one heap; the default key makes it depth-first,
-so the first branch decision is explored first.
+the problem's lower bound against the incumbent, training, bound pruning
+of the trained loss against the incumbent, the leaf test, and finally
+branching.  A node the lower bound prunes is never trained.  The frontier
+is one heap; the default key makes it depth-first, so the first branch
+decision is explored first.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -88,6 +91,7 @@ class StopCondition:
 @dataclass
 class SearchStats:
     nodes_opened: int = 0
+    nodes_trained: int = 0
     nodes_pruned: int = 0
     nodes_failed: int = 0
     leaves: int = 0
@@ -131,6 +135,14 @@ class Problem(ABC):
         the engine drops it once train returns.
         """
 
+    def lower_bound(self, node) -> float:
+        """A lower bound, given the generated node.payload, on the trained
+        loss of this node and of every leaf below it; -inf (the default)
+        bounds nothing.  The search asks for it only when it prunes and has
+        an incumbent, and prunes the node untrained when the bound reaches
+        the incumbent's loss."""
+        return -math.inf
+
     @abstractmethod
     def is_leaf(self, node) -> bool:
         ...
@@ -170,10 +182,14 @@ def bagel_search(problem, stop=None, strategy="dfs", *, prune=True, trace=None,
     """Run the tree search; returns (best incumbent or None, stats).
 
     strategy: "dfs" (default) or "best-first" (by parent trained loss).
-    prune: bound-prune nodes against the incumbent.  With prune=False the
-    search visits every feasible leaf, which is the exhaustive search when
-    the trained loss is only an approximate bound.
-    trace: optional callable receiving one dict per processed node.
+    prune: bound-prune nodes against the incumbent, by the problem's
+    `lower_bound` before training and by the trained loss after.  With
+    prune=False the search visits every feasible leaf, which is the
+    exhaustive search when the trained loss is only an approximate bound.
+    trace: optional callable receiving one dict per processed node: its
+    "loss" is null where the node was not trained, and its "bound" is the
+    `lower_bound` value where the search asked for one and it was finite,
+    else null (so the record stays strict JSON).
     incumbent: optional seed, an `Incumbent` with node_id None whose model
     is a feasible solution of the problem found another way.  The search
     starts from it, so a leaf replaces it only with a strictly lower loss
@@ -199,16 +215,24 @@ def bagel_search(problem, stop=None, strategy="dfs", *, prune=True, trace=None,
             break
         _, node = heapq.heappop(frontier)
         stats.nodes_opened += 1
+        bound = None
 
         if not problem.prune(node):
             node.status = FAILED
             stats.nodes_failed += 1
         else:
             problem.generate(node)
+            if prune and incumbent is not None:
+                bound = problem.lower_bound(node)
+                if bound_prune(bound, incumbent.loss):
+                    node.status = PRUNED
+                    stats.nodes_pruned += 1
+        if node.status is OPEN:
             loss = problem.train(node)
             node.parent = None
             node.trained_loss = loss
             node.status = TRAINED
+            stats.nodes_trained += 1
             if node.parent_loss is not None and loss < node.parent_loss - CHILD_LOSS_TOL * max(
                 1.0, abs(node.parent_loss)
             ):
@@ -236,6 +260,7 @@ def bagel_search(problem, stop=None, strategy="dfs", *, prune=True, trace=None,
                 "depth": node.depth,
                 "trail": node.trail_labels(),
                 "loss": node.trained_loss,
+                "bound": bound if bound is not None and math.isfinite(bound) else None,
                 "status": node.status,
             })
 

@@ -126,6 +126,11 @@ def read_instance(path):
     return _decode_instance(data), data
 
 
+# What JSON allows around a document; `bytes.strip()` would also strip
+# \x0b and \x0c, which `json.loads` rejects.
+_JSON_WHITESPACE = b" \t\n\r"
+
+
 def _decode_instance(data):
     """The document of an instance file's bytes, as `read_instance`
     describes it."""
@@ -136,6 +141,8 @@ def _decode_instance(data):
         doc = None
     if isinstance(doc, dict) and any(isinstance(v, dict) and "at" in v for v in doc.values()):
         tail = memoryview(data)[end + 1:]
+    elif doc is not None and not data[end + 1:].strip(_JSON_WHITESPACE):
+        tail = b""  # a one-line document: the line parsed was all of it
     else:
         doc, tail = json.loads(data), b""
     if not isinstance(doc, dict):

@@ -10,6 +10,8 @@ chosen topic in its column and the OR of the free topics elsewhere.
 
 from __future__ import annotations
 
+import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import List, Optional
@@ -166,7 +168,13 @@ class PriorNmfProblem(Problem):
     mask is a subset of the parent's, so that start is feasible and
     nearly trained.  A node's start is therefore a function of its trail,
     and its loss does not depend on the order nodes are processed in.
-    Training finds a local optimum only, so the trained loss is only an
+    Before a node is trained, `lower_bound` checks an exact bound: a word
+    that no column of the node's mask may use keeps its whole row of A in
+    the residual, since its row of W is exactly 0 (`numerics.NMF_MASKED`),
+    and masks only shrink down a branch.  A node that bound prunes is one
+    training would have pruned, so incumbents, node counts and trace
+    statuses are those of pruning on the trained loss alone.  Training
+    finds a local optimum only, so the trained loss is still only an
     approximate bound, and bound pruning may cut the best leaf;
     prune=False in `bagel_search` is the exhaustive search over topic
     sets."""
@@ -176,6 +184,20 @@ class PriorNmfProblem(Problem):
         self.iters = iters
         self._table = instance.db.as_table()
         self._rank_cost = masked_lp_cost(2)
+        A = instance.A
+        self._row_sq = np.einsum("ij,ij->i", A, A)
+        # The computed bound must not exceed the computed trained loss of
+        # this node or of any leaf below it, `frobenius(A - W H)`, whose
+        # uncovered rows are exactly A's.  Both are square roots of
+        # floating-point sums of at most N = A.size non-negative squares.
+        # In any summation order such a sum is within a factor 1 +- N eps / 2
+        # of its exact value, to first order, and its square root within
+        # 1 +- N eps / 4, plus eps / 2 for the root's own rounding.  So the
+        # bound may be about N eps / 4 + eps above the exact norm of the
+        # uncovered rows and the loss as far below it; scaling the bound by
+        # 1 - 2 N eps covers both, so a node this bound prunes is one its
+        # training would have pruned.
+        self._bound_scale = 1.0 - 2.0 * A.size * sys.float_info.epsilon
 
     def root_state(self):
         return (), frozenset(range(len(self.instance.db)))
@@ -188,6 +210,12 @@ class PriorNmfProblem(Problem):
 
     def generate(self, node):
         node.payload = nmf_build_mask(*node.state, self.instance.db, self.instance.k)
+
+    def lower_bound(self, node):
+        """The residual norm of the words no column of the node's mask
+        covers, scaled down by the rounding margin `__init__` derives."""
+        uncovered = ~node.payload.any(axis=1)
+        return math.sqrt(self._row_sq[uncovered].sum()) * self._bound_scale
 
     def train(self, node):
         start = nmf_random_start(self.instance) if node.parent is None else node.parent.model

@@ -324,7 +324,27 @@ class TestSolve:
                   "--folds", "1", "--trace", trace])
         records = [json.loads(line) for line in open(trace)]
         assert records[0]["depth"] == 0 and records[0]["trail"] == []
-        assert all(set(r) == {"id", "depth", "trail", "loss", "status"} for r in records)
+        assert all(set(r) == {"id", "depth", "trail", "loss", "bound", "status"}
+                   for r in records)
+
+    def test_prior_nmf_trace_names_untrained_nodes(self, tmp_path):
+        """A node the lower bound prunes has a null loss and a bound at or
+        above the best loss; the sidecar counts the trained nodes."""
+        inst = str(tmp_path / "inst.json")
+        cli.main(["generate", "--problem", "prior-nmf", "--n", "20", "--seed", "3", "--out", inst])
+        for pruning in ("on", "off"):
+            out, trace = str(tmp_path / "res.csv"), str(tmp_path / "trace.ndjson")
+            assert cli.main(["solve", "--instance", inst, "--out", out, "--iters", "50",
+                             "--pruning", pruning, "--trace", trace]) == 0
+            records = [json.loads(line) for line in open(trace)]
+            (row,) = read_rows(out)
+            with open(out + ".meta.json") as fh:
+                (counts,) = json.load(fh)["nodes"]
+            untrained = [r for r in records if r["loss"] is None and r["status"] != "failed"]
+            assert all(r["status"] == "pruned" and r["bound"] >= float(row["best_loss"])
+                       for r in untrained)
+            assert bool(untrained) == (pruning == "on")
+            assert counts["trained"] == sum(r["loss"] is not None for r in records)
 
     def test_meta_records_effective_seed(self, sd_instance, tmp_path):
         out = str(tmp_path / "res.csv")
@@ -467,9 +487,10 @@ class TestSolve:
         searched = [r for r in read_rows(out) if r.get("method", "bagel") == "bagel"]
         assert len(meta["nodes"]) == len(meta["stops"]) == len(searched)
         for counts, row in zip(meta["nodes"], searched):
-            assert set(counts) == {"opened", "pruned", "failed", "leaves"}
+            assert set(counts) == {"opened", "trained", "pruned", "failed", "leaves"}
             assert counts["opened"] == int(row["nodes"])
             assert counts["pruned"] + counts["failed"] + counts["leaves"] <= counts["opened"]
+            assert counts["trained"] <= counts["opened"] - counts["failed"]
         if "--node-cap" in search:
             assert meta["stops"] == ["node_cap"] and meta["nodes"][0]["opened"] == 7
 

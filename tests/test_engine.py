@@ -205,7 +205,7 @@ class TestBagelSearch:
         records = []
         bagel_search(SubsetProblem([1.0]), trace=records.append)
         for rec in records:
-            assert set(rec) == {"id", "depth", "trail", "loss", "status"}
+            assert set(rec) == {"id", "depth", "trail", "loss", "bound", "status"}
 
     def test_stats_accounting(self):
         _, stats = bagel_search(SubsetProblem([1.0, 2.0, 3.0]))
@@ -242,6 +242,70 @@ class TestSeededIncumbent:
                                    stop=StopCondition(node_budget=0), incumbent=seed)
         assert best is seed
         assert stats.nodes_opened == 0 and not stats.completed
+
+
+class BoundedSubsetProblem(SubsetProblem):
+    """A SubsetProblem whose lower bound is its trained loss, computed
+    without training: the penalties of the items fixed to 0 only grow
+    down a branch.  Records each node the search asked for a bound."""
+
+    def __init__(self, penalties):
+        super().__init__(penalties)
+        self.asked, self.trained = [], []
+
+    def lower_bound(self, node):
+        self.asked.append(node.trail)
+        return super().train(node)
+
+    def train(self, node):
+        self.trained.append(node.trail)
+        return super().train(node)
+
+
+class TestLowerBound:
+    @pytest.mark.parametrize("strategy", ["dfs", "best-first"])
+    def test_bound_prunes_untrained_as_training_would(self, strategy):
+        penalties = [0.5, 1.0, 0.0, 2.0]
+        plain, bounded = [], []
+        best, stats = bagel_search(SubsetProblem(penalties), strategy=strategy,
+                                   trace=plain.append)
+        problem = BoundedSubsetProblem(penalties)
+        best_b, stats_b = bagel_search(problem, strategy=strategy, trace=bounded.append)
+        assert [(r["trail"], r["status"]) for r in bounded] == [
+            (r["trail"], r["status"]) for r in plain]
+        assert (best_b.loss, best_b.model) == (best.loss, best.model)
+        assert (stats_b.nodes_opened, stats_b.nodes_pruned, stats_b.leaves) == (
+            stats.nodes_opened, stats.nodes_pruned, stats.leaves)
+        # Every pruned node is pruned untrained, with its bound recorded.
+        untrained = [r for r in bounded if r["loss"] is None]
+        assert untrained and all(r["status"] == PRUNED and r["bound"] >= best.loss
+                                 for r in untrained)
+        assert stats.nodes_trained == stats.nodes_opened
+        assert stats_b.nodes_trained == len(problem.trained) == stats.nodes_opened - len(untrained)
+        assert all(r["bound"] is None for r in plain)  # -inf is recorded as null
+
+    def test_asked_only_when_pruning_with_an_incumbent(self):
+        problem = BoundedSubsetProblem([1.0, 2.0])
+        records = []
+        bagel_search(problem, prune=False, trace=records.append)
+        assert problem.asked == [] and all(r["bound"] is None for r in records)
+        problem = BoundedSubsetProblem([1.0, 2.0])
+        bagel_search(problem, trace=records.append)
+        # No incumbent until the first leaf, (1, 1) at loss 0, ends the
+        # first dive; every later node is asked, and pruned untrained.
+        one, zero = Decision(0, 1, "x0=1"), Decision(0, 0, "x0=0")
+        assert problem.trained == [(), (one,), (one, Decision(1, 1, "x1=1"))]
+        assert problem.asked == [(one, Decision(1, 0, "x1=0")), (zero,)]
+
+    def test_seeded_incumbent_prunes_the_root_untrained(self):
+        problem = BoundedSubsetProblem([1.0, 2.0])
+        records = []
+        best, stats = bagel_search(problem, trace=records.append,
+                                   incumbent=Incumbent(None, 0.0, "seed"))
+        assert best.model == "seed" and problem.trained == []
+        assert stats.nodes_trained == 0 and stats.nodes_pruned == 1
+        assert records == [{"id": 0, "depth": 0, "trail": [], "loss": None, "bound": 0.0,
+                            "status": PRUNED}]
 
 
 class RandomTreeProblem(SubsetProblem):

@@ -785,6 +785,22 @@ class TestArrayEncoding:
         with pytest.raises(ValueError, match="array 'a'"):
             read_instance(path)
 
+    @pytest.mark.parametrize("ending", [b"", b"\n", b" \r\n\t\n"])
+    def test_one_line_document_parsed_once(self, tmp_path, monkeypatch, ending):
+        loads = mock.Mock(wraps=json.loads)
+        monkeypatch.setattr(numerics.json, "loads", loads)
+        path = tmp_path / "inst.json"
+        path.write_bytes(json.dumps({"problem": "p", "a": [[1.0, 2.0]]}).encode() + ending)
+        assert read_instance(path)[0] == {"problem": "p", "a": [[1.0, 2.0]]}
+        assert loads.call_count == 1
+
+    @pytest.mark.parametrize("rest", [b"\x0c", b"{}", b"[1]"])
+    def test_first_line_then_more_is_not_one_document(self, tmp_path, rest):
+        path = tmp_path / "inst.json"
+        path.write_bytes(json.dumps({"problem": "p"}).encode() + b"\n" + rest)
+        with pytest.raises(ValueError):
+            read_instance(path)
+
     def test_f8_form_rejected(self, tmp_path):
         # The base64 form files had before the binary tail: [1.0]
         with pytest.raises(ValueError, match="array 'a'.*bagel generate"):
