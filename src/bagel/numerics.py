@@ -358,8 +358,14 @@ def frobenius(A):
 # its loss is mostly rounding error and the decrease test would stop on
 # noise.  (`GramLeastSquares` uses the least-squares form of the identity
 # only where that cancellation is small, GRAM_CANCEL_RTOL.)
-NMF_STOP_RTOL = 1e-5
-NMF_CHECK_EVERY = 10
+# The two constants are one per-sweep rate: a run stops once its loss
+# fell by at most 1e-6 relative per sweep, measured over a 5-sweep
+# window.  A 10-sweep window was sized for the multiplicative update,
+# which converges slowly; HALS needs few sweeps from a warm start (Gillis
+# & Glineur, Neural Computation 2012), so a child node started from its
+# parent's factors usually stops at its second check, sweep 10.
+NMF_STOP_RTOL = 5e-6
+NMF_CHECK_EVERY = 5
 # Floor of the diagonal entries a HALS update divides by, relative to the
 # largest (`_hals_rows`): an all-zero column of W or row of H stays as it
 # is, and A scaled by 4^j from a start scaled by 2^j runs scaled exactly.

@@ -25,6 +25,7 @@ from bagel.numerics import (
     solve_least_squares,
     write_instance,
 )
+from bagel.prior_nmf import nmf_build_mask, nmf_generate_instance, nmf_random_start
 from oracles import random_start
 
 
@@ -466,6 +467,21 @@ class TestNmfMultiplicative:
                                                 random_start(A, 2, make_rng(1)))
         assert loss == 0.0
         assert sweeps == 2 * NMF_CHECK_EVERY
+
+    @pytest.mark.parametrize("shape", [(20, 4, 2, 50), (100, 8, 5, 300), (30, 5, 3, 100)])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_converged_restart_stops_at_second_check(self, shape, seed):
+        """A run restarted from its own converged factors, under the same
+        mask, stops at the first check that has one before it to compare
+        with: a warm-started child node trains for two check windows."""
+        inst, cap = nmf_generate_instance(*shape, seed=seed), 10000
+        for topics in (inst.planted_topics, range(inst.k)):
+            mask = nmf_build_mask(tuple(topics), (), inst.db, inst.k)
+            W, H, _, sweeps = nmf_multiplicative(inst.A, inst.k, mask, cap,
+                                                 nmf_random_start(inst))
+            assert sweeps < cap
+            *_, restarted = nmf_multiplicative(inst.A, inst.k, mask, cap, (W, H))
+            assert restarted == 2 * NMF_CHECK_EVERY
 
 
 @st.composite
