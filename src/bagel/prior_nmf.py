@@ -5,7 +5,8 @@ database, and the selected topics must be pairwise distinct.  The search
 assigns topics to the columns left to right, so a node's state is the
 chosen topics of a column prefix and the set of topics still free for
 the other columns; each node trains a masked NMF whose mask is each
-chosen topic in its column and the OR of the free topics elsewhere.
+chosen topic in its column and the OR of the free topics elsewhere,
+except at the root, where every topic is free and the mask is all-ones.
 """
 
 from __future__ import annotations

@@ -552,18 +552,27 @@ class TestSolve:
         assert capsys.readouterr().err.startswith("error:")
         assert not os.listdir(tmp_path)
 
-    def test_prior_nmf_solve(self, tmp_path):
+    @pytest.mark.parametrize("generate, search, k", [
+        (["--n", "20", "--true-topics", "4", "--false-topics", "2", "--docs", "50",
+          "--seed", "3", "--noiseless"], ["--iters", "50", "--node-cap", "40"], 4),
+        (["--n", "20", "--seed", "3"], ["--iters", "50", "--strategy", "best-first"], 4),
+        # The paper grid's top cell, under the default DFS
+        (["--n", "150", "--true-topics", "8", "--false-topics", "10", "--docs", "300",
+          "--seed", "2"], [], 8),
+    ], ids=["noiseless", "best-first", "top-cell"])
+    def test_prior_nmf_solve(self, tmp_path, generate, search, k):
+        """Each search completes on k distinct topics, the planted ones."""
         inst = str(tmp_path / "nmf.json")
-        cli.main(["generate", "--problem", "prior-nmf", "--n", "20", "--true-topics", "4",
-                  "--false-topics", "2", "--docs", "50", "--seed", "3", "--noiseless",
-                  "--out", inst])
+        cli.main(["generate", "--problem", "prior-nmf", *generate, "--out", inst])
         out = str(tmp_path / "res.csv")
-        rc = cli.main(["solve", "--instance", inst, "--out", out,
-                       "--iters", "50", "--node-cap", "40"])
-        assert rc == 0
+        assert cli.main(["solve", "--instance", inst, "--out", out, *search]) == 0
         (row,) = read_rows(out)
-        assert float(row["best_loss"]) > 0 or row["best_loss"] == "nan"
-        assert int(row["nodes"]) <= 40
+        with open(out + ".meta.json") as fh:
+            assert json.load(fh)["stops"] == ["completed"]
+        topics = row["assignment"].split()
+        assert len(set(topics)) == len(topics) == k
+        assert float(row["recovery"]) == 1.0 and row["completed"] == "true"
+        assert np.isfinite(float(row["best_loss"]))
 
     @pytest.mark.parametrize("node_cap", ["40", "0"])
     def test_prior_nmf_row_carries_assignment(self, tmp_path, monkeypatch, node_cap):
