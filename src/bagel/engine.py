@@ -118,9 +118,11 @@ class Problem(ABC):
     def root_state(self):
         ...
 
-    @abstractmethod
     def prune(self, node) -> bool:
-        """Filter node.state in place; return False if the node failed."""
+        """Filter node.state in place; return False if the node failed.
+        The default filters nothing, for a problem whose `branch` makes
+        only children that can still reach a leaf."""
+        return True
 
     @abstractmethod
     def generate(self, node) -> None:

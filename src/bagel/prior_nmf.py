@@ -7,6 +7,8 @@ chosen topics of a column prefix and the set of topics still free for
 the other columns; each node trains a masked NMF whose mask is each
 chosen topic in its column and the OR of the free topics elsewhere,
 except at the root, where every topic is free and the mask is all-ones.
+Branching stops at the last candidate that leaves enough free topics for
+the later columns, so no node fails.
 """
 
 from __future__ import annotations
@@ -160,8 +162,11 @@ class PriorNmfProblem(Problem):
     child for its t-th ranked candidate removes candidates 1..t-1 from
     `remaining`.  Each topic set is then reached exactly once, under the
     child of its first-ranked member, and the first child of every node is
-    unchanged.  Removing each chosen topic from the one shared set is all
-    that alldifferent propagation leaves to do.
+    unchanged.  `branch` stops at the last candidate whose child keeps at
+    least as many topics as it has free columns; a later one could only
+    fail on the pigeonhole rule.  With that cut, removing each chosen
+    topic from the one shared set is all that alldifferent propagation
+    leaves to do, and no node fails.
 
     Training is a masked HALS NMF whose `iters` is a cap on sweeps.  The
     root starts it from random factors drawn from the instance seed, and
@@ -203,11 +208,11 @@ class PriorNmfProblem(Problem):
     def root_state(self):
         return (), frozenset(range(len(self.instance.db)))
 
-    def prune(self, node):
-        # Pigeonhole: the free columns need as many distinct topics as there
-        # are of them.
-        chosen, remaining = node.state
-        return len(remaining) >= self.instance.k - len(chosen)
+    # No node fails (see `branch`), so the engine's default filters nothing.
+    # It is named here because benchmarks/tracer.py wraps `prune` on this
+    # class and restores it with setattr, which would otherwise leave an
+    # attribute behind that the class did not have.
+    prune = Problem.prune
 
     def generate(self, node):
         node.payload = nmf_build_mask(*node.state, self.instance.db, self.instance.k)
@@ -233,14 +238,18 @@ class PriorNmfProblem(Problem):
 
     def branch(self, node):
         # Rank every topic and keep the remaining ones: ties break by topic
-        # index, as they would in a table of the candidates alone.
+        # index, as they would in a table of the candidates alone.  The
+        # child of candidate t keeps len(values) - t - 1 topics for its
+        # free - 1 free columns, so candidates past len(values) - free
+        # would leave too few (pigeonhole) and make no child.
         chosen, remaining = node.state
         col = len(chosen)
         ranked = constraints.et_rank_tuples(node.model[0][:, col], self._table, self._rank_cost)
         values = [j for j, _ in ranked if j in remaining]
+        free = self.instance.k - col
         return [
             TopicDecision(col, j, "s%d=%d" % (col + 1, j + 1), frozenset(values[:t]))
-            for t, j in enumerate(values)
+            for t, j in enumerate(values[:len(values) - free + 1])
         ]
 
     def apply(self, state, decision):

@@ -329,7 +329,8 @@ class TestSolve:
 
     def test_prior_nmf_trace_names_untrained_nodes(self, tmp_path):
         """A node the lower bound prunes has a null loss and a bound at or
-        above the best loss; the sidecar counts the trained nodes."""
+        above the best loss; no node fails; the sidecar counts the trained
+        nodes."""
         inst = str(tmp_path / "inst.json")
         cli.main(["generate", "--problem", "prior-nmf", "--n", "20", "--seed", "3", "--out", inst])
         for pruning in ("on", "off"):
@@ -340,7 +341,8 @@ class TestSolve:
             (row,) = read_rows(out)
             with open(out + ".meta.json") as fh:
                 (counts,) = json.load(fh)["nodes"]
-            untrained = [r for r in records if r["loss"] is None and r["status"] != "failed"]
+            assert counts["failed"] == 0
+            untrained = [r for r in records if r["loss"] is None]
             assert all(r["status"] == "pruned" and r["bound"] >= float(row["best_loss"])
                        for r in untrained)
             assert bool(untrained) == (pruning == "on")

@@ -66,9 +66,6 @@ class SubsetProblem(Problem):
     def root_state(self):
         return (None,) * self.k
 
-    def prune(self, node):
-        return True
-
     def generate(self, node):
         node.payload = node.state
 
@@ -193,6 +190,27 @@ class TestBagelSearch:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
             bagel_search(SubsetProblem([1.0]), strategy="bogus")
+
+    @pytest.mark.parametrize("strategy", ["dfs", "best-first"])
+    @pytest.mark.parametrize("prune", [True, False])
+    def test_default_prune_filters_nothing(self, strategy, prune):
+        # SubsetProblem leaves `prune` to the engine's default.
+        assert "prune" not in vars(SubsetProblem)
+
+        class ExplicitPrune(SubsetProblem):
+            def prune(self, node):
+                return True
+
+        runs = []
+        for cls in (SubsetProblem, ExplicitPrune):
+            records = []
+            best, stats = bagel_search(cls([1.0, 0.0, 2.0]), strategy=strategy, prune=prune,
+                                       trace=records.append)
+            runs.append((best, stats, records))
+        (best, stats, records), (ref, ref_stats, ref_records) = runs
+        assert (best.loss, best.model, records) == (ref.loss, ref.model, ref_records)
+        assert stats.nodes_opened == ref_stats.nodes_opened and stats.completed
+        assert stats.nodes_failed == 0
 
     def test_pruning_mode_string_rejected(self):
         # The switch is the bool `prune`; a mode string must not read as truthy.

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bagel import numerics, prior_nmf
-from bagel.engine import LEAF, PRUNED, Node, StopCondition, bagel_search
+from bagel import constraints, numerics, prior_nmf
+from bagel.engine import FAILED, LEAF, PRUNED, Node, StopCondition, bagel_search
 from bagel.constraints import MASKED_L0, ExtendedTable
 from bagel.numerics import frobenius, make_rng, nmf_multiplicative
 from bagel.prior_nmf import (
@@ -141,7 +141,6 @@ class TestGenerateAndTrain:
         problem = PriorNmfProblem(inst, iters=50)
         node = Node(0, 0, (), problem.root_state())
         for pick in (1, 0):  # the second decision has excluded a sibling
-            problem.prune(node)
             problem.generate(node)
             problem.train(node)
             decision = problem.branch(node)[pick]
@@ -149,7 +148,6 @@ class TestGenerateAndTrain:
                         problem.apply(node.state, decision), parent=node)
         parent = node.parent
         W_parent, H_parent = (x.copy() for x in parent.model)
-        assert problem.prune(node)
         problem.generate(node)
         loss = problem.train(node)
         assert node.trail[0].excluded
@@ -179,30 +177,35 @@ class TestProblemContract:
         two_free = Node(3, 0, (), ((0, 1), frozenset({2, 3})))
         assert not problem.is_leaf(two_free)
 
+    @staticmethod
+    def root_branch(db, k, column):
+        """The root's decisions for a parent whose W has `column` first."""
+        problem = PriorNmfProblem(NmfInstance(A=np.ones((db.n_words, 4)), k=k, db=db), iters=5)
+        node = Node(0, 0, (), problem.root_state())
+        W = np.zeros((db.n_words, k))
+        W[:, 0] = column
+        node.model = (W, np.zeros((k, 4)))
+        return problem.branch(node)
+
     def test_branch_orders_by_masked_l2(self):
         db = TopicDB(5, [np.array([0, 1, 1, 0, 1.0]), np.array([1, 1, 1, 0, 0.0])])
-        A = np.ones((5, 4))
-        inst = NmfInstance(A=A, k=2, db=db, seed=0)
-        problem = PriorNmfProblem(inst, iters=5)
-        node = Node(0, 0, (), problem.root_state())
-        W = np.zeros((5, 2))
-        W[:, 0] = [0.6, 0.3, 0.9, 0, 0]
-        node.model = (W, np.zeros((2, 4)))
-        decisions = problem.branch(node)
-        # topic 1 covers the column (cost 0); topic 0 leaves 0.6 outside
+        column = [0.6, 0.3, 0.9, 0, 0]
+        # With one column every candidate is kept: topic 1 covers the column
+        # (cost 0); topic 0 leaves 0.6 outside.
+        decisions = self.root_branch(db, 1, column)
         assert [d.value for d in decisions] == [1, 0]
         assert decisions[0].label == "s1=2"
         assert [d.excluded for d in decisions] == [frozenset(), frozenset({1})]
+        # With two, topic 0's child would have no topic left for column 2.
+        decisions = self.root_branch(db, 2, column)
+        assert [(d.value, d.excluded) for d in decisions] == [(1, frozenset())]
 
     def test_branch_zero_column_tie_breaks_by_index(self):
-        db = small_db()
-        inst = NmfInstance(A=np.ones((3, 2)), k=2, db=db, seed=0)
-        problem = PriorNmfProblem(inst, iters=5)
-        node = Node(0, 0, (), problem.root_state())
-        node.model = (np.zeros((3, 2)), np.zeros((2, 2)))
-        decisions = problem.branch(node)
+        decisions = self.root_branch(small_db(), 1, 0.0)
         assert [d.value for d in decisions] == [0, 1, 2]
         assert [d.excluded for d in decisions] == [frozenset(), {0}, {0, 1}]
+        decisions = self.root_branch(small_db(), 2, 0.0)
+        assert [(d.value, d.excluded) for d in decisions] == [(0, frozenset()), (1, {0})]
 
     def test_apply_excludes_earlier_siblings_from_later_columns(self):
         _, problem = self.make_problem()
@@ -211,21 +214,27 @@ class TestProblemContract:
         assert child == ((0, 3), frozenset({2, 5}))
         assert state == ((0,), frozenset(range(1, 6)))
 
-    def test_prune_fails_too_few_topics_for_free_columns(self):
-        _, problem = self.make_problem()
-        # three free columns, two topics
-        short = Node(0, 1, (), ((0,), frozenset({1, 2})))
-        assert not problem.prune(short)
-        enough = Node(1, 1, (), ((0,), frozenset({1, 2, 3})))
-        assert problem.prune(enough)
-        done = Node(2, 4, (), ((0, 1, 2, 3), frozenset()))
-        assert problem.prune(done)
+    @pytest.mark.parametrize("chosen, remaining", [
+        ((), range(6)),
+        ((0,), {1, 2, 3, 4, 5}),
+        ((0,), {1, 2, 3}),
+        ((0, 1), {2, 3, 4}),
+        ((0, 1, 2), {3, 4, 5}),
+    ])
+    def test_branch_keeps_children_with_topics_for_their_free_columns(self, chosen, remaining):
+        inst, problem = self.make_problem()
+        node = Node(0, len(chosen), (), (chosen, frozenset(remaining)))
+        node.model = (np.zeros((inst.db.n_words, inst.k)), None)
+        free = inst.k - len(chosen)
+        decisions = problem.branch(node)
+        assert len(decisions) == len(remaining) - free + 1
+        left = [len(problem.apply(node.state, d)[1]) for d in decisions]
+        assert min(left) == left[-1] == free - 1
 
     def test_mask_monotone_along_path(self):
         inst, problem = self.make_problem(seed=2, iters=30)
         masks = []
         node = Node(0, 0, (), problem.root_state())
-        problem.prune(node)
         problem.generate(node)
         problem.train(node)
         masks.append(node.payload.copy())
@@ -235,7 +244,6 @@ class TestProblemContract:
             decision = problem.branch(node)[0]
             node = Node(node.id + 1, node.depth + 1, node.trail + (decision,),
                         problem.apply(node.state, decision))
-            assert problem.prune(node)
             problem.generate(node)
             problem.train(node)
             masks.append(node.payload.copy())
@@ -343,13 +351,11 @@ class TestColumnSymmetryBreaking:
         replay = PriorNmfProblem(inst, iters=4)
         node = Node(0, 0, (), replay.root_state())
         for decision in trail:
-            assert replay.prune(node)
             replay.generate(node)
             replay.train(node)
             plain = dataclasses.replace(decision, excluded=frozenset())
             node = Node(node.id + 1, node.depth + 1, node.trail + (plain,),
                         replay.apply(node.state, plain), parent=node)
-        assert replay.prune(node)
         replay.generate(node)
         assert replay.is_leaf(node)
         assert replay.train(node) == loss
@@ -375,7 +381,9 @@ class TestSearchOrder:
 def per_column_state(k, n_topics, trail):
     """The state a node had when each column kept its own domain: k sets,
     filtered after every decision by pairwise alldifferent to a fixpoint
-    and a pigeonhole check.  Returns (domains, passed prune)."""
+    and a pigeonhole check.  Returns (domains, passed prune).  `branch`
+    stops at the last candidate that leaves enough topics, so every node
+    the search opens passes."""
     domains = [set(range(n_topics)) for _ in range(k)]
     passed = per_column_prune(domains)
     for d in trail:
@@ -415,8 +423,8 @@ def per_column_mask(domains, db):
 
 class PerColumnCheckingProblem(PriorNmfProblem):
     """Asserts at every node that (chosen, remaining) agrees with the
-    per-column domains it replaced: prune verdict, mask, leaf verdict and,
-    at a leaf, the assignment."""
+    per-column domains it replaced: the per-column filter passes, and the
+    mask, the leaf verdict and, at a leaf, the assignment agree."""
 
     def __init__(self, instance):
         super().__init__(instance, iters=4)
@@ -427,9 +435,8 @@ class PerColumnCheckingProblem(PriorNmfProblem):
 
     def prune(self, node):
         self.nodes += 1
-        passed = super().prune(node)
-        assert passed == self.reference(node)[1]
-        return passed
+        assert self.reference(node)[1]
+        return super().prune(node)
 
     def generate(self, node):
         super().generate(node)
@@ -456,6 +463,100 @@ class TestAgainstPerColumnDomains:
             assert stats.completed
             assert problem.nodes == stats.nodes_opened
             assert problem.leaves == stats.leaves
+
+
+class UntrimmedProblem(PriorNmfProblem):
+    """The reference `branch` replaced: a child for every remaining
+    candidate, and the pigeonhole rule failing each child left with fewer
+    topics than free columns."""
+
+    def prune(self, node):
+        chosen, remaining = node.state
+        return len(remaining) >= self.instance.k - len(chosen)
+
+    def branch(self, node):
+        chosen, remaining = node.state
+        col = len(chosen)
+        ranked = constraints.et_rank_tuples(node.model[0][:, col], self._table, self._rank_cost)
+        values = [j for j, _ in ranked if j in remaining]
+        return [TopicDecision(col, j, "s%d=%d" % (col + 1, j + 1), frozenset(values[:t]))
+                for t, j in enumerate(values)]
+
+
+def trimmed_and_untrimmed(inst, strategy, prune, cap=None, iters=4):
+    """(incumbent, stats, trace without ids) of the search, then of the
+    untrimmed reference with its failed records removed."""
+    runs = []
+    for cls in (PriorNmfProblem, UntrimmedProblem):
+        records = []
+        best, stats = bagel_search(cls(inst, iters), StopCondition(node_budget=cap), strategy,
+                                   prune=prune, trace=records.append)
+        kept = [(r["trail"], r["loss"], r["bound"], r["status"]) for r in records
+                if r["status"] != FAILED]
+        runs.append((best, stats, kept))
+    assert runs[0][1].nodes_failed == 0
+    return runs
+
+
+def assert_same_search(inst, strategy, prune, iters=4):
+    """A complete search opens exactly the reference's nodes that did not
+    fail, in the same order and with the same losses and statuses."""
+    (best, stats, kept), (ref, ref_stats, ref_kept) = trimmed_and_untrimmed(
+        inst, strategy, prune, iters=iters)
+    assert stats.completed and ref_stats.completed
+    assert kept == ref_kept
+    assert (best is None) == (ref is None)
+    if best is not None:
+        assert (best.loss, best.model.assignment) == (ref.loss, ref.model.assignment)
+        assert np.array_equal(best.model.W, ref.model.W)
+    assert stats.nodes_opened == ref_stats.nodes_opened - ref_stats.nodes_failed
+    assert ((stats.nodes_trained, stats.nodes_pruned, stats.leaves)
+            == (ref_stats.nodes_trained, ref_stats.nodes_pruned, ref_stats.leaves))
+
+
+def assert_capped_search_no_worse(inst, strategy, prune, cap, iters=4):
+    """Under a node cap the reference spends cap slots on failed nodes, so
+    its kept records are a prefix of the search's, whose incumbent is no
+    worse."""
+    (best, _, kept), (ref, _, ref_kept) = trimmed_and_untrimmed(
+        inst, strategy, prune, cap=cap, iters=iters)
+    assert kept[:len(ref_kept)] == ref_kept
+    if ref is not None:
+        assert best is not None and best.loss <= ref.loss
+
+
+SEARCHES = [(strategy, prune) for strategy in ("dfs", "best-first") for prune in (True, False)]
+
+
+class TestAgainstUntrimmedBranch:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(inst=small_instances())
+    def test_same_search_as_untrimmed_reference(self, inst):
+        for strategy, prune in SEARCHES:
+            assert_same_search(inst, strategy, prune)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(inst=small_instances(), cap=st.integers(0, 12))
+    def test_capped_search_no_worse_than_untrimmed_reference(self, inst, cap):
+        for strategy, prune in SEARCHES:
+            assert_capped_search_no_worse(inst, strategy, prune, cap)
+
+    @pytest.mark.parametrize("seed", [3, 7, 11])
+    @pytest.mark.parametrize("strategy, prune", SEARCHES)
+    def test_nmf_planted_shape(self, seed, strategy, prune):
+        inst = nmf_generate_instance(20, 4, 2, 50, seed=seed)
+        assert_same_search(inst, strategy, prune, iters=1000)
+        assert_capped_search_no_worse(inst, strategy, prune, cap=8, iters=1000)
+
+    @pytest.mark.parametrize("seed", [3, 7, 11])
+    @pytest.mark.parametrize("strategy, prune", SEARCHES)
+    def test_nmf_large_shape(self, seed, strategy, prune):
+        # Without pruning the search would visit C(13, 8) = 1287 leaves, so
+        # that case runs only under the benchmark's 30-node cap.
+        inst = nmf_generate_instance(100, 8, 5, 300, seed=seed)
+        if prune:
+            assert_same_search(inst, strategy, prune, iters=1000)
+        assert_capped_search_no_worse(inst, strategy, prune, cap=30, iters=1000)
 
 
 class TestBoundPruning:
