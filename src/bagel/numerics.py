@@ -9,16 +9,18 @@ bytes, so the reader takes a file or a pipe in one read and its arrays
 are views of the bytes read.
 All heavy lifting is numpy; inputs are plain float64 arrays.
 
-Many masked least-squares solves over one (X, y) go through
-`GramLeastSquares`.  It forms X^T X, X^T y and y^T y once, and solves the
-full column set once, keeping the inverse Gram matrix and the root's
-explicit residual.  Each column subset is then solved relative to that
-root solve ("leaps and bounds", Furnival & Wilson 1974), by one solve the
-size of the dropped columns or of the kept ones, whichever is smaller,
-without touching X again.  Where the Gram matrix is not safely positive
-definite, each subset is solved from its own kept block and its loss is
-the explicit residual; blocks that are not safely positive definite
-either fall back to `solve_least_squares`, the SVD-based reference.
+Many masked least-squares solves over one (X, y), or over some rows of
+it, go through `GramLeastSquares`.  It forms X^T X, X^T y and y^T y of
+those rows once, in one pass over cache-sized blocks of them with no copy
+of the rows, and solves the full column set once, keeping the inverse
+Gram matrix and the root's explicit residual.  Each column subset is
+then solved relative to that root solve ("leaps and bounds", Furnival &
+Wilson 1974), by one solve the size of the dropped columns or of the kept
+ones, whichever is smaller, without touching X again.  Where the Gram
+matrix is not safely positive definite, each subset is solved from its
+own kept block and its loss is the explicit residual; blocks that are not
+safely positive definite either fall back to `solve_least_squares`, the
+SVD-based reference.
 """
 
 from __future__ import annotations
@@ -240,15 +242,35 @@ def _pivots_pass(block):
     return not (L.diagonal() ** 2 / block.diagonal()).min(initial=np.inf) < GRAM_PIVOT_RTOL
 
 
-class GramLeastSquares:
-    """Masked least squares for many masks over one fixed (X, y).
+# `GramLeastSquares` sums X^T X and X^T y over blocks of the chosen rows,
+# each gathered into one reused buffer of at most this many bytes, so a
+# block stays in L2 cache while its products are formed (blocked BLAS,
+# Goto & van de Geijn, ACM TOMS 2008) and no copy of the rows is made.
+GRAM_BLOCK_BYTES = 1 << 20
 
-    X^T X, X^T y and y^T y are formed once; `solve(mask)` then works on
-    the Gram matrix G, b = X^T y and quantities of the root solve (the
-    full mask) only.  It has the contract of `solve_least_squares`: it
-    returns (theta, loss), theta is zero outside the mask and loss is the
-    residual norm ||X theta - y||.  An empty mask gives theta = 0 and
-    loss ||y||.
+
+class GramLeastSquares:
+    """Masked least squares for many masks over one fixed (X, y), or over
+    the rows `rows` of it (an integer array of row indices; all rows when
+    None).
+
+    X^T X, X^T y and y^T y of those rows are formed once; `solve(mask)`
+    then works on the Gram matrix G, b = X^T y and quantities of the root
+    solve (the full mask) only.  It has the contract of
+    `solve_least_squares` on X[rows] and y[rows]: it returns (theta, loss),
+    theta is zero outside the mask and loss is the residual norm
+    ||X[rows] theta - y[rows]||.  An empty mask gives theta = 0 and loss
+    ||y[rows]||.
+
+    X is read in place and never copied whole.  G and b are summed over
+    consecutive blocks of the rows, as many as fit in GRAM_BLOCK_BYTES;
+    the first block's products start the sums.  Without `rows` a block is
+    a view of X; with them, each block is gathered into one reused buffer.
+    y[rows] is gathered once (`self.y`), and y^T y is its dot product.  An
+    explicit residual forms X theta over all rows of X and then takes
+    `rows` of it: a fold's training rows are most of X, so that costs less
+    than gathering them.  Only the SVD fallback below gathers X[rows],
+    and only when it runs.
 
     The root solve is set up once.  Where G passes the pivot test below,
     the solver keeps G^-1, theta0 = G^-1 b and r0^2 = ||X theta0 - y||^2.
@@ -276,12 +298,12 @@ class GramLeastSquares:
     the share of the column's squared norm left outside the span of the
     columns before it; in a principal block, the columns before it are a
     subset of those in G, so that share can only grow.  If G passes,
-    every principal block passes.  Where G fails (m < d, a duplicated or
-    zero column, or a small pivot), the solver keeps nothing of the root,
-    every mask takes the kept-block route, and the block G[S, S] is
-    tested alone; a block that fails goes to `solve_least_squares`, which
-    keeps the minimum-norm answer on rank-deficient and ill-conditioned
-    masks.
+    every principal block passes.  Where G fails (fewer rows than
+    columns, a duplicated or zero column, or a small pivot), the solver
+    keeps nothing of the root, every mask takes the kept-block route, and
+    the block G[S, S] is tested alone; a block that fails goes to
+    `solve_least_squares`, which keeps the minimum-norm answer on
+    rank-deficient and ill-conditioned masks.
 
     The loss is the explicit residual norm of the theta just computed
     where the root failed, since loss^2 then carries theta's rounding
@@ -290,22 +312,47 @@ class GramLeastSquares:
     loses its digits.  Elsewhere it is the square root of loss^2.
     """
 
-    def __init__(self, X, y):
+    def __init__(self, X, y, rows=None):
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
         if X.ndim != 2:
             raise DimensionError("X must be 2-d")
-        if y.shape != (X.shape[0],):
+        m, d = X.shape
+        if y.shape != (m,):
             raise DimensionError("y length must equal the number of rows of X")
-        self.X, self.y = X, y
-        self.gram = X.T @ X
-        self.xty = X.T @ y
+        if rows is not None:
+            rows = np.asarray(rows)
+            if rows.ndim != 1 or rows.dtype.kind not in "iu":
+                raise DimensionError("rows must be a 1-d array of row indices")
+            # Checked once here, so each block is gathered with
+            # mode="clip", which writes straight into the buffer; the
+            # default mode="raise" goes through a hidden temporary.
+            if rows.size and not (rows.min() >= 0 and rows.max() < m):
+                raise IndexError("rows must lie in [0, %d)" % m)
+            y = y[rows]
+        self.X, self.y, self.rows = X, y, rows
+        n = len(y)
+        step = max(1, GRAM_BLOCK_BYTES // (X.itemsize * max(d, 1)))
+        buffer = None if rows is None else np.empty((min(step, n), d))
+        # One block, empty, where there are no rows: G and b are then 0.
+        for start in range(0, max(n, 1), step):
+            stop = min(start + step, n)
+            if rows is None:
+                block = X[start:stop]
+            else:
+                block = np.take(X, rows[start:stop], 0, buffer[:stop - start], "clip")
+            gram, xty = block.T @ block, block.T @ y[start:stop]
+            if start:
+                self.gram += gram
+                self.xty += xty
+            else:
+                self.gram, self.xty = gram, xty
         self.yty = float(y @ y)
         self.inverse = None
         if _pivots_pass(self.gram):
             self.inverse = np.linalg.inv(self.gram)
             self.theta0 = np.linalg.solve(self.gram, self.xty)
-            r0 = X @ self.theta0 - y
+            r0 = self._residual(self.theta0)
             self.r0_squared = float(r0 @ r0)
 
     def solve(self, mask):
@@ -331,7 +378,8 @@ class GramLeastSquares:
             # Two takes copy the block with less overhead than np.ix_.
             block = self.gram.take(cols, 0).take(cols, 1)
             if self.inverse is None and not _pivots_pass(block):
-                return solve_least_squares(self.X, self.y, mask)
+                X = self.X if self.rows is None else self.X[self.rows]
+                return solve_least_squares(X, self.y, mask)
             b = self.xty[cols]
             sol = np.linalg.solve(block, b)
             theta = np.zeros(d)
@@ -342,8 +390,16 @@ class GramLeastSquares:
         return theta, math.sqrt(squared)
 
     def residual_norm(self, theta):
-        """||X theta - y||, formed explicitly in O(m d)."""
-        return float(np.linalg.norm(self.X @ theta - self.y))
+        """||X[rows] theta - y[rows]||, formed explicitly in O(m d)."""
+        return float(np.linalg.norm(self._residual(theta)))
+
+    def _residual(self, theta):
+        """X[rows] theta - y[rows], from X theta over all rows of X."""
+        r = self.X @ theta
+        if self.rows is not None:
+            r = r[self.rows]
+        r -= self.y
+        return r
 
 
 def frobenius(A):

@@ -328,13 +328,19 @@ def run_methods(instance, folds=5, stop=None, strategy="dfs", prune=True, trace=
     written even when the search opens no node.  The bagel row of a fold
     carries its search's `SearchStats` under "stats"; the baseline rows'
     "stats" is None.
+
+    A fold trains on its rows of `instance.X` in place: one
+    `numerics.GramLeastSquares` of the shared X and y at the fold's
+    training rows serves both baselines and the search, and no copy of
+    the training rows is made.  The test rows are gathered to score each
+    method.
     """
     if folds < 1:
         raise ValueError("folds must be >= 1")
     rows = []
     for fold in range(folds):
         train_idx, test_idx = fold_split(len(instance.y), fold, instance.seed)
-        solver = numerics.GramLeastSquares(instance.X[train_idx], instance.y[train_idx])
+        solver = numerics.GramLeastSquares(instance.X, instance.y, train_idx)
         problem = SmartDesignProblem(solver, instance.components, instance.bound)
         br, orr = baseline_l2_br(problem), baseline_l2_or(problem)
         better = min((br, orr), key=lambda sol: sol.train_loss)

@@ -305,6 +305,12 @@ class TestGramLeastSquares:
             GramLeastSquares(np.eye(2), [1.0, 2.0, 3.0])
         with pytest.raises(DimensionError):
             GramLeastSquares(np.eye(2), [1.0, 2.0]).solve([1])
+        for rows in ([[0, 1]], [0.0, 1.0], [True, False]):
+            with pytest.raises(DimensionError):
+                GramLeastSquares(np.eye(2), [1.0, 2.0], np.array(rows))
+        for rows in ([0, 2], [-1, 0]):
+            with pytest.raises(IndexError):
+                GramLeastSquares(np.eye(2), [1.0, 2.0], rows)
 
 
 def min_pivot_ratio(block):
@@ -324,9 +330,12 @@ def pivots_pass(block):
 
 def gram_reference(solver, mask):
     """`GramLeastSquares.solve` written with `np.ix_`, `np.diag` and no
-    shared state: the root solve is redone from X, y and the Gram matrix
-    on every call.  Returns (theta, loss, fell back to the reference)."""
+    shared state: the root solve is redone from the solver's rows of X
+    (gathered), y and the Gram matrix on every call.  Returns (theta,
+    loss, fell back to the reference)."""
     X, y, gram = solver.X, solver.y, solver.gram
+    if solver.rows is not None:
+        X = X[solver.rows]
     d = X.shape[1]
     mask = np.asarray(mask, dtype=bool)
     cols, drop = np.flatnonzero(mask), np.flatnonzero(~mask)
@@ -341,7 +350,9 @@ def gram_reference(solver, mask):
         theta, squared = theta0.copy(), float(np.dot(r0, r0))
         if drop.size:
             z = np.linalg.solve(inverse[np.ix_(drop, drop)], theta0[drop])
-            theta = theta0 - inverse[:, drop] @ z
+            # `inverse[:, drop]` comes out column-major, and a product in
+            # that layout rounds differently from `solve`'s row-major take.
+            theta = theta0 - np.ascontiguousarray(inverse[:, drop]) @ z
             theta[drop] = 0.0
             squared += float(np.dot(theta0[drop], z))
     else:
@@ -383,6 +394,75 @@ class TestGramKernel:
             cols = np.flatnonzero(keep)
             if cols.size:
                 assert min_pivot_ratio(gram[np.ix_(cols, cols)]) >= root - 1e-12
+
+
+@st.composite
+def row_cases(draw):
+    """(X, y, rows, mask, block_rows): Gaussian X with at times a duplicated,
+    a zero or a linearly dependent column, y noiseless to noisy, a sorted
+    subset of the rows of X (at times fewer rows than columns), an empty,
+    full or random mask, and the rows per Gram block, a few or the
+    default (None)."""
+    m, d = draw(st.integers(1, 30)), draw(st.integers(1, 8))
+    rng = make_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    X = rng.standard_normal((m, d)) * 10.0 ** rng.integers(-1, 2, d)
+    if d > 1:
+        j = draw(st.integers(1, d - 1))
+        kind = draw(st.sampled_from(["none", "duplicated", "zero", "dependent"]))
+        if kind == "duplicated":
+            X[:, j] = X[:, draw(st.integers(0, j - 1))]
+        elif kind == "zero":
+            X[:, j] = 0.0
+        elif kind == "dependent":
+            X[:, j] = X[:, :j] @ rng.standard_normal(j)
+    noise = draw(st.sampled_from([0.0, 1e-8, 1e-4, 0.1, 1.0]))
+    y = X @ rng.standard_normal(d) + noise * rng.standard_normal(m)
+    keep = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    rows = np.flatnonzero(keep) if any(keep) else np.array([draw(st.integers(0, m - 1))])
+    kind = draw(st.sampled_from(["random", "full", "empty"]))
+    if kind == "random":
+        mask = np.array(draw(st.lists(st.booleans(), min_size=d, max_size=d)))
+    else:
+        mask = np.full(d, kind == "full")
+    return X, y, rows, mask, draw(st.sampled_from([1, 2, 3, 5, None]))
+
+
+class TestGramRows:
+    """A solver of some rows of X, read in place block by block, against
+    the solver and the SVD reference of the gathered rows X[rows]."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(row_cases())
+    @example((make_rng(1).standard_normal((12, 6)), make_rng(2).standard_normal(12),
+              np.array([0, 3, 4, 9]), np.ones(6, dtype=bool), 1))  # fewer rows than columns
+    @example((np.hstack([np.ones((9, 1)), make_rng(3).standard_normal((9, 2)), np.ones((9, 1))]),
+              make_rng(4).standard_normal(9), np.arange(1, 9), np.ones(4, dtype=bool), 3))
+    def test_rows_match_the_gathered_solve(self, case):
+        X, y, rows, mask, block_rows = case
+        Xr, yr = X[rows], y[rows]
+        block_bytes = 8 * X.shape[1] * block_rows if block_rows else numerics.GRAM_BLOCK_BYTES
+        with mock.patch.object(numerics, "GRAM_BLOCK_BYTES", block_bytes):
+            solver, gathered = GramLeastSquares(X, y, rows), GramLeastSquares(Xr, yr)
+        theta, loss, fell_back = TestGramLeastSquares.solve_and_spy(X, y, mask, solver)
+        g_theta, g_loss, g_fell_back = TestGramLeastSquares.solve_and_spy(Xr, yr, mask, gathered)
+        ref_theta, ref_loss = solve_least_squares(Xr, yr, mask)
+        tol = LOSS_RTOL * max(1.0, ref_loss)
+        theta_tol = LOSS_RTOL * max(1.0, np.linalg.norm(ref_theta))
+        # The reference works on the solver's own Gram matrix, so theta is
+        # bit for bit; its residual is formed from the gathered rows.
+        ref = gram_reference(solver, mask)
+        assert fell_back == g_fell_back == ref[2]
+        assert np.array_equal(theta, ref[0]) and abs(loss - ref[1]) <= tol
+        assert np.linalg.norm(theta - g_theta) <= theta_tol and abs(loss - g_loss) <= tol
+        assert np.all(theta[~mask] == 0.0)
+        assert np.array_equal(solver.y, yr)
+        if not mask.any():
+            assert loss == np.linalg.norm(solver.y)
+        assert loss <= ref_loss + tol
+        cols = np.flatnonzero(mask)
+        if fell_back or cols.size == 0 or np.linalg.cond(Xr[:, cols]) <= 1e4:
+            assert abs(loss - ref_loss) <= tol
+            assert np.linalg.norm(theta - ref_theta) <= theta_tol
 
 
 def nmf_steps(A, k, mask, count, start):

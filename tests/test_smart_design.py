@@ -1,12 +1,14 @@
 import itertools
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bagel import constraints
+from bagel import constraints, numerics, smart_design
 from bagel.constraints import (
     BOTH,
     ONE,
@@ -773,6 +775,64 @@ class TestFolds:
     def test_split_uses_the_whole_seed(self):
         # Seeds that agree on their low 63 bits draw different splits.
         assert not np.array_equal(fold_split(100, 0, 0)[1], fold_split(100, 0, 2 ** 63)[1])
+
+    def test_a_fold_does_not_copy_its_training_rows(self):
+        # numpy reports its buffers to tracemalloc.  A copy of the 8000
+        # training rows alone would be 0.8 X.nbytes.
+        inst = sd_generate_instance(100, 10000, 0.6, 1, n_components=8)
+        tracemalloc.start()
+        try:
+            run_methods(inst, folds=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < inst.X.nbytes / 2
+
+    @pytest.mark.parametrize("shape, folds", [((100, 10000, 0.6, 8), 1), ((40, 400, 0.6, 20), 5)],
+                             ids=["sd-tall", "sd-many"])
+    @pytest.mark.parametrize("order_seed", [1, 2])
+    @pytest.mark.parametrize("strategy", ["dfs", "best-first"])
+    def test_training_rows_in_place_search_like_a_gathered_copy(self, shape, folds, order_seed,
+                                                                  strategy):
+        # The benchmark's instances: library seed 1, rows reordered and the
+        # fold seed drawn by the order seed.  The reference solves each
+        # fold from a gathered copy of its training rows.
+        n, samples, cost, k = shape
+        inst = sd_generate_instance(n, samples, cost, 1, n_components=k)
+        rng = make_rng(order_seed)
+        order = rng.permutation(samples)
+        inst.X, inst.y = inst.X[order], inst.y[order]
+        inst.seed = int(rng.integers(2 ** 63 - 1))
+
+        def gathered(X, y, rows):
+            return GramLeastSquares(X[rows], y[rows])
+
+        def solve(**patch):
+            trace = []
+            with mock.patch.object(numerics, "GramLeastSquares", **patch) as solver, \
+                    mock.patch.object(smart_design, "sd_tightness",
+                                      wraps=smart_design.sd_tightness) as tightness:
+                rows = run_methods(inst, folds=folds, strategy=strategy, trace=trace.append)
+            for row, call in zip(rows, tightness.call_args_list):
+                row["u"] = list(call.args[0])
+            return rows, trace, solver
+
+        rows, trace, solver = solve(wraps=GramLeastSquares)
+        ref_rows, ref_trace, _ = solve(new=gathered)
+        assert solver.call_count == folds
+        assert all(call.args[0] is inst.X and len(call.args) == 3
+                   for call in solver.call_args_list)
+        close = lambda a, b: abs(a - b) <= 1e-12 * max(1.0, abs(b))
+        assert [(r["trail"], r["status"]) for r in trace] == \
+            [(r["trail"], r["status"]) for r in ref_trace]
+        for r, ref in zip(trace, ref_trace):
+            assert (r["loss"] is None) == (ref["loss"] is None)
+            assert r["loss"] is None or close(r["loss"], ref["loss"])
+        assert len(rows) == len(ref_rows) == 3 * folds
+        for r, ref in zip(rows, ref_rows):
+            assert (r["method"], r["fold"], r["nodes"], r["u"]) == \
+                (ref["method"], ref["fold"], ref["nodes"], ref["u"])
+            assert close(r["train_loss"], ref["train_loss"])
 
     def test_run_methods_rows(self):
         inst = sd_generate_instance(10, 100, 0.6, seed=7)
