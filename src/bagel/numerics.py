@@ -9,14 +9,19 @@ bytes, so the reader takes a file or a pipe in one read and its arrays
 are views of the bytes read.
 All heavy lifting is numpy; inputs are plain float64 arrays.
 
+Three passes read X, or some rows of it, in cache-sized blocks of rows
+with `row_blocks`, so none copies X or the rows it reads: the finiteness
+check of `matrix`, the Gram matrix below, and the scoring of held-out
+rows in `smart_design.sd_evaluate`.
+
 Many masked least-squares solves over one (X, y), or over some rows of
 it, go through `GramLeastSquares`.  It forms X^T X, X^T y and y^T y of
-those rows once, in one pass over cache-sized blocks of them with no copy
-of the rows, and solves the full column set once, keeping the inverse
-Gram matrix and the root's explicit residual.  Each column subset is
-then solved relative to that root solve ("leaps and bounds", Furnival &
-Wilson 1974), by one solve the size of the dropped columns or of the kept
-ones, whichever is smaller, without touching X again.  Where the Gram
+those rows once, in one pass over the blocks of them, and solves the
+full column set once, keeping the inverse Gram matrix and the root's
+explicit residual.  Each column subset is then solved relative to that
+root solve ("leaps and bounds", Furnival & Wilson 1974), by one solve the
+size of the dropped columns or of the kept ones, whichever is smaller,
+without touching X again.  Where the Gram
 matrix is not safely positive definite, each subset is solved from its
 own kept block and its loss is the explicit residual; blocks that are not
 safely positive definite either fall back to `solve_least_squares`, the
@@ -60,12 +65,14 @@ def vector(data):
 
 def matrix(data):
     """Validate and return a finite 2-d float array (`data` itself when it
-    already is one)."""
+    already is one).  Finiteness is checked block by block (`row_blocks`),
+    so the check allocates no boolean array the size of `data`."""
     a = np.asarray(data, dtype=float)
     if a.ndim != 2:
         raise DimensionError("expected a 2-d array, got shape %s" % (a.shape,))
-    if not np.all(np.isfinite(a)):
-        raise DomainError("matrix entries must be finite")
+    for _, block in row_blocks(a):
+        if not np.isfinite(block).all():
+            raise DomainError("matrix entries must be finite")
     return a
 
 
@@ -83,6 +90,49 @@ def number(value, name):
     if type(value) not in (int, float):
         raise ValueError("%s must be a number, got %r" % (name, value))
     return float(value)
+
+
+# `row_blocks` reads X in blocks of at most this many bytes, so a block
+# stays in L2 cache while it is worked on (blocked BLAS, Goto & van de
+# Geijn, ACM TOMS 2008) and no copy of the rows it reads is made.
+GRAM_BLOCK_BYTES = 1 << 20
+
+
+def row_blocks(X, rows=None):
+    """(start, block) for consecutive blocks of the rows `rows` of the 2-d
+    float array X (an integer array of row indices; all rows when None):
+    block is those rows' [start, start + len(block)) of X, as many rows as
+    fit in GRAM_BLOCK_BYTES, at least one.  Where there are no rows, there
+    is one empty block.
+
+    Without `rows` a block is a view of X.  With them, every block is
+    gathered into one buffer that is reused, so a block is valid until the
+    next one is taken.  `rows` is checked here, once, before the first
+    block: 1-d integers (else DimensionError) inside [0, len(X)) (else
+    IndexError).  Each block is then gathered with mode="clip", which
+    writes straight into the buffer; the default mode="raise" goes through
+    a hidden temporary.
+    """
+    m, d = X.shape
+    if rows is not None:
+        rows = np.asarray(rows)
+        if rows.ndim != 1 or rows.dtype.kind not in "iu":
+            raise DimensionError("rows must be a 1-d array of row indices")
+        if rows.size and not (rows.min() >= 0 and rows.max() < m):
+            raise IndexError("rows must lie in [0, %d)" % m)
+    n = m if rows is None else len(rows)
+    step = max(1, GRAM_BLOCK_BYTES // (X.itemsize * max(d, 1)))
+
+    def blocks():
+        buffer = None if rows is None else np.empty((min(step, n), d), X.dtype)
+        for start in range(0, max(n, 1), step):
+            stop = min(start + step, n)
+            if rows is None:
+                yield start, X[start:stop]
+            else:
+                yield start, np.take(X, rows[start:stop], 0, buffer[:stop - start], "clip")
+
+    return blocks()
 
 
 def write_instance(path, doc):
@@ -242,13 +292,6 @@ def _pivots_pass(block):
     return not (L.diagonal() ** 2 / block.diagonal()).min(initial=np.inf) < GRAM_PIVOT_RTOL
 
 
-# `GramLeastSquares` sums X^T X and X^T y over blocks of the chosen rows,
-# each gathered into one reused buffer of at most this many bytes, so a
-# block stays in L2 cache while its products are formed (blocked BLAS,
-# Goto & van de Geijn, ACM TOMS 2008) and no copy of the rows is made.
-GRAM_BLOCK_BYTES = 1 << 20
-
-
 class GramLeastSquares:
     """Masked least squares for many masks over one fixed (X, y), or over
     the rows `rows` of it (an integer array of row indices; all rows when
@@ -263,14 +306,12 @@ class GramLeastSquares:
     ||y[rows]||.
 
     X is read in place and never copied whole.  G and b are summed over
-    consecutive blocks of the rows, as many as fit in GRAM_BLOCK_BYTES;
-    the first block's products start the sums.  Without `rows` a block is
-    a view of X; with them, each block is gathered into one reused buffer.
-    y[rows] is gathered once (`self.y`), and y^T y is its dot product.  An
-    explicit residual forms X theta over all rows of X and then takes
-    `rows` of it: a fold's training rows are most of X, so that costs less
-    than gathering them.  Only the SVD fallback below gathers X[rows],
-    and only when it runs.
+    the blocks of `row_blocks(X, rows)`, in order; the first block's
+    products start the sums.  y[rows] is gathered once (`self.y`), and
+    y^T y is its dot product.  An explicit residual forms X theta over all
+    rows of X and then takes `rows` of it: a fold's training rows are most
+    of X, so that costs less than gathering them.  Only the SVD fallback
+    below gathers X[rows], and only when it runs.
 
     The root solve is set up once.  Where G passes the pivot test below,
     the solver keeps G^-1, theta0 = G^-1 b and r0^2 = ||X theta0 - y||^2.
@@ -317,36 +358,22 @@ class GramLeastSquares:
         y = np.asarray(y, dtype=float)
         if X.ndim != 2:
             raise DimensionError("X must be 2-d")
-        m, d = X.shape
-        if y.shape != (m,):
+        if y.shape != (len(X),):
             raise DimensionError("y length must equal the number of rows of X")
+        blocks = row_blocks(X, rows)
         if rows is not None:
             rows = np.asarray(rows)
-            if rows.ndim != 1 or rows.dtype.kind not in "iu":
-                raise DimensionError("rows must be a 1-d array of row indices")
-            # Checked once here, so each block is gathered with
-            # mode="clip", which writes straight into the buffer; the
-            # default mode="raise" goes through a hidden temporary.
-            if rows.size and not (rows.min() >= 0 and rows.max() < m):
-                raise IndexError("rows must lie in [0, %d)" % m)
             y = y[rows]
         self.X, self.y, self.rows = X, y, rows
-        n = len(y)
-        step = max(1, GRAM_BLOCK_BYTES // (X.itemsize * max(d, 1)))
-        buffer = None if rows is None else np.empty((min(step, n), d))
         # One block, empty, where there are no rows: G and b are then 0.
-        for start in range(0, max(n, 1), step):
-            stop = min(start + step, n)
-            if rows is None:
-                block = X[start:stop]
-            else:
-                block = np.take(X, rows[start:stop], 0, buffer[:stop - start], "clip")
-            gram, xty = block.T @ block, block.T @ y[start:stop]
+        for start, block in blocks:
+            gram, xty = block.T @ block, block.T @ y[start:start + len(block)]
             if start:
                 self.gram += gram
                 self.xty += xty
             else:
                 self.gram, self.xty = gram, xty
+        del block  # it may be a view of the gather buffer: free that now
         self.yty = float(y @ y)
         self.inverse = None
         if _pivots_pass(self.gram):

@@ -99,13 +99,32 @@ def sd_tightness(u, weights, bound):
     return constraints.budget_total(np.asarray(weights)[np.asarray(u) != 0]) / bound
 
 
-def sd_evaluate(solution, X_test, y_test):
-    """Euclidean residual norm of the solution on held-out data."""
-    X_test = np.asarray(X_test, dtype=float)
-    y_test = np.asarray(y_test, dtype=float)
-    if X_test.shape[1] != len(solution.theta) or X_test.shape[0] != len(y_test):
+def sd_evaluate(solutions, X, y, rows=None):
+    """Euclidean residual norm of each solution on the held-out rows `rows`
+    of (X, y) (all rows when None), as a list in the order of `solutions`.
+
+    X is read in place by `numerics.row_blocks`: each block of the rows is
+    gathered once, and every solution's theta is applied to it, filling
+    that solution's residual vector; no copy of the rows is made.  Where
+    the rows fit in one block, a loss is ||X[rows] theta - y[rows]|| bit
+    for bit.  Across blocks the BLAS may sum a row at a block's end in
+    another order than it would in one product over all the rows, so its
+    residual, and the loss, can differ in the last bit.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if X.ndim != 2 or y.shape != (len(X),) or any(
+            np.shape(sol.theta) != (X.shape[1],) for sol in solutions):
         raise numerics.DimensionError("test split shapes are inconsistent")
-    return float(np.linalg.norm(X_test @ solution.theta - y_test))
+    blocks = numerics.row_blocks(X, rows)
+    if rows is not None:
+        y = y[rows]
+    residuals = [np.empty(len(y)) for _ in solutions]
+    for start, block in blocks:
+        stop = start + len(block)
+        for sol, r in zip(solutions, residuals):
+            block.dot(sol.theta, r[start:stop])
+    return [float(np.linalg.norm(np.subtract(r, y, out=r))) for r in residuals]
 
 
 class SmartDesignProblem(Problem):
@@ -332,8 +351,9 @@ def run_methods(instance, folds=5, stop=None, strategy="dfs", prune=True, trace=
     A fold trains on its rows of `instance.X` in place: one
     `numerics.GramLeastSquares` of the shared X and y at the fold's
     training rows serves both baselines and the search, and no copy of
-    the training rows is made.  The test rows are gathered to score each
-    method.
+    the training rows is made.  The methods are scored on the fold's test
+    rows by `sd_evaluate`, which reads them in blocks too, so no fold copies
+    its test rows either.
     """
     if folds < 1:
         raise ValueError("folds must be >= 1")
@@ -348,14 +368,15 @@ def run_methods(instance, folds=5, stop=None, strategy="dfs", prune=True, trace=
             problem, stop=stop, strategy=strategy, prune=prune, trace=trace,
             incumbent=Incumbent(None, better.train_loss, better),
         )
-        Xte, yte = instance.X[test_idx], instance.y[test_idx]
-        for method, sol in (("bagel", best.model), ("l2_br", br), ("l2_or", orr)):
+        methods = (("bagel", best.model), ("l2_br", br), ("l2_or", orr))
+        test_losses = sd_evaluate([sol for _, sol in methods], instance.X, instance.y, test_idx)
+        for (method, sol), test_loss in zip(methods, test_losses):
             searched = method == "bagel"
             rows.append({
                 "method": method,
                 "fold": fold,
                 "train_loss": sol.train_loss,
-                "test_loss": sd_evaluate(sol, Xte, yte),
+                "test_loss": test_loss,
                 "tightness": sd_tightness(sol.u, problem.weights, problem.bound),
                 "nodes": stats.nodes_opened if searched else 0,
                 "wall_ms": stats.wall_time * 1000.0 if searched else 0.0,

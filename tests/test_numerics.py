@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -465,6 +466,65 @@ class TestGramRows:
             assert np.linalg.norm(theta - ref_theta) <= theta_tol
 
 
+@st.composite
+def block_cases(draw):
+    """(X, rows, block_rows): Gaussian X with fewer or more rows than
+    columns, the rows None (all of X), one row, all rows in order, or a
+    random subset in random order, and the rows per block, 1-5 or the
+    default (None)."""
+    m, d = draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    X = make_rng(draw(st.integers(0, 2 ** 32 - 1))).standard_normal((m, d))
+    kind = draw(st.sampled_from(["none", "one", "all", "subset"]))
+    if kind == "none":
+        rows = None
+    elif kind == "one":
+        rows = np.array([draw(st.integers(0, m - 1))])
+    elif kind == "all":
+        rows = np.arange(m)
+    else:
+        rows = np.array(draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=2 * m)))
+    return X, rows, draw(st.sampled_from([1, 2, 3, 4, 5, None]))
+
+
+class TestRowBlocks:
+    """`row_blocks`, the one reader of X in blocks of rows."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(block_cases())
+    def test_blocks_tile_the_rows(self, case):
+        X, rows, block_rows = case
+        block_bytes = 8 * X.shape[1] * block_rows if block_rows else numerics.GRAM_BLOCK_BYTES
+        with mock.patch.object(numerics, "GRAM_BLOCK_BYTES", block_bytes):
+            # Each block is copied before the next one reuses the buffer.
+            blocks = [(start, block.copy(), block) for start, block in numerics.row_blocks(X, rows)]
+        expect = X if rows is None else X[rows]
+        step = block_rows or len(expect)
+        assert [start for start, _, _ in blocks] == list(range(0, len(expect), step))
+        assert all(1 <= len(copy) <= step for _, copy, _ in blocks)
+        assert np.array_equal(np.concatenate([copy for _, copy, _ in blocks]), expect)
+        for _, _, block in blocks:
+            # Views of X without rows; with them, views of the one buffer.
+            assert np.shares_memory(block, X) == (rows is None)
+            assert rows is None or np.shares_memory(block, blocks[0][2])
+
+    def test_no_rows_is_one_empty_block(self):
+        X = np.ones((4, 3))
+        [(start, block)] = numerics.row_blocks(X, np.array([], dtype=int))
+        assert start == 0 and block.shape == (0, 3)
+        [(start, block)] = numerics.row_blocks(np.ones((0, 3)))
+        assert start == 0 and block.shape == (0, 3)
+
+    @pytest.mark.parametrize("rows, error", [
+        (np.array([[0, 1]]), DimensionError),
+        (np.array([0.0, 1.0]), DimensionError),
+        (np.array([0, 4]), IndexError),
+        (np.array([-1, 2]), IndexError),
+    ])
+    def test_rows_are_checked_before_the_first_block(self, rows, error):
+        with pytest.raises(error):
+            numerics.row_blocks(np.ones((4, 3)), rows)
+
+
 def nmf_steps(A, k, mask, count, start):
     """(W, H, loss) after each of `count` one-sweep kernel calls, each
     started from the previous call's factors: the sweeps of one
@@ -813,6 +873,39 @@ class TestValidation:
     def test_matrix_rejects_inf(self):
         with pytest.raises(DomainError):
             numerics.matrix([[1.0, np.inf]])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("row", [0, 3, 6], ids=["first", "middle", "last"])
+    def test_matrix_checks_every_block(self, value, row):
+        # Two rows a block: rows 0-1, 2-3, 4-5 and 6.
+        X = make_rng(row).standard_normal((7, 3))
+        X[row, row % 3] = value
+        with mock.patch.object(numerics, "GRAM_BLOCK_BYTES", 2 * X.shape[1] * 8), \
+                pytest.raises(DomainError, match="matrix entries must be finite"):
+            numerics.matrix(X)
+
+    def test_matrix_returns_a_finite_array_itself(self, tmp_path):
+        X = make_rng(5).standard_normal((7, 3))
+        path = tmp_path / "x.json"
+        write_instance(path, {"X": X})
+        view = read_instance(path)[0]["X"]
+        assert not view.flags.writeable
+        with mock.patch.object(numerics, "GRAM_BLOCK_BYTES", 2 * X.shape[1] * 8):
+            assert numerics.matrix(X) is X
+            assert numerics.matrix(view) is view
+
+    def test_matrix_check_allocates_no_array_the_size_of_x(self):
+        # numpy reports its buffers to tracemalloc.  A boolean array of all
+        # of X would be X.size bytes; one of a 50-row block is 5000.
+        X = make_rng(6).standard_normal((2000, 100))
+        with mock.patch.object(numerics, "GRAM_BLOCK_BYTES", 50 * X.shape[1] * 8):
+            tracemalloc.start()
+            try:
+                numerics.matrix(X)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < X.size / 8
 
     def test_rng_stream_is_seed_stable(self):
         a = make_rng(123).random(5)

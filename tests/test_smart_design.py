@@ -337,14 +337,14 @@ class TestMetrics:
         X = rng.standard_normal((20, 4))
         theta = rng.standard_normal(4)
         sol_cls = type("S", (), {"theta": theta})
-        assert sd_evaluate(sol_cls, X, X @ theta) == pytest.approx(0.0, abs=1e-10)
+        assert sd_evaluate([sol_cls], X, X @ theta) == [pytest.approx(0.0, abs=1e-10)]
 
     def test_evaluate_zero_theta(self):
         rng = make_rng(2)
         X = rng.standard_normal((20, 4))
         y = rng.standard_normal(20)
         sol_cls = type("S", (), {"theta": np.zeros(4)})
-        assert sd_evaluate(sol_cls, X, y) == pytest.approx(np.linalg.norm(y))
+        assert sd_evaluate([sol_cls], X, y) == [pytest.approx(np.linalg.norm(y))]
 
     def test_evaluate_matches_norm_oracle(self):
         rng = make_rng(3)
@@ -354,7 +354,72 @@ class TestMetrics:
         sol_cls = type("S", (), {"theta": theta})
         # one-line independent recomputation
         expect = float(np.sqrt(np.sum((X @ theta - y) ** 2)))
-        assert sd_evaluate(sol_cls, X, y) == pytest.approx(expect, rel=1e-12)
+        assert sd_evaluate([sol_cls], X, y) == [pytest.approx(expect, rel=1e-12)]
+
+
+@st.composite
+def scoring_cases(draw):
+    """(X, y, rows, thetas, block_rows): Gaussian X with fewer or more rows
+    than columns, held-out rows that are one row, all rows, a random
+    subset or None (all of X), thetas of which one is 0, and the rows per
+    block, 1-5 or the default (None)."""
+    m, d = draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    rng = make_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    X = rng.standard_normal((m, d)) * 10.0 ** rng.integers(-2, 3, d)
+    y = rng.standard_normal(m)
+    kind = draw(st.sampled_from(["none", "one", "all", "subset"]))
+    if kind == "none":
+        rows = None
+    elif kind == "one":
+        rows = np.array([draw(st.integers(0, m - 1))])
+    elif kind == "all":
+        rows = np.arange(m)
+    else:
+        keep = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+        rows = np.flatnonzero(keep) if any(keep) else np.array([0])
+    thetas = [rng.standard_normal(d), np.zeros(d), rng.standard_normal(d) * 1e3]
+    return X, y, rows, thetas, draw(st.sampled_from([1, 2, 3, 4, 5, None]))
+
+
+class TestBlockedScoring:
+    """`sd_evaluate` scores held-out rows of X read in place, block by
+    block, against the norm of the gathered rows' residual."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(scoring_cases())
+    def test_matches_the_gathered_rows(self, case):
+        X, y, rows, thetas, block_rows = case
+        Xr, yr = (X, y) if rows is None else (X[rows], y[rows])
+        n, d = Xr.shape
+        step = block_rows or n
+        with mock.patch.object(numerics, "GRAM_BLOCK_BYTES", 8 * d * step):
+            losses = sd_evaluate([type("S", (), {"theta": t}) for t in thetas], X, y, rows)
+        eps = np.finfo(float).eps
+        for theta, loss in zip(thetas, losses):
+            whole = float(np.linalg.norm(Xr @ theta - yr))
+            # Each block is scored by the product of that block alone.
+            per_block = np.concatenate([Xr[s:s + step] @ theta for s in range(0, n, step)])
+            assert loss == float(np.linalg.norm(per_block - yr))
+            if n <= step or not theta.any():
+                # One block is one product over all the rows, and theta = 0
+                # leaves -y exactly: both the gathered rows' norm bit for bit.
+                assert loss == whole
+            else:
+                # A product over a block and one over all the rows may sum a
+                # row in different orders (a BLAS kernel of 4 rows at a
+                # time, another for the rows left over): each row's sum is
+                # within d eps of its absolute sum, and the norm within n eps.
+                scale = np.linalg.norm(np.abs(Xr) @ np.abs(theta)) + np.linalg.norm(yr)
+                assert abs(loss - whole) <= 4 * (d + n + 2) * eps * scale
+
+    def test_shapes_are_checked(self):
+        X, y = np.ones((5, 3)), np.ones(5)
+        sol = type("S", (), {"theta": np.ones(3)})
+        for args in ((X, np.ones(4)), (np.ones((5, 2)), y), (np.ones(5), y)):
+            with pytest.raises(numerics.DimensionError):
+                sd_evaluate([sol], *args)
+        with pytest.raises(IndexError):
+            sd_evaluate([sol], X, y, np.array([5]))
 
 
 def small_instance(data, weight_choices=(0.0, 1.0, 2.5, 4.0, 7.0)):
@@ -776,9 +841,13 @@ class TestFolds:
         # Seeds that agree on their low 63 bits draw different splits.
         assert not np.array_equal(fold_split(100, 0, 0)[1], fold_split(100, 0, 2 ** 63)[1])
 
-    def test_a_fold_does_not_copy_its_training_rows(self):
+    def test_a_fold_copies_none_of_its_rows(self):
         # numpy reports its buffers to tracemalloc.  A copy of the 8000
-        # training rows alone would be 0.8 X.nbytes.
+        # training rows would be 0.8 X.nbytes, of the 2000 test rows 0.2
+        # X.nbytes (1.6 MB).  The Gram and held-out scoring read them
+        # through one block buffer: the peak is that buffer and a few
+        # float64 vectors over the rows (fold indices, y of the training
+        # rows, X theta).
         inst = sd_generate_instance(100, 10000, 0.6, 1, n_components=8)
         tracemalloc.start()
         try:
@@ -786,7 +855,7 @@ class TestFolds:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < inst.X.nbytes / 2
+        assert peak < numerics.GRAM_BLOCK_BYTES + 64 * len(inst.y)
 
     @pytest.mark.parametrize("shape, folds", [((100, 10000, 0.6, 8), 1), ((40, 400, 0.6, 20), 5)],
                              ids=["sd-tall", "sd-many"])
