@@ -27,4 +27,4 @@ __all__ = [
     "should_stop",
 ]
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"

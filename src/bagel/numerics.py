@@ -434,21 +434,40 @@ def frobenius(A):
 
 
 # The stopping rule of `nmf_multiplicative`, a relative-decrease rule as
-# surveyed by Gillis ("Nonnegative Matrix Factorization", SIAM 2020).  It
-# checks the residual ||A - W H||, not the Gram identity
-# ||A||^2 - 2<A H^T, W> + <W^T W, H H^T>: on a near-noiseless fit the
-# identity subtracts terms that agree in all but their last digits, so
-# its loss is mostly rounding error and the decrease test would stop on
-# noise.  (`GramLeastSquares` uses the least-squares form of the identity
-# only where that cancellation is small, GRAM_CANCEL_RTOL.)
-# The two constants are one per-sweep rate: a run stops once its loss
-# fell by at most 1e-6 relative per sweep, measured over a 5-sweep
-# window.  A 10-sweep window was sized for the multiplicative update,
-# which converges slowly; HALS needs few sweeps from a warm start (Gillis
-# & Glineur, Neural Computation 2012), so a child node started from its
-# parent's factors usually stops at its second check, sweep 10.
-NMF_STOP_RTOL = 5e-6
-NMF_CHECK_EVERY = 5
+# surveyed by Gillis ("Nonnegative Matrix Factorization", SIAM 2020): a
+# run stops once one sweep lowered its loss by at most NMF_STOP_RTOL
+# relative.  HALS needs few sweeps from a warm start (Gillis & Glineur,
+# Neural Computation 2012), so a child node started from its parent's
+# factors often stops at sweep 2, the first with a sweep before it.
+#
+# Every sweep's loss comes from products the sweep already holds (Gillis
+# & Glineur 2012): with p = <W^T, H A^T> and q = <W^T W, H H^T>,
+# ||A - W H||^2 = ||A||^2 - 2 p + q.  A, W and H are non-negative, so each
+# term is a floating-point sum of non-negative products and lies within a
+# factor 1 +- N eps / 2 of its exact value, to first order and in any
+# summation order, N the longest chain of roundings behind it: n m for
+# ||A||^2, m + k n for p, n + m + k^2 for q.  With the two subtractions,
+# the computed loss^2 is within E = M eps (||A||^2 + 2 p + q)
+# <= M eps (||A|| + ||W H||)^2 of ||A - W H||^2, where
+# M = n m + k n + n + m + k^2 + 2 (twice the first-order M eps / 2, for
+# the higher-order terms, as `PriorNmfProblem._bound_scale` is).  Near a fit
+# ||W H|| is about ||A||, so E is about 4 M eps ||A||^2 and a loss's
+# relative error at most about 2 M eps ||A||^2 / loss^2.  A decrease test
+# reads two losses, so it can err only on a decrease within
+# 4 M eps ||A||^2 / loss^2 of NMF_STOP_RTOL.  The identity is used where
+# that margin is at most half the tolerance:
+#
+#     loss^2 > 8 M eps / NMF_STOP_RTOL * ||A||^2,
+#
+# 5.6e-5 ||A||^2 at 100 words, 8 topics and 300 documents, where a
+# planted fit at the generator's noise leaves 3-4e-4.  Below it (a
+# near-exact fit, on which the three terms cancel) and where the sum is
+# not finite (NaN, or an overflowing ||A||^2), the loss is the explicit
+# residual instead, in O(n m k).  Taking the residual at every sweep
+# would cost about 80% of a sweep at that shape (43 us against 54 us on
+# a 2-core Xeon with OpenBLAS); the identity's two inner products cost
+# about 1 us.
+NMF_STOP_RTOL = 1e-6
 # Floor of the diagonal entries a HALS update divides by, relative to the
 # largest (`_hals_rows`): an all-zero column of W or row of H stays as it
 # is, and A scaled by 4^j from a start scaled by 2^j runs scaled exactly.
@@ -484,25 +503,33 @@ def nmf_multiplicative(A, k, mask, iters, start):
     row l of S is -NMF_MASKED wherever column l of the binary mask is 0,
     so those entries of W clamp to exactly 0.
 
+    A and the start must be finite and A non-negative (else DomainError).
     W0 is projected onto the mask (W0 * mask), so masked positions are
     exactly 0 throughout; the start arrays are not modified.
 
-    iters is a cap on sweeps.  Every NMF_CHECK_EVERY sweeps the loss is
-    checked, and the run stops once it fell by at most NMF_STOP_RTOL
-    relative since the previous check (prev - loss <= NMF_STOP_RTOL * prev,
-    so an exact fit stops too).  A stopped run is a bit-identical prefix of
-    a run of all iters sweeps, and a run of n sweeps is bit-identical to n
-    one-sweep runs, each started from the previous one's factors.
+    iters is a cap on sweeps.  After every sweep the loss is taken, as the
+    comment above NMF_STOP_RTOL says: from ||A||^2, formed once, and the
+    products H A^T, H H^T and W^T W that the sweep and the next one use,
+    or as the explicit residual where that identity would cancel.  The run
+    stops at the first sweep whose loss fell by at most NMF_STOP_RTOL
+    relative from the sweep before (prev - loss <= NMF_STOP_RTOL * prev,
+    so an exact fit stops too), at sweep 2 at the earliest.  A stopped run
+    is a bit-identical prefix of a run of all iters sweeps, and a run of n
+    sweeps is bit-identical to n one-sweep runs, each started from the
+    previous one's factors.
 
-    Returns (W, H, loss, sweeps): loss = ||A - W H||_F (unsquared), and
-    sweeps the number of sweeps that ran, iters unless the run stopped at
-    a check.
+    Returns (W, H, loss, sweeps): loss = ||A - W H||_F (unsquared), the
+    explicit residual of the factors returned, and sweeps the number of
+    sweeps that ran, iters unless the run stopped early.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise DimensionError("A must be 2-d")
-    if np.any(A < 0):
-        raise DomainError("A must be non-negative")
+    # ||A||^2 (for the loss), infinite where an entry is +inf; NaN and
+    # -inf fail the minimum's test.
+    a2 = float(np.vdot(A, A))
+    if not A.min(initial=0.0) >= 0 or (a2 == math.inf and not np.isfinite(A).all()):
+        raise DomainError("A must be finite and non-negative")
     if k < 1:
         raise DomainError("k must be >= 1")
     if iters < 0:
@@ -514,19 +541,23 @@ def nmf_multiplicative(A, k, mask, iters, start):
     W0, H0 = start
     if np.shape(W0) != (n, k) or np.shape(H0) != (k, m):
         raise DimensionError("start must be an n x k W and a k x m H")
+    if not (np.isfinite(W0).all() and np.isfinite(H0).all()):
+        raise DomainError("start must be finite")
     # Each factor is the top rows of its stack, the rows the one product
     # per row update reads: [H; B] (2k x m) and [W^T; B; S] (3k x n), so
     # a column of W is a contiguous row.  The stacks, the coefficient
     # rows, their views and the residual are made once per call: a sweep
-    # and a loss check then allocate nothing.
+    # and a loss allocate nothing.
     stack_h, stack_w = np.empty((2 * k, m)), np.empty((3 * k, n))
     H, Wt = stack_h[:k], stack_w[:k]
     H[...] = H0
     np.multiply(np.transpose(W0), mask.T, out=Wt)
     W, Ht, At, B_h, B_w = Wt.T, H.T, A.T, stack_h[k:], stack_w[k:2 * k]
     stack_w[2 * k:] = np.where(mask.T == 0, -NMF_MASKED, 0.0)
-    G = np.empty((k, k))
-    hals_h, hals_w = _hals_rows(stack_h, G), _hals_rows(stack_w, G)
+    # G = W^T W for the H half-sweep and GH = H H^T for the W half; both
+    # stay valid after the sweep, for its loss.
+    G, GH = np.empty((k, k)), np.empty((k, k))
+    hals_h, hals_w = _hals_rows(stack_h, G), _hals_rows(stack_w, GH)
     R = np.empty((n, m))
 
     def residual():
@@ -534,23 +565,36 @@ def nmf_multiplicative(A, k, mask, iters, start):
         np.subtract(A, R, out=R)
         return frobenius(R)
 
+    # The floor the identity's loss^2 must exceed (NMF_STOP_RTOL).
+    floor = 8 * (n * m + k * n + n + m + k * k + 2) * np.finfo(float).eps / NMF_STOP_RTOL * a2
+    # <W^T, B_w> and <G, GH> as bound dot products of flat views.
+    p_dot, b_w, q_dot, gh = Wt.reshape(-1).dot, B_w.reshape(-1), G.reshape(-1).dot, GH.reshape(-1)
+    Wt.dot(W, G)
     sweeps, loss = 0, None
     while sweeps < iters:
         Wt.dot(A, B_h)
-        Wt.dot(W, G)
         hals_h()
         H.dot(At, B_w)
-        H.dot(Ht, G)
+        H.dot(Ht, GH)
         hals_w()
+        Wt.dot(W, G)
         sweeps += 1
-        if sweeps % NMF_CHECK_EVERY == 0:
-            prev, loss = loss, residual()
-            if prev is not None and prev - loss <= NMF_STOP_RTOL * prev:
-                break
-    if loss is None or sweeps % NMF_CHECK_EVERY:
-        loss = residual()
+        # Where ||A||^2 overflowed, p and q would too, with a warning.
+        sq = a2 - 2.0 * float(p_dot(b_w)) + float(q_dot(gh)) if a2 < math.inf else a2
+        prev, loss = loss, _sweep_loss(sq, floor, residual)
+        if prev is not None and prev - loss <= NMF_STOP_RTOL * prev:
+            break
+    loss = residual()
     # Copies, so a kept model does not keep the stacks alive.
     return Wt.copy().T, H.copy(), loss, sweeps
+
+
+def _sweep_loss(sq, floor, residual):
+    """A sweep's loss: the square root of `sq`, its loss^2 by the identity
+    above NMF_STOP_RTOL, where floor < sq < inf, else `residual()`, the
+    explicit residual.  A function of its own, so that a test can read
+    every sweep's loss and which way it was taken."""
+    return math.sqrt(sq) if floor < sq < math.inf else residual()
 
 
 def _hals_rows(stack, G):

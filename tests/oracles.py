@@ -1,11 +1,14 @@
 """Engine-free oracles and instances that the test files share."""
 
+import contextlib
 import dataclasses
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 
+from bagel import numerics
 from bagel.numerics import make_rng
 from bagel.smart_design import NOISE_SCALE, sd_generate_instance
 
@@ -39,6 +42,31 @@ def random_start(A, k, rng):
     and form in which `prior_nmf.nmf_random_start` draws them."""
     n, m = np.shape(A)
     return 1.0 - rng.random((n, k)), 1.0 - rng.random((k, m))
+
+
+@contextlib.contextmanager
+def sweep_losses():
+    """A list that gathers (sq, loss, explicit) for every sweep the HALS
+    kernel runs inside the block: sq is the sweep's loss^2 by the identity
+    in the comment above `numerics.NMF_STOP_RTOL`, loss the loss its
+    stopping rule read, and explicit whether that loss is the explicit
+    residual, taken where the identity's guard fired."""
+    seen = []
+    sweep_loss = numerics._sweep_loss
+
+    def watched(sq, floor, residual):
+        explicit = []
+
+        def counted():
+            explicit.append(True)
+            return residual()
+
+        loss = sweep_loss(sq, floor, counted)
+        seen.append((sq, loss, bool(explicit)))
+        return loss
+
+    with mock.patch.object(numerics, "_sweep_loss", watched):
+        yield seen
 
 
 def dense_instance(seed):

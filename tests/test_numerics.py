@@ -17,7 +17,6 @@ from bagel.numerics import (
     DimensionError,
     DomainError,
     GramLeastSquares,
-    NMF_CHECK_EVERY,
     NMF_EPS,
     NMF_STOP_RTOL,
     make_rng,
@@ -27,7 +26,7 @@ from bagel.numerics import (
     write_instance,
 )
 from bagel.prior_nmf import nmf_build_mask, nmf_generate_instance, nmf_random_start
-from oracles import random_start
+from oracles import random_start, sweep_losses
 
 
 class TestSolveLeastSquares:
@@ -600,20 +599,33 @@ class TestNmfMultiplicative:
         with pytest.raises(DomainError):
             nmf_multiplicative(A, 1, np.ones((2, 1)), -5, random_start(A, 1, make_rng(0)))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["A", "W0", "W0 masked", "H0"])
+    def test_non_finite_input_rejected(self, where, value):
+        A = np.array([[1.0, 1.0], [1.0, 2.0]])
+        W0, H0 = random_start(A, 2, make_rng(0))
+        # mask[0, 1] is 0: a masked entry of W0 must be finite too.
+        mask = np.array([[1.0, 0.0], [1.0, 1.0]])
+        row, col = {"A": (0, 0), "W0": (1, 1), "W0 masked": (0, 1), "H0": (1, 0)}[where]
+        {"A": A, "W0": W0, "W0 masked": W0, "H0": H0}[where][row, col] = value
+        with pytest.raises(DomainError, match="finite"):
+            nmf_multiplicative(A, 2, mask, 20, (W0, H0))
+
     def test_exact_fit_stops_at_second_check(self):
-        # A = 0: the first update zeroes H, so both checked losses are 0.
+        # A = 0: the first update zeroes H, so the losses of sweeps 1 and 2
+        # are 0.
         A = np.zeros((5, 4))
         _, _, loss, sweeps = nmf_multiplicative(A, 2, np.ones((5, 2)), 300,
                                                 random_start(A, 2, make_rng(1)))
         assert loss == 0.0
-        assert sweeps == 2 * NMF_CHECK_EVERY
+        assert sweeps == 2
 
     @pytest.mark.parametrize("shape", [(20, 4, 2, 50), (100, 8, 5, 300), (30, 5, 3, 100)])
     @pytest.mark.parametrize("seed", range(10))
     def test_converged_restart_stops_at_second_check(self, shape, seed):
         """A run restarted from its own converged factors, under the same
-        mask, stops at the first check that has one before it to compare
-        with: a warm-started child node trains for two check windows."""
+        mask, stops at sweep 2, the first whose loss has one before it to
+        compare with: a warm-started child node can train for two sweeps."""
         inst, cap = nmf_generate_instance(*shape, seed=seed), 10000
         for topics in (inst.planted_topics, range(inst.k)):
             mask = nmf_build_mask(tuple(topics), (), inst.db, inst.k)
@@ -621,7 +633,7 @@ class TestNmfMultiplicative:
                                                  nmf_random_start(inst))
             assert sweeps < cap
             *_, restarted = nmf_multiplicative(inst.A, inst.k, mask, cap, (W, H))
-            assert restarted == 2 * NMF_CHECK_EVERY
+            assert restarted == 2
 
 
 @st.composite
@@ -753,9 +765,12 @@ class TestNmfStoppingRule:
     def test_matches_reference_prefix(self, case):
         A, k, mask, cap, seed = case
         start = random_start(A, k, make_rng(seed))
-        W, H, loss, ran = nmf_multiplicative(A, k, mask, cap, start)
-        # (a) the run reaches the cap or stops at a check below it
-        assert ran == cap or (ran < cap and ran % NMF_CHECK_EVERY == 0)
+        with sweep_losses() as seen:
+            W, H, loss, ran = nmf_multiplicative(A, k, mask, cap, start)
+        # (a) the run reaches the cap or stops below it, at sweep 2 or later,
+        # having taken the loss of every sweep
+        assert ran == cap or 2 <= ran < cap
+        assert len(seen) == ran
         # (b) a bit-identical prefix of the fixed-iteration run
         ref_W, ref_H = nmf_reference(A, k, mask, ran, start)
         assert np.array_equal(W, ref_W) and np.array_equal(H, ref_H)
@@ -763,19 +778,78 @@ class TestNmfStoppingRule:
         # (b') the exact-minimiser update, rounded otherwise, gives the same product
         un_W, un_H = nmf_reference_unscaled(A, k, mask, ran, start)
         np.testing.assert_allclose(W @ H, un_W @ un_H, rtol=1e-8, atol=1e-8 * A.max())
-        # (c) the rule holds at the stopping check and at no earlier one; a
-        # check on the last sweep of the cap may meet it or not
-        losses = [loss for _, _, loss in nmf_steps(A, k, mask, ran, start)]
-        checked = losses[NMF_CHECK_EVERY - 1::NMF_CHECK_EVERY]
-        met = [prev - cur <= NMF_STOP_RTOL * prev for prev, cur in zip(checked, checked[1:])]
+        # (c) the rule holds at the stopping sweep and at no earlier sweep
+        # from 2 on; the last sweep of the cap may meet it or not.  The
+        # losses are those the kernel read: each is the residual of its
+        # sweep's factors within the identity's rounding
+        # (`TestNmfLossIdentity`).
+        losses = [read for _, read, _ in seen]
+        met = [prev - cur <= NMF_STOP_RTOL * prev for prev, cur in zip(losses, losses[1:])]
         if ran < cap:
             assert met[-1]
-        if ran % NMF_CHECK_EVERY == 0:
-            met = met[:-1]
-        assert not any(met)
-        # (d) an exact fit stops at the next check
-        if 0.0 in checked:
-            assert len(checked) <= checked.index(0.0) + 2
+        assert not any(met[:-1])
+        # (d) an exact fit stops at the next sweep
+        if 0.0 in losses:
+            assert ran <= losses.index(0.0) + 2
+
+
+def identity_error(A, W, H):
+    """How far the kernel's loss^2 by the identity may lie from the square
+    of the explicit residual: M eps (||A|| + ||W H||)^2 for the identity,
+    as the comment above NMF_STOP_RTOL derives, with
+    M = n m + k n + n + m + k^2 + 2, and at most as much again for the
+    residual's own rounding (k-term products, a subtraction, a sum of
+    n m squares)."""
+    (n, m), k = A.shape, W.shape[1]
+    M = n * m + k * n + n + m + k * k + 2
+    scale = numerics.frobenius(A) + numerics.frobenius(W @ H)
+    return 2 * M * np.finfo(float).eps * scale ** 2
+
+
+class TestNmfLossIdentity:
+    """The loss of every sweep, taken by the identity
+    ||A||^2 - 2 <W^T, H A^T> + <W^T W, H H^T> where its guard admits it and
+    as the explicit residual elsewhere."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.one_of(nmf_cases(), nmf_edge_cases().map(lambda c: (*c[:3], 30, c[3]))))
+    def test_every_loss_matches_the_residual(self, case):
+        A, k, mask, cap, seed = case
+        start = random_start(A, k, make_rng(seed))
+        with sweep_losses() as seen:
+            *_, ran = nmf_multiplicative(A, k, mask, cap, start)
+        for (sq, loss, explicit), (W, H, residual) in zip(
+                seen, nmf_steps(A, k, mask, ran, start), strict=True):
+            if explicit:
+                assert loss == residual
+            else:
+                assert loss == math.sqrt(sq)
+                assert abs(sq - residual ** 2) <= identity_error(A, W, H)
+
+    @pytest.mark.parametrize("case", ["zero", "noiseless-planted", "overflowing-norm"])
+    def test_guard_takes_the_residual(self, case):
+        """Where the three terms cancel (A = 0, a noiseless planted fit) or
+        do not add up to a finite number (||A||^2 overflows), every sweep
+        takes the explicit residual."""
+        if case == "zero":
+            A, k, mask = np.zeros((5, 4)), 2, np.ones((5, 2))
+            start = random_start(A, k, make_rng(1))
+        elif case == "noiseless-planted":
+            inst = nmf_generate_instance(20, 4, 2, 50, seed=3, noise_sigma=0.0)
+            A, k = inst.A, inst.k
+            mask = nmf_build_mask(tuple(inst.planted_topics), (), inst.db, k)
+            start = inst.planted_W, inst.planted_H
+        else:
+            # Entries of 1-4e154 square past the largest float, so ||A||^2
+            # is inf; a start near the rank-one fit keeps every product of
+            # a sweep, and the residual's squared norm, finite.
+            rng = make_rng(5)
+            w, h = 1.0 + rng.random((6, 1)), 1.0 + rng.random((1, 7))
+            A, k, mask = 1e154 * (w @ h), 1, np.ones((6, 1))
+            start = 1e77 * w * (1.0 + 0.01 * rng.random((6, 1))), 1e77 * h
+        with sweep_losses() as seen:
+            nmf_multiplicative(A, k, mask, 10, start)
+        assert seen and all(explicit for *_, explicit in seen)
 
 
 @st.composite
@@ -837,8 +911,8 @@ class TestNmfSweeps:
         A, k, mask, cap, seed = case
         start = random_start(A, k, make_rng(seed))
         W, H, loss, sweeps = nmf_multiplicative(A, k, mask, cap, start)
-        # the cap, or the check below it where the run stopped
-        assert sweeps == cap or (sweeps < cap and sweeps % NMF_CHECK_EVERY == 0)
+        # the cap, or the sweep below it, from 2 on, where the run stopped
+        assert sweeps == cap or 2 <= sweeps < cap
         W0, H0, loss0, none = nmf_multiplicative(A, k, mask, 0, start)
         assert none == 0
         W1, H1, loss1 = ([(W0, H0, loss0)] + nmf_steps(A, k, mask, sweeps, (W0, H0)))[-1]

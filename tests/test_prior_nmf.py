@@ -22,7 +22,7 @@ from bagel.prior_nmf import (
     nmf_topic_recovery,
 )
 from bagel.smart_design import DesignSolution, sd_generate_instance
-from oracles import random_start
+from oracles import random_start, sweep_losses
 
 
 def small_db():
@@ -706,41 +706,83 @@ class TestLowerBoundKeepsTheSearch:
             assert set(stats.warnings) <= set(stats_u.warnings)
 
 
-class TestCheckWindowKeepsTheSearch:
-    """The 5-sweep check window at a 5e-6 tolerance stops HALS at the same
-    per-sweep rate as the 10-sweep window at 1e-5 did: the search is the
-    same, its trained losses agree to 1e-4 relative, and it runs fewer
-    sweeps."""
+def nmf_window_kernel(A, k, mask, iters, start):
+    """`numerics.nmf_multiplicative` as it was with a 5-sweep check window:
+    the same sweeps, with the explicit residual ||A - W H|| taken every 5
+    sweeps and a stop once it fell by at most 5e-6 relative since the
+    check before, 1e-6 per sweep."""
+    n, m = A.shape
+    stack_h, stack_w = np.empty((2 * k, m)), np.empty((3 * k, n))
+    H, Wt = stack_h[:k], stack_w[:k]
+    H[...] = start[1]
+    np.multiply(np.transpose(start[0]), mask.T, out=Wt)
+    W, Ht, At, B_h, B_w = Wt.T, H.T, A.T, stack_h[k:], stack_w[k:2 * k]
+    stack_w[2 * k:] = np.where(mask.T == 0, -numerics.NMF_MASKED, 0.0)
+    G = np.empty((k, k))
+    hals_h, hals_w = numerics._hals_rows(stack_h, G), numerics._hals_rows(stack_w, G)
+    sweeps, loss = 0, None
+    while sweeps < iters:
+        Wt.dot(A, B_h)
+        Wt.dot(W, G)
+        hals_h()
+        H.dot(At, B_w)
+        H.dot(Ht, G)
+        hals_w()
+        sweeps += 1
+        if sweeps % 5 == 0:
+            prev, loss = loss, frobenius(A - W @ H)
+            if prev is not None and prev - loss <= 5e-6 * prev:
+                break
+    if loss is None or sweeps % 5:
+        loss = frobenius(A - W @ H)
+    return Wt.copy().T, H.copy(), loss, sweeps
+
+
+class TestPerSweepRuleKeepsTheSearch:
+    """HALS stops at the first sweep whose loss fell by at most 1e-6
+    relative, that loss taken by the identity of the comment above
+    `numerics.NMF_STOP_RTOL`.  Against the 5-sweep window at 5e-6
+    (`nmf_window_kernel`), the same per-sweep rate, the search is the
+    same, its trained losses agree to 1e-5 relative (at `iters` 50 and
+    1000), no search runs more sweeps, and the nodes started from their
+    parent's factors run at least 25% fewer under DFS, the benchmark's
+    strategy.
+    (A cold-started root saves a few of its tens to hundreds of sweeps,
+    and best-first's children, which take 20-30 sweeps, save 11-20%.)
+    On these shapes the identity's guard never fires, so no sweep pays
+    for an explicit residual."""
 
     def test_same_search_fewer_sweeps(self, monkeypatch):
-        kernel = numerics.nmf_multiplicative
-        swept = []
+        swept, warm = [], [0, 0]
 
-        def counted(*args):
-            result = kernel(*args)
-            swept.append(result[3])
-            return result
+        def counted(kernel):
+            def run(*args):
+                result = kernel(*args)
+                swept.append(result[3])
+                return result
+            return run
 
-        monkeypatch.setattr(numerics, "nmf_multiplicative", counted)
-        totals = [0, 0]
+        kernels = [counted(numerics.nmf_multiplicative), counted(nmf_window_kernel)]
         # The benchmark's nmf-planted and nmf-large shapes; best-first on
         # the large shape is capped, as in `TestLowerBoundKeepsTheSearch`.
         for (shape, best_first_cap), seed, iters in itertools.product(
                 [((20, 4, 2, 50), None), ((100, 8, 5, 300), 120)], [3, 7, 11], [50, 1000]):
             inst = nmf_generate_instance(*shape, seed=seed)
             for strategy, cap in (("dfs", None), ("best-first", best_first_cap)):
-                runs = []
-                for i, (every, rtol) in enumerate([(numerics.NMF_CHECK_EVERY,
-                                                     numerics.NMF_STOP_RTOL), (10, 1e-5)]):
-                    with monkeypatch.context() as patch:
-                        patch.setattr(numerics, "NMF_CHECK_EVERY", every)
-                        patch.setattr(numerics, "NMF_STOP_RTOL", rtol)
-                        swept.clear()
-                        records = []
+                runs, sweeps = [], []
+                for i, kernel in enumerate(kernels):
+                    monkeypatch.setattr(numerics, "nmf_multiplicative", kernel)
+                    swept.clear()
+                    records = []
+                    with sweep_losses() as seen:
                         runs.append((*bagel_search(PriorNmfProblem(inst, iters),
                                                    StopCondition(node_budget=cap), strategy,
                                                    trace=records.append), records))
-                    totals[i] += sum(swept)
+                    assert not any(explicit for *_, explicit in seen)
+                    sweeps.append(sum(swept))
+                    if strategy == "dfs":
+                        warm[i] += sum(swept[1:])  # every training after the root's
+                assert sweeps[0] <= sweeps[1]
                 (best, stats, records), (best_r, stats_r, records_r) = runs
                 assert [(r["trail"], r["status"]) for r in records] == [
                     (r["trail"], r["status"]) for r in records_r]
@@ -752,10 +794,8 @@ class TestCheckWindowKeepsTheSearch:
                 for rec, rec_r in zip(records, records_r):
                     assert (rec["loss"] is None) == (rec_r["loss"] is None)
                     if rec["loss"] is not None:
-                        assert rec["loss"] == pytest.approx(rec_r["loss"], rel=1e-4)
-        # Summed over the 24 searches: a small search may save only a
-        # window or two (5% on one DFS here).
-        assert totals[0] <= 0.85 * totals[1]
+                        assert rec["loss"] == pytest.approx(rec_r["loss"], rel=1e-5)
+        assert warm[0] <= 0.75 * warm[1]
 
 
 class TestInstanceGenerator:
