@@ -387,7 +387,7 @@ class GramLeastSquares:
         d = self.X.shape[1]
         if mask.shape != (d,):
             raise DimensionError("mask length must equal the number of columns of X")
-        keep = mask != 0
+        keep = mask.astype(bool, copy=False)
         (cols,) = keep.nonzero()
         if not cols.size:
             return np.zeros(d), float(np.linalg.norm(self.y))
@@ -430,7 +430,28 @@ class GramLeastSquares:
 
 
 def frobenius(A):
-    return float(np.linalg.norm(np.asarray(A, dtype=float)))
+    """||A||_F: `np.linalg.norm`'s, the root of the flattened A's dot with
+    itself, bit for bit wherever that is finite, and finite wherever the
+    norm is (`scaled_squares`)."""
+    a = np.asarray(A, dtype=float).ravel(order="K")
+    total, scale = scaled_squares(a, lambda x: x.dot(x))
+    return math.sqrt(total) * scale
+
+
+def scaled_squares(A, squares):
+    """`(squares(A), 1.0)`, for `squares` a sum of A's squares (one total,
+    or one per row).  Squares overflow where ||A|| exceeds about 1.3e154,
+    though the norm itself may be finite: where they total inf and A is
+    finite, the result is `(squares(A / s), s)` instead, s the power of two
+    at or below max|A|.  The division is exact, save for entries that fall
+    below the normal range, no square exceeds 4, and a root of the scaled
+    squares times s is the root of A's."""
+    with np.errstate(over="ignore"):
+        sq = squares(A)
+        if sq.sum() < math.inf or not np.isfinite(A).all():
+            return sq, 1.0
+    scale = math.ldexp(1.0, math.frexp(np.abs(A).max())[1] - 1)
+    return squares(A / scale), scale
 
 
 # The stopping rule of `nmf_multiplicative`, a relative-decrease rule as

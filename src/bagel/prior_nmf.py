@@ -191,7 +191,11 @@ class PriorNmfProblem(Problem):
         self._table = instance.db.as_table()
         self._rank_cost = masked_lp_cost(2)
         A = instance.A
-        self._row_sq = np.einsum("ij,ij->i", A, A)
+        # The squares of A by rows, and the factor the bound's root is
+        # scaled back by (`numerics.scaled_squares`); the division by it is
+        # exact, so the margin below holds as it does for A itself.
+        self._row_sq, self._row_scale = numerics.scaled_squares(
+            A, lambda B: np.einsum("ij,ij->i", B, B))
         # The computed bound must not exceed the computed trained loss of
         # this node or of any leaf below it, `frobenius(A - W H)`, whose
         # uncovered rows are exactly A's.  Both are square roots of
@@ -221,7 +225,7 @@ class PriorNmfProblem(Problem):
         """The residual norm of the words no column of the node's mask
         covers, scaled down by the rounding margin `__init__` derives."""
         uncovered = ~node.payload.any(axis=1)
-        return math.sqrt(self._row_sq[uncovered].sum()) * self._bound_scale
+        return math.sqrt(self._row_sq[uncovered].sum()) * self._row_scale * self._bound_scale
 
     def train(self, node):
         start = nmf_random_start(self.instance) if node.parent is None else node.parent.model

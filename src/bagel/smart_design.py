@@ -8,6 +8,8 @@ baselines, a seeded instance generator, and evaluation helpers live here.
 
 from __future__ import annotations
 
+import itertools
+import math
 import warnings
 from dataclasses import dataclass
 from typing import List
@@ -141,6 +143,9 @@ class SmartDesignProblem(Problem):
         # Offset of each component's first feature: the `reduceat` indices
         # that reduce a feature vector to one value per component.
         self.starts = np.cumsum(self.sizes) - self.sizes
+        # The component of each feature: `on[owner]` is the feature mask of
+        # a bool per component, as `expand_mask(on, sizes)` is.
+        self.owner = np.repeat(np.arange(len(self.components)), self.sizes)
         self.gram_diag = solver.gram.diagonal()
         # The two child decisions of each component, in the order `branch`
         # returns them.
@@ -174,7 +179,7 @@ class SmartDesignProblem(Problem):
 
     def generate(self, node):
         if node.payload is None:
-            node.payload = expand_mask(node.state, self.sizes)
+            node.payload = (node.state != ZERO)[self.owner]
 
     def train(self, node):
         # The mask is the parent's object exactly when it is the parent's
@@ -189,19 +194,23 @@ class SmartDesignProblem(Problem):
 
     def is_leaf(self, node):
         # Every completion of the free variables fits the budget.
-        return constraints.within_budget(self.weights[node.state != ZERO].tolist(), self.bound)
+        return constraints.within_budget(
+            itertools.compress(self.weights.tolist(), (node.state != ZERO).tolist()),
+            self.bound)
 
     def branch(self, node):
         # Split on the free component that carries most of the node's
         # fitted signal, sum of theta_f^2 (X^T X)_ff over its features;
         # argmax breaks ties to the lowest index.  The u=0 child loses that
         # signal, so a seeded incumbent prunes it early; unseeded, a DFS
-        # would dive into it first and find poor leaves.
-        free = np.flatnonzero(node.state == BOTH)
-        if not free.size:
-            raise RuntimeError("branch() called on a node with no free variable")
+        # would dive into it first and find poor leaves.  A fixed
+        # component's signal is -inf, below every free one's.
         signal = np.add.reduceat(node.model ** 2 * self.gram_diag, self.starts)
-        return self.decisions[free[np.argmax(signal[free])]]
+        signal[node.state != BOTH] = -np.inf
+        var = int(signal.argmax())
+        if node.state[var] != BOTH:  # every signal is -inf
+            raise RuntimeError("branch() called on a node with no free variable")
+        return self.decisions[var]
 
     def apply(self, state, decision):
         child = state.copy()
@@ -217,33 +226,37 @@ def baseline_l2_br(problem):
     """Basic repair: fit once, drop lowest-coefficient components until the
     budget holds, then refit once on the survivors.  problem is the
     `SmartDesignProblem` whose solver and component layout it uses."""
-    weights, sizes = problem.weights, problem.sizes
-    theta, _ = problem.solver.solve(np.ones(sizes.sum()))
+    weights = problem.weights.tolist()
+    theta, _ = problem.solver.solve(np.ones(len(problem.owner), bool))
     scores = np.maximum.reduceat(np.abs(theta), problem.starts)
-    u = np.ones(len(weights), dtype=int)
-    for i in np.argsort(scores, kind="stable"):
-        if constraints.within_budget(weights[u == 1], problem.bound):
+    on = [True] * len(weights)
+    for i in np.argsort(scores, kind="stable").tolist():
+        if constraints.within_budget(itertools.compress(weights, on), problem.bound):
             break
-        u[i] = 0
-    theta, loss = problem.solver.solve(expand_mask(u, sizes))
-    return DesignSolution(u=u, theta=theta, train_loss=loss)
+        on[i] = False
+    theta, loss = problem.solver.solve(np.array(on)[problem.owner])
+    return DesignSolution(u=np.array(on, dtype=int), theta=theta, train_loss=loss)
 
 
 def baseline_l2_or(problem):
     """Ratio repair: iteratively drop the component with the lowest
     coefficient-over-weight ratio, refitting after every removal.  problem
-    is the `SmartDesignProblem` whose solver and component layout it uses."""
-    weights, sizes = problem.weights, problem.sizes
-    u = np.ones(len(weights), dtype=int)
-    theta, loss = problem.solver.solve(expand_mask(u, sizes))
-    while not constraints.within_budget(weights[u == 1], problem.bound):
-        scores = np.maximum.reduceat(np.abs(theta), problem.starts)
-        ratios = np.where(weights > 0, scores / np.maximum(weights, 1e-300), np.inf)
-        active = np.flatnonzero(u)
-        drop = active[np.argmin(ratios[active])]
-        u[drop] = 0
-        theta, loss = problem.solver.solve(expand_mask(u, sizes))
-    return DesignSolution(u=u, theta=theta, train_loss=loss)
+    is the `SmartDesignProblem` whose solver and component layout it uses.
+
+    A zero weight's ratio is inf, so such a component goes last, and a
+    weight below 1e-300 divides as 1e-300, so its ratio stays finite.
+    Ties go to the lowest index."""
+    weights = problem.weights.tolist()
+    denominators = [max(w, 1e-300) for w in weights]
+    on = [True] * len(weights)
+    theta, loss = problem.solver.solve(np.ones(len(problem.owner), bool))
+    while not constraints.within_budget(itertools.compress(weights, on), problem.bound):
+        scores = np.maximum.reduceat(np.abs(theta), problem.starts).tolist()
+        drop = min(itertools.compress(range(len(on)), on),
+                   key=lambda i: scores[i] / denominators[i] if weights[i] > 0 else math.inf)
+        on[drop] = False
+        theta, loss = problem.solver.solve(np.array(on)[problem.owner])
+    return DesignSolution(u=np.array(on, dtype=int), theta=theta, train_loss=loss)
 
 
 def _partition_sizes(n, k, rng):

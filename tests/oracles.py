@@ -78,3 +78,26 @@ def dense_instance(seed):
     clean = inst.X @ rng.standard_normal(inst.X.shape[1])
     y = clean + NOISE_SCALE * float(np.std(clean)) * rng.standard_normal(len(clean))
     return dataclasses.replace(inst, y=y)
+
+
+# The smart-design workloads of benchmarks/run.py: generator arguments and
+# `bagel solve` flags.
+BENCHMARK_WORKLOADS = {
+    "sd-tall": (dict(n_features=100, samples=10000, cost_percent=0.6, n_components=8),
+                ["--folds", "1"]),
+    "sd-many": (dict(n_features=40, samples=400, cost_percent=0.6, n_components=20),
+                ["--strategy", "best-first", "--folds", "5"]),
+}
+
+
+def benchmark_shaped(workload, seed):
+    """The instance benchmarks/run.py solves for a smart-design workload
+    at order seed `seed`: the generator's instance at library seed 1, its
+    rows permuted and its stored seed drawn by `make_rng(seed)`."""
+    shape, _ = BENCHMARK_WORKLOADS[workload]
+    rng = make_rng(seed)
+    inst = sd_generate_instance(**shape, seed=1)
+    order = rng.permutation(len(inst.y))
+    inst.X, inst.y = inst.X[order], inst.y[order]
+    inst.seed = int(rng.integers(2 ** 63 - 1))
+    return inst

@@ -13,10 +13,11 @@ import pytest
 
 import bagel
 from bagel import cli, numerics
-from bagel.smart_design import run_methods, sd_generate_instance
+from bagel.smart_design import run_methods, save_instance, sd_generate_instance
 from bagel.engine import StopCondition
 from bagel.prior_nmf import PriorNmfProblem, nmf_generate_instance
 from bagel.smart_design import SmartDesignProblem
+from oracles import BENCHMARK_WORKLOADS, benchmark_shaped
 
 
 def load_sd(path):
@@ -798,6 +799,85 @@ class TestLoad:
         assert capsys.readouterr().err.startswith("error:")
         assert threading.active_count() == threads
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+# CSV rows (method, fold, train_loss, test_loss, tightness, nodes, completed)
+# and sidecar node counts (opened, trained, pruned, failed, leaves) of
+# `bagel solve` on `oracles.benchmark_shaped` instances, recorded with
+# bagel 0.8.0, numpy 2.4 and its OpenBLAS 0.3.31 on x86-64.
+BENCHMARK_SHAPED_SOLVES = {
+    ("sd-many", 1): ([
+        "bagel 0 6.140496865847769 3.101983075822715 0.9836608937927946 25 true",
+        "l2_br 0 6.158358988306507 3.0331777455501356 0.9643492909866601 0 true",
+        "l2_or 0 6.140496865847769 3.101983075822715 0.9836608937927946 0 true",
+        "bagel 1 6.093433148227643 3.175476234787769 0.9865769971160582 25 true",
+        "l2_br 1 6.098738714224449 3.1660252153778172 0.9643492909866601 0 true",
+        "l2_or 1 6.098738714224449 3.1660252153778172 0.9643492909866601 0 true",
+        "bagel 2 5.943984798519908 3.491534800370218 0.9836608937927946 25 true",
+        "l2_br 2 5.95331553754581 3.4418242099523764 0.9643492909866601 0 true",
+        "l2_or 2 5.95331553754581 3.4418242099523764 0.9643492909866601 0 true",
+        "bagel 3 6.034135089451661 3.2712723903905094 0.9865769971160582 25 true",
+        "l2_br 3 6.037629212190193 3.2639845629478503 0.9643492909866601 0 true",
+        "l2_or 3 6.037629212190193 3.2639845629478503 0.9643492909866601 0 true",
+        "bagel 4 6.244130663245056 2.8859423404708564 0.9865769971160582 25 true",
+        "l2_br 4 6.2501161488511014 2.869075786302159 0.9643492909866601 0 true",
+        "l2_or 4 6.2501161488511014 2.869075786302159 0.9643492909866601 0 true",
+    ], [(25, 25, 13, 0, 0)] + [(25, 25, 11, 0, 2)] * 4),
+    ("sd-many", 2): ([
+        "bagel 0 5.984296055300571 3.4432672784754548 0.9865769971160582 25 true",
+        "l2_br 0 5.985591552373648 3.4442937001809963 0.9643492909866601 0 true",
+        "l2_or 0 5.985591552373648 3.4442937001809963 0.9643492909866601 0 true",
+        "bagel 1 6.209225293703275 2.901068642467544 0.9836608937927946 25 true",
+        "l2_br 1 6.216103944484392 2.87304741435589 0.9643492909866601 0 true",
+        "l2_or 1 6.216103944484392 2.87304741435589 0.9643492909866601 0 true",
+        "bagel 2 6.151955143763121 3.0950363218709223 0.9836608937927946 25 true",
+        "l2_br 2 6.152676507800848 3.0888803741744435 0.9643492909866601 0 true",
+        "l2_or 2 6.152676507800848 3.0888803741744435 0.9643492909866601 0 true",
+        "bagel 3 6.011910688809687 3.343044638378757 0.9836608937927946 25 true",
+        "l2_br 3 6.015938633367322 3.332777243181231 0.9643492909866601 0 true",
+        "l2_or 3 6.015938633367322 3.332777243181231 0.9643492909866601 0 true",
+        "bagel 4 6.099286881984365 3.1844165933538062 0.9865769971160582 25 true",
+        "l2_br 4 6.110528631605252 3.1476095445775627 0.9643492909866601 0 true",
+        "l2_or 4 6.110528631605252 3.1476095445775627 0.9643492909866601 0 true",
+    ], [(25, 25, 11, 0, 2)] * 5),
+    ("sd-tall", 1): ([
+        "bagel 0 68.51724530838652 34.70731722184272 0.950849053816445 11 true",
+        "l2_br 0 68.51724530838652 34.70731722184272 0.950849053816445 0 true",
+        "l2_or 0 68.51724530838652 34.70731722184272 0.950849053816445 0 true",
+    ], [(11, 11, 6, 0, 0)]),
+    ("sd-tall", 2): ([
+        "bagel 0 68.63076202247096 34.47782055195017 0.950849053816445 11 true",
+        "l2_br 0 68.63076202247096 34.47782055195017 0.950849053816445 0 true",
+        "l2_or 0 68.63076202247096 34.47782055195017 0.950849053816445 0 true",
+    ], [(11, 11, 6, 0, 0)]),
+}
+
+
+class TestBenchmarkShapedSolves:
+    """The smart-design benchmark workloads' solves give the rows and node
+    counts recorded above.  Node counts and the text columns must match
+    exactly; the losses and tightness within 1e-12 relative, since
+    another BLAS may round their last bits otherwise."""
+
+    @pytest.mark.parametrize("workload, seed", list(BENCHMARK_SHAPED_SOLVES))
+    def test_rows_and_node_counts(self, tmp_path, workload, seed):
+        path, out = str(tmp_path / "inst.json"), str(tmp_path / "res.csv")
+        save_instance(benchmark_shaped(workload, seed), path)
+        _, flags = BENCHMARK_WORKLOADS[workload]
+        assert cli.main(["solve", "--instance", path, "--out", out] + flags) == 0
+        rows, nodes = BENCHMARK_SHAPED_SOLVES[workload, seed]
+        got = rows_without_wall(out)
+        assert len(got) == len(rows)
+        for row, expected in zip(got, rows):
+            method, fold, train, test, tight, opened, completed = expected.split()
+            assert [row[c] for c in ("method", "fold", "nodes", "completed")] == [
+                method, fold, opened, completed]
+            for column, value in (("train_loss", train), ("test_loss", test),
+                                  ("tightness", tight)):
+                assert float(row[column]) == pytest.approx(float(value), rel=1e-12, abs=0)
+        meta = json.loads((tmp_path / "res.csv.meta.json").read_text())
+        assert [tuple(n[k] for k in ("opened", "trained", "pruned", "failed", "leaves"))
+                for n in meta["nodes"]] == nodes
 
 
 class TestBench:

@@ -237,6 +237,19 @@ class TestGramLeastSquares:
                 theta_tol = LOSS_RTOL * max(1.0, np.linalg.norm(ref_theta))
                 assert np.linalg.norm(theta - ref_theta) <= theta_tol
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(least_squares_cases())
+    def test_bool_float_and_int_masks_solve_alike(self, case):
+        """`solve` reads a mask as bool, one path for every dtype: the same
+        mask as 0/1 floats or ints gives the same bits on every route."""
+        X, y, mask = case
+        solver = GramLeastSquares(X, y)
+        theta, loss = solver.solve(mask)
+        for other in (mask.astype(float), mask.astype(int)):
+            other_theta, other_loss = solver.solve(other)
+            assert np.array_equal(bits(other_theta), bits(theta))
+            assert bits(other_loss) == bits(loss)
+
     @pytest.mark.parametrize("X, mask", [
         (np.array([[1.0, 1.0], [1.0, 1.0]]), [1, 1]),               # duplicated columns
         (make_rng(2).standard_normal((3, 5)), [1, 1, 1, 1, 0]),     # m < |mask|
@@ -893,6 +906,49 @@ class TestNmfScaleAndStart:
         W, H = run(mask, random_start(A, k, make_rng(seed)))
         if child is not None:
             run(child, (W, H))
+
+
+def scaled_norm(A):
+    """||A||_F as the norm of A / max|A| times max|A|: finite wherever the
+    norm is, though the squares of A may overflow."""
+    top = np.abs(A).max(initial=0.0)
+    return float(np.linalg.norm(A / top)) * top if top else 0.0
+
+
+class TestFrobenius:
+    """`numerics.frobenius`: the plain norm where the squares of A stay
+    finite, and a scaled norm where they overflow though the norm does not."""
+
+    @pytest.mark.parametrize("A", [
+        make_rng(1).random((20, 50)), make_rng(2).standard_normal((3, 4)) * 1e150,
+        make_rng(3).standard_normal((5, 1)) * 1e-200, np.zeros((2, 3)), np.ones((0, 4)),
+    ], ids=["unit", "1e150", "1e-200", "zero", "empty"])
+    def test_plain_norm_bit_for_bit(self, A):
+        assert bits(numerics.frobenius(A)) == bits(np.linalg.norm(A))
+
+    @pytest.mark.parametrize("scale", [1e154, 1e200, 1e307])
+    def test_overflowing_squares(self, scale):
+        A = scale * (1.0 - 2.0 * make_rng(4).random((6, 7)))
+        norm = numerics.frobenius(A)
+        assert math.isfinite(norm) and norm == pytest.approx(scaled_norm(A), rel=1e-12)
+
+    def test_infinite_and_nan_norms(self):
+        assert numerics.frobenius(np.full((2, 2), 1e308)) == math.inf
+        assert numerics.frobenius(np.array([[1.0, math.inf]])) == math.inf
+        assert math.isnan(numerics.frobenius(np.array([[1e200, math.nan]])))
+
+    def test_hals_loss_where_the_squares_overflow(self):
+        """Entries near 1.5e154 from a start scaled by 1e77: every sweep's
+        loss and the final loss are the residual's finite norm."""
+        rng = make_rng(0)
+        A = 1e154 * (1.0 + rng.random((6, 7)))
+        W0, H0 = random_start(A, 2, rng)
+        with sweep_losses() as seen:
+            W, H, loss, sweeps = nmf_multiplicative(A, 2, np.ones((6, 2)), 50,
+                                                    (1e77 * W0, 1e77 * H0))
+        assert len(seen) == sweeps and all(
+            explicit and math.isfinite(sweep_loss) for _, sweep_loss, explicit in seen)
+        assert loss == pytest.approx(scaled_norm(A - W @ H), rel=1e-12)
 
 
 def bits(x):

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -655,6 +656,31 @@ class TestLowerBound:
         # all uncovered rows and meets the bound within its margin.
         assert problem.bounds[("s1=1",)] <= problem.losses[("s1=1",)]
         assert problem.losses[("s1=1",)] == pytest.approx(frobenius(A[[1, 2, 3]]), rel=1e-12)
+
+    def test_bound_where_the_squares_overflow(self):
+        """Rows of about 1e154, whose squares total past the largest float
+        at the nodes that leave rows 1-3 uncovered, though their norms and
+        every trained loss are finite: the bound stays the uncovered rows'
+        norm, below the losses, and prunes only what the exhaustive search
+        would not take."""
+        A = ONE_COLUMN.A * np.array([[1e150], [1e154], [1e154], [1e154]])
+        inst = dataclasses.replace(ONE_COLUMN, A=A)
+        problem = BoundRecordingProblem(inst, iters=50)
+        bagel_search(problem, prune=False)
+        scale = 1.0 - 2.0 * A.size * np.finfo(float).eps
+        for trail, uncovered in (((), []), (("s1=1",), [1, 2, 3]), (("s1=2",), [0, 3]),
+                                 (("s1=3",), [3])):
+            rows = A[uncovered]
+            top = rows.max(initial=0.0)
+            norm = np.linalg.norm(rows / top) * top if top else 0.0
+            assert problem.bounds[trail] == pytest.approx(norm * scale, rel=1e-12)
+            assert problem.bounds[trail] <= problem.losses[trail] < math.inf
+        assert sum(a * a for a in A[1:].ravel().tolist()) == math.inf
+        pruned, exhaustive = (bagel_search(PriorNmfProblem(inst, iters=50), prune=prune)
+                              for prune in (True, False))
+        assert pruned[1].nodes_pruned > 0
+        assert pruned[0].model.assignment == exhaustive[0].model.assignment
+        assert pruned[0].loss == exhaustive[0].loss
 
 
 class UnboundedProblem(PriorNmfProblem):

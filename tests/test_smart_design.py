@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bagel import constraints, numerics, smart_design
@@ -289,6 +289,152 @@ class TestBaselines:
         br = baseline_l2_br(problem)
         orr = baseline_l2_or(problem)
         assert np.array_equal(br.u, orr.u)
+
+
+def bits(x):
+    """The bit patterns of a float array or float, to compare exactly."""
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+def layout_problem(sizes, weights=None, bound=1.0, X=None, y=None):
+    """A problem over components of `sizes` (unit weights by default),
+    trained on X and y, by default the identity and zeros."""
+    d = sum(sizes)
+    X = np.eye(d) if X is None else X
+    y = np.zeros(len(X)) if y is None else y
+    weights = [1.0] * len(sizes) if weights is None else weights
+    return SmartDesignProblem(GramLeastSquares(X, y),
+                              [Component(s, w) for s, w in zip(sizes, weights)], bound)
+
+
+def reference_l2_br(problem):
+    """(u, theta, loss) of `baseline_l2_br` as it was written over feature
+    masks from `expand_mask` and budget totals of numpy arrays."""
+    weights, sizes = problem.weights, problem.sizes
+    theta, _ = problem.solver.solve(np.ones(sizes.sum()))
+    scores = np.maximum.reduceat(np.abs(theta), problem.starts)
+    u = np.ones(len(weights), dtype=int)
+    for i in np.argsort(scores, kind="stable"):
+        if within_budget(weights[u == 1], problem.bound):
+            break
+        u[i] = 0
+    theta, loss = problem.solver.solve(expand_mask(u, sizes))
+    return u, theta, loss
+
+
+def reference_l2_or(problem):
+    """(u, theta, loss) of `baseline_l2_or` as it was written over numpy
+    ratio arrays, `flatnonzero` active sets and `expand_mask`."""
+    weights, sizes = problem.weights, problem.sizes
+    u = np.ones(len(weights), dtype=int)
+    theta, loss = problem.solver.solve(expand_mask(u, sizes))
+    while not within_budget(weights[u == 1], problem.bound):
+        scores = np.maximum.reduceat(np.abs(theta), problem.starts)
+        ratios = np.where(weights > 0, scores / np.maximum(weights, 1e-300), np.inf)
+        active = np.flatnonzero(u)
+        drop = active[np.argmin(ratios[active])]
+        u[drop] = 0
+        theta, loss = problem.solver.solve(expand_mask(u, sizes))
+    return u, theta, loss
+
+
+def reference_branch_var(problem, node):
+    """The component `branch` splits on, by `flatnonzero` and `argmax` over
+    the free components, or None where none is free."""
+    free = np.flatnonzero(node.state == BOTH)
+    if not free.size:
+        return None
+    signal = np.add.reduceat(node.model ** 2 * problem.gram_diag, problem.starts)
+    return int(free[np.argmax(signal[free])])
+
+
+@st.composite
+def baseline_cases(draw):
+    """A problem of 1-6 components of 1-3 features, with weights among 0,
+    inf, a subnormal, small integers and random floats, and a bound at the exact total
+    of a drawn selection (a tie) or anywhere in (0.5, 40).  X is Gaussian
+    over 2-12 rows, so some have fewer rows than features, or the identity
+    with y drawn from {-2, 1, 2}, so that coefficients and ratios tie."""
+    k = draw(st.integers(1, 6))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+    weights = draw(st.lists(st.one_of(st.sampled_from([0.0, math.inf, 1e-310, 1.0, 2.0, 3.0]),
+                                      st.floats(0.1, 10.0)), min_size=k, max_size=k))
+    d = sum(sizes)
+    if draw(st.booleans()):
+        X = np.eye(d)
+        y = np.array(draw(st.lists(st.sampled_from([-2.0, 1.0, 2.0]), min_size=d, max_size=d)))
+    else:
+        rng = make_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        X = rng.standard_normal((draw(st.integers(2, 12)), d))
+        y = rng.standard_normal(len(X))
+    tie = math.fsum(itertools.compress(weights, draw(
+        st.lists(st.booleans(), min_size=k, max_size=k))))
+    bound = tie if draw(st.booleans()) and 0 < tie < math.inf else draw(st.floats(0.5, 40.0))
+    return layout_problem(sizes, weights, bound, X, y)
+
+
+@st.composite
+def branch_cases(draw):
+    """(sizes, codes, theta, column scales): coefficients and scales from
+    small sets, so signals tie and are often all zero."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=6))
+    k, d = len(sizes), sum(sizes)
+    codes = draw(st.lists(st.sampled_from([ZERO, ONE, BOTH]), min_size=k, max_size=k))
+    theta = draw(st.lists(st.sampled_from([0.0, 0.5, -1.0, 1.0, 2.0]), min_size=d, max_size=d))
+    scale = draw(st.lists(st.sampled_from([1.0, 2.0]), min_size=d, max_size=d))
+    return sizes, codes, theta, scale
+
+
+class TestComponentSpace:
+    """The bookkeeping done per component against the feature-level code it
+    replaced: the same masks, branch choices and baseline answers, bit for
+    bit."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(sizes=st.lists(st.integers(1, 4), min_size=1, max_size=8), data=st.data())
+    def test_owner_mask_is_expand_mask(self, sizes, data):
+        codes = data.draw(st.lists(st.sampled_from([ZERO, ONE, BOTH]), min_size=len(sizes),
+                                   max_size=len(sizes)))
+        problem = layout_problem(sizes)
+        node = node_with(problem, codes)
+        problem.generate(node)
+        expected = expand_mask(node.state, sizes)
+        assert node.payload.dtype == expected.dtype == bool
+        assert np.array_equal(node.payload, expected)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(branch_cases())
+    @example(([2, 1, 3], [BOTH] * 3, [0.0] * 6, [1.0] * 6))            # all signals zero
+    @example(([2, 1, 3], [ONE, BOTH, ZERO], [2.0] * 6, [2.0] * 6))     # one free component
+    @example(([1, 1, 1], [BOTH, ZERO, BOTH], [1.0, 2.0, -1.0], [1.0] * 3))  # a tie
+    @example(([1, 2], [ONE, ZERO], [1.0, 1.0, 1.0], [1.0] * 3))        # none free
+    def test_branch_matches_flatnonzero_argmax(self, case):
+        sizes, codes, theta, scale = case
+        problem = layout_problem(sizes, X=np.diag(scale))
+        node = model_node(problem, codes, theta)
+        var = reference_branch_var(problem, node)
+        if var is None:
+            with pytest.raises(RuntimeError):
+                problem.branch(node)
+        else:
+            assert [(d.var, d.value) for d in problem.branch(node)] == [(var, ZERO), (var, ONE)]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(baseline_cases())
+    # Equal coefficients: the subnormal weight's ratio is 1 / 1e-300, finite,
+    # so it goes before the zero weight's inf.
+    @example(layout_problem([1, 1, 1], [0.0, 1e-310, 2.0], 1e-310, np.eye(3), np.ones(3)))
+    # A bound that ties the total of components 0 and 1, which stay.
+    @example(layout_problem([2, 1, 1], [1.0, 2.0, 3.0], 3.0, np.eye(4),
+                            np.array([2.0, 1.0, 2.0, 1.0])))
+    def test_baselines_match_the_feature_level_ones(self, problem):
+        for baseline, reference in ((baseline_l2_br, reference_l2_br),
+                                    (baseline_l2_or, reference_l2_or)):
+            sol = baseline(problem)
+            u, theta, loss = reference(problem)
+            assert sol.u.dtype == u.dtype and np.array_equal(sol.u, u)
+            assert np.array_equal(bits(sol.theta), bits(theta))
+            assert bits(sol.train_loss) == bits(loss)
 
 
 class TestInstanceGenerator:
